@@ -4,7 +4,8 @@ Graphs are recorded onto an explicit :class:`Tape` used as a context
 manager; outside any tape, every op is plain (and cheaper) numpy compute.
 The reverse sweep replays the recorded entries exactly once, in reverse
 execution order.  Tapes are tracked per thread, so independent graphs may
-run concurrently on different threads.
+run concurrently on different threads.  A tensor refers to its tape only
+weakly, so a finished graph is freed by reference counting alone.
 
 Every op verifies its output is finite and raises :class:`NonFiniteError`
 otherwise; overflow never propagates silently.
@@ -13,6 +14,7 @@ otherwise; overflow never propagates silently.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "reshape",
     "stack_rows",
     "total",
+    "gru_sequence",
     "conv1d",
     "max_over_time",
     "avg_over_time",
@@ -83,7 +86,12 @@ class Tensor:
         _ensure_finite(arr, _op)
         self.values = arr
         self.grad: np.ndarray | None = None
-        self.tape: Tape | None = None
+        self._tape_ref: weakref.ref | None = None
+
+    @property
+    def tape(self) -> "Tape | None":
+        """The tape this tensor was recorded on, while that tape is alive."""
+        return None if self._tape_ref is None else self._tape_ref()
 
     @property
     def shape(self) -> tuple:
@@ -100,9 +108,10 @@ class Tensor:
 
     def backward(self) -> None:
         """Run the reverse sweep of the tape this tensor was recorded on."""
-        if self.tape is None:
-            raise ValueError("tensor was not recorded on any tape")
-        self.tape.backward(self)
+        tape = self.tape
+        if tape is None:
+            raise ValueError("tensor was not recorded on any live tape")
+        tape.backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -153,11 +162,13 @@ class Tape:
 
     Gradient accumulation is additive: leaf tensors (parameters,
     constants) keep whatever is already in ``.grad``, so two backward
-    calls without zeroing double a parameter's gradient.
+    calls without zeroing double a parameter's gradient.  A parameter
+    accumulates in place into the buffer it owns.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple, tuple]] = []
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -175,7 +186,8 @@ class Tape:
         """Populate gradients of every leaf reachable from ``loss``."""
         if loss.values.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.values.shape}")
-        if loss.tape is not self:
+        ref = self._ref
+        if loss._tape_ref is not ref:
             raise ValueError("loss was not recorded on this tape")
         # Adjoints of intermediates live in a scratch map so repeated
         # sweeps stay correct; only leaves accumulate into .grad.
@@ -189,13 +201,16 @@ class Tape:
                 if fn is None:
                     continue
                 contrib = fn(g)
-                if parent.tape is self:
+                if parent._tape_ref is ref:
                     key = id(parent)
                     if key in adjoint:
                         adjoint[key] = adjoint[key] + contrib
                     else:
                         adjoint[key] = contrib
+                elif isinstance(parent, Parameter):
+                    parent.grad += contrib
                 else:
+                    # contrib may alias another op's cotangent, so never add into it
                     parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
@@ -207,7 +222,7 @@ def _apply(values: np.ndarray, op: str, parents: tuple, grad_fns: tuple) -> Tens
     out = Tensor(_ensure_finite(np.asarray(values, dtype=np.float64), op), _op=op)
     tape = _active_tape()
     if tape is not None:
-        out.tape = tape
+        out._tape_ref = tape._ref
         tape._entries.append((out, parents, grad_fns))
     return out
 
@@ -254,13 +269,14 @@ def smul(a: Tensor, s: Tensor) -> Tensor:
     )
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow for large |x|: exp(x) / (1 + exp(x)) below 0."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.values
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _logistic(a.values)
     return _apply(out, "sigmoid", (a,), (lambda g: g * out * (1.0 - out),))
 
 
@@ -356,6 +372,105 @@ def total(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # sequence ops
+
+def gru_sequence(x: Tensor, gates, h0: Tensor | None = None,
+                 reverse: bool = False) -> Tensor:
+    """GRU states over the rows of a T x I sequence, as one T x H tensor.
+
+    ``gates`` is (W_z, W_r, W_h, U_z, U_r, U_h), optionally followed by
+    (b_z, b_r, b_h); each W is H x I, each U is H x H.  One step is
+
+        z = sigmoid(W_z x + U_z h + b_z)     r = sigmoid(W_r x + U_r h + b_r)
+        c = tanh(W_h x + r * (U_h h) + b_h)  h' = z * h + (1 - z) * c
+
+    from ``h0`` (zeros when None).  With ``reverse`` the rows are consumed
+    last to first; row t of the output is always the state after input
+    row t.  The input projections of all steps are three GEMMs outside the
+    recurrence (Appleyard et al., arXiv:1604.01946).  The backward pass is
+    hand-written BPTT: every parent's gradient is computed at the first
+    parent's request and released once the last one has taken its share.
+    """
+    gates = tuple(gates)
+    if len(gates) not in (6, 9):
+        raise ShapeError(f"gru_sequence needs 6 or 9 gate tensors, got {len(gates)}")
+    xv = x.values
+    if xv.ndim != 2 or xv.shape[0] == 0:
+        raise ShapeError(f"gru_sequence needs a non-empty T x I input, got shape {x.shape}")
+    Wz, Wr, Wh, Uz, Ur, Uh = (p.values for p in gates[:6])
+    H, I = Wz.shape
+    if (xv.shape[1] != I or Wr.shape != (H, I) or Wh.shape != (H, I)
+            or any(u.shape != (H, H) for u in (Uz, Ur, Uh))
+            or any(b.shape != (H,) for b in gates[6:])):
+        raise ShapeError(f"gru_sequence gate shapes do not fit an input of width "
+                         f"{xv.shape[1]} and {H} hidden units")
+    h = np.zeros(H) if h0 is None else h0.values
+    if h.shape != (H,):
+        raise ShapeError(f"gru_sequence initial state has shape {h.shape}, expected ({H},)")
+
+    xs = np.ascontiguousarray(xv[::-1]) if reverse else xv
+    T = xs.shape[0]
+    proj = [xs @ W.T for W in (Wz, Wr, Wh)]
+    if len(gates) == 9:
+        proj = [p + b.values for p, b in zip(proj, gates[6:])]
+    pre_zr = np.concatenate(proj[:2], axis=1)
+    pre_c = proj[2]
+    U = np.concatenate([Uz, Ur, Uh])
+    states = np.empty((T + 1, H))  # row 0 is h0, row t + 1 the state after step t
+    states[0] = h
+    zr = np.empty((T, 2 * H))
+    recur_c = np.empty((T, H))  # U_h h_prev
+    cand = np.empty((T, H))
+    for t in range(T):
+        g = U @ h
+        zr[t] = _logistic(pre_zr[t] + g[:2 * H])
+        z, r = zr[t, :H], zr[t, H:]
+        recur_c[t] = g[2 * H:]
+        cand[t] = np.tanh(pre_c[t] + r * recur_c[t])
+        h = z * h + (1.0 - z) * cand[t]
+        states[t + 1] = h
+    out = states[1:][::-1] if reverse else states[1:]
+
+    def bptt(g):
+        gs = g[::-1] if reverse else g
+        d_pre = np.empty((T, 3 * H))  # z, r and candidate pre-activations
+        d_rec = np.empty((T, 3 * H))  # the three blocks of U @ h_prev
+        dh = np.zeros(H)
+        for t in range(T - 1, -1, -1):
+            dh = dh + gs[t]
+            z, r, c = zr[t, :H], zr[t, H:], cand[t]
+            dc = dh * (1.0 - z) * (1.0 - c * c)
+            d_pre[t, :H] = dh * (states[t] - c) * z * (1.0 - z)
+            d_pre[t, H:2 * H] = dc * recur_c[t] * r * (1.0 - r)
+            d_pre[t, 2 * H:] = dc
+            d_rec[t, :2 * H] = d_pre[t, :2 * H]
+            d_rec[t, 2 * H:] = dc * r
+            dh = dh * z + d_rec[t] @ U
+        dW = d_pre.T @ xs
+        dU = d_rec.T @ states[:-1]
+        dx = d_pre[:, :H] @ Wz + d_pre[:, H:2 * H] @ Wr + d_pre[:, 2 * H:] @ Wh
+        grads = [dx[::-1] if reverse else dx]
+        grads += [dW[i * H:(i + 1) * H] for i in range(3)]
+        grads += [dU[i * H:(i + 1) * H] for i in range(3)]
+        if len(gates) == 9:
+            db = d_pre.sum(axis=0)
+            grads += [db[i * H:(i + 1) * H] for i in range(3)]
+        if h0 is not None:
+            grads.append(dh)
+        return grads
+
+    parents = (x,) + gates + (() if h0 is None else (h0,))
+    pending: dict[int, np.ndarray] = {}
+
+    def grad_of(i):
+        def fn(g):
+            if not pending:
+                pending.update(enumerate(bptt(g)))
+            return pending.pop(i)
+
+        return fn
+
+    return _apply(out, "gru_sequence", parents, tuple(grad_of(i) for i in range(len(parents))))
+
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Valid convolution of an L x D sequence with F kernels of width k.

@@ -234,9 +234,13 @@ def read_hs_file(path) -> list[LayerStack]:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "record count"))
         stacks = []
-        for _ in range(count):
+        for index in range(count):
             (id_len,) = struct.unpack("<I", _read_exact(fh, 4, "id length"))
-            stack_id = _read_exact(fh, id_len, "id").decode("utf-8")
+            try:
+                stack_id = _read_exact(fh, id_len, "id").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise HsFileError(
+                    f"{path}: record index {index} has an id that is not UTF-8 ({exc})") from exc
             n_layers, seq_len, hidden = struct.unpack(
                 "<III", _read_exact(fh, 12, "dimensions")
             )

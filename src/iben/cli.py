@@ -456,6 +456,18 @@ def gradcheck_report(dims: str = "small", seed: int = 0) -> list[tuple[str, floa
     emb = rng.normal(size=(d["emb_len"], d["D"]))
     check("model_full", lambda: net.forward(fused=fused, emb=emb), net.parameters())
 
+    # the reversed run is also the bias-free one
+    for use_bias, reverse, name in ((True, False, "gru_sequence"),
+                                    (False, True, "gru_sequence_rev")):
+        gc = model_lib.GruCell(d["D"], d["H"], name, rng, use_bias)
+        xs = Parameter(rng.normal(size=(d["T"], d["D"])), name=f"{name}.x")
+        h0 = Parameter(rng.uniform(-1.0, 1.0, d["H"]), name=f"{name}.h0")
+        weights = Tensor(rng.normal(size=(d["T"], d["H"])))
+        check(name,
+              lambda gc=gc, xs=xs, h0=h0, weights=weights, reverse=reverse: ad.total(
+                  ad.hadamard(ad.gru_sequence(xs, gc.parameters(), h0, reverse), weights)),
+              gc.parameters() + [xs, h0])
+
     return report
 
 

@@ -81,7 +81,6 @@ class GruCell:
             self.b_h = Parameter(np.zeros(H), f"{name}.b_h")
         else:
             self.b_z = self.b_r = self.b_h = None
-        self._ones = Tensor(np.ones(H))
 
     def parameters(self) -> list[Parameter]:
         params = [self.W_z, self.W_r, self.W_h, self.U_z, self.U_r, self.U_h]
@@ -91,20 +90,9 @@ class GruCell:
 
     def step(self, x: Tensor, h_prev: Tensor) -> Tensor:
         """z gates the old state; (1 - z) admits the tanh candidate."""
-        z_pre = ad.add(ad.matmul(self.W_z, x), ad.matmul(self.U_z, h_prev))
-        r_pre = ad.add(ad.matmul(self.W_r, x), ad.matmul(self.U_r, h_prev))
-        if self.use_bias:
-            z_pre = ad.add(z_pre, self.b_z)
-            r_pre = ad.add(r_pre, self.b_r)
-        z = ad.sigmoid(z_pre)
-        r = ad.sigmoid(r_pre)
-        h_pre = ad.add(ad.matmul(self.W_h, x), ad.hadamard(r, ad.matmul(self.U_h, h_prev)))
-        if self.use_bias:
-            h_pre = ad.add(h_pre, self.b_h)
-        h_tilde = ad.tanh(h_pre)
-        keep = ad.hadamard(z, h_prev)
-        update = ad.hadamard(ad.sub(self._ones, z), h_tilde)
-        return ad.add(keep, update)
+        row = ad.reshape(x, (1, -1))
+        return ad.reshape(ad.gru_sequence(row, self.parameters(), h_prev),
+                          (self.hidden_size,))
 
 
 class BiGru:
@@ -126,18 +114,9 @@ def _seq_rows(seq: Tensor) -> list[Tensor]:
     return [ad.reshape(ad.slice_axis(seq, 0, t, t + 1), (width,)) for t in range(T)]
 
 
-def _run_cell(rows, cell: GruCell, h0: Tensor | None) -> list[Tensor]:
-    h = h0 if h0 is not None else Tensor(np.zeros(cell.hidden_size))
-    states = []
-    for x in rows:
-        h = cell.step(x, h)
-        states.append(h)
-    return states
-
-
 def gru_forward(seq: Tensor, cell: GruCell, h0: Tensor | None = None) -> Tensor:
     """Apply the cell along the sequence; row t holds the state after step t."""
-    return ad.stack_rows(_run_cell(_seq_rows(seq), cell, h0))
+    return ad.gru_sequence(seq, cell.parameters(), h0)
 
 
 def bi_gru(seq: Tensor, params: BiGru) -> Tensor:
@@ -146,12 +125,9 @@ def bi_gru(seq: Tensor, params: BiGru) -> Tensor:
     The backward half comes from running the backward cell over the
     reversed sequence and re-reversing its states.
     """
-    rows = _seq_rows(seq)
-    fwd_states = _run_cell(rows, params.fwd, None)
-    bwd_states = _run_cell(list(reversed(rows)), params.bwd, None)[::-1]
-    return ad.stack_rows(
-        [ad.concat([f, b]) for f, b in zip(fwd_states, bwd_states)]
-    )
+    return ad.concat([ad.gru_sequence(seq, params.fwd.parameters()),
+                      ad.gru_sequence(seq, params.bwd.parameters(), reverse=True)],
+                     axis=1)
 
 
 def pool_states(states: Tensor) -> Tensor:
@@ -338,13 +314,18 @@ def _config_to_json(config: ModelConfig) -> dict:
     return data
 
 
-def _config_from_json(data) -> ModelConfig:
+def _config_from_json(data, path) -> ModelConfig:
+    if not isinstance(data, dict):
+        raise DataFormatError(f"{path}: checkpoint config is not a JSON object")
     data = dict(data)
-    data["kernel_sizes"] = tuple(data.get("kernel_sizes", (1, 2, 3, 4)))
+    kernel_sizes = data.get("kernel_sizes", [1, 2, 3, 4])
+    if not isinstance(kernel_sizes, list):
+        raise DataFormatError(f"{path}: checkpoint config's kernel_sizes is not a list")
+    data["kernel_sizes"] = tuple(kernel_sizes)
     try:
         return ModelConfig(**data)
     except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"checkpoint config is invalid: {exc}") from exc
+        raise DataFormatError(f"{path}: checkpoint config is invalid: {exc}") from exc
 
 
 def save_checkpoint(model: IbenModel, path, manifest: dict | None = None) -> None:
@@ -402,9 +383,11 @@ def load_checkpoint(path) -> IbenModel:
     header, blob = _read_checkpoint_header(path)
     if header.get("schema") != CHECKPOINT_SCHEMA:
         raise DataFormatError(f"{path}: unsupported checkpoint schema {header.get('schema')!r}")
-    model = IbenModel(_config_from_json(header.get("config", {})))
+    model = IbenModel(_config_from_json(header.get("config", {}), path))
     params = model.parameters()
     entries = header.get("params", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DataFormatError(f"{path}: checkpoint params must be a list of objects")
     if len(entries) != len(params):
         raise DataFormatError(
             f"{path}: checkpoint lists {len(entries)} parameters, model has {len(params)}"
@@ -418,7 +401,8 @@ def load_checkpoint(path) -> IbenModel:
             raise DataFormatError(
                 f"{path}: parameter {entry.get('name')!r} does not match model's {p.name!r}"
             )
-        if tuple(entry.get("shape", ())) != p.shape:
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or tuple(shape) != p.shape:
             raise DataFormatError(f"{path}: shape mismatch for parameter {p.name!r}")
         offset = entry.get("offset")
         nbytes = p.values.size * 8

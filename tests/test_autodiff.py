@@ -366,6 +366,16 @@ class TestTapeSemantics:
         npt.assert_array_equal(p.grad, 2 * first)
         npt.assert_array_equal(first, [6.0])
 
+    def test_parameter_gradient_accumulates_in_its_own_buffer(self):
+        p = Parameter(np.array([1.0, -2.0]), name="x")
+        buffer = p.grad
+        with Tape() as tape:
+            out = ad.total(ad.hadamard(p, p))
+        tape.backward(out)
+        tape.backward(out)
+        assert p.grad is buffer
+        npt.assert_array_equal(buffer, [4.0, -8.0])
+
     def test_reverse_sweep_is_linear(self):
         """grad(a*f + b*g) == a*grad(f) + b*grad(g) on shared parameters."""
         rng = np.random.default_rng(71)

@@ -25,6 +25,7 @@ from iben.bertfuse import (
     write_hs_file,
 )
 from iben.corpus import pad_truncate
+from iben.errors import DataFormatError
 
 
 def random_stack(rng, n_layers=4, seq_len=3, hidden=5, id=""):
@@ -319,6 +320,15 @@ class TestHsFile:
                   + struct.pack("<III", 70000, 70000, 70000))
         path.write_bytes(header)
         with pytest.raises(DimensionOverflowError):
+            read_hs_file(path)
+
+    def test_non_utf8_id_names_the_file_and_record(self, tmp_path):
+        rng = np.random.default_rng(32)
+        path = tmp_path / "id.hs"
+        write_hs_file([self.float32_stack(rng, id="ok"), self.float32_stack(rng, id="no")],
+                      path)
+        path.write_bytes(path.read_bytes().replace(b"no", b"\xff\xfe"))
+        with pytest.raises(DataFormatError, match=r"id\.hs: record index 1 .*UTF-8"):
             read_hs_file(path)
 
     def test_mixed_shapes_rejected_on_write(self, tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -390,6 +391,33 @@ class TestEvaluate:
                      "--out", str(tmp_path / "p.csv")]) == 1
         assert "manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda h: h["params"].__setitem__(0, 7), "list of objects"),
+        (lambda h: h["config"].__setitem__("kernel_sizes", 3), "kernel_sizes"),
+        (lambda h: h.__setitem__("config", [1, 2]), "config is not a JSON object"),
+    ], ids=["param_entry_not_object", "kernel_sizes_not_list", "config_not_object"])
+    def test_malformed_checkpoint_header_exits_2(self, pipeline, trained, tmp_path,
+                                                 capsys, mutate, message):
+        header_line, _, blob = trained.read_bytes().partition(b"\n")
+        header = json.loads(header_line)
+        mutate(header)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        assert main(["evaluate", "--checkpoint", str(bad), "--data", str(pipeline["data"]),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and "bad.ckpt" in err
+
+    def test_non_utf8_container_id_exits_2(self, pipeline, tmp_path, capsys):
+        features = tmp_path / "bad_id.hs"
+        raw = pipeline["features"].read_bytes()
+        id_len = struct.unpack_from("<I", raw, 12)[0]  # after the magic and count
+        features.write_bytes(raw[:16] + b"\xff" * id_len + raw[16 + id_len:])
+        config = write_config(pipeline, tmp_path / "bad_id_run", features=str(features))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "record index 0" in err
+
     def test_missing_checkpoint_exits_2(self, pipeline, tmp_path):
         assert main(["evaluate", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--data", str(pipeline["data"]),
@@ -417,7 +445,8 @@ class TestGradcheck:
         assert main(["gradcheck", "--dims", "small"]) == 0
         out = capsys.readouterr().out
         for name in ("matmul", "sigmoid", "conv1d_k1", "max_over_time",
-                     "gru_cell", "bi_gru", "model_full"):
+                     "gru_cell", "bi_gru", "model_full", "gru_sequence",
+                     "gru_sequence_rev"):
             assert name in out
         assert "FAIL" not in out
 

@@ -1,14 +1,16 @@
 """GRU cells, pooling, the convolution bank, the full network, checkpoints."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import iben.autodiff as ad
-from iben.autodiff import Tensor
+from iben.autodiff import Parameter, Tape, Tensor
 from iben.errors import DataFormatError
 from iben.model import (
     BiGru,
@@ -52,6 +54,36 @@ def brute_cell_step(x, h_prev, cell):
         h_tilde = math.tanh(hp)
         out.append(z * h_prev[i] + (1.0 - z) * h_tilde)
     return np.array(out)
+
+
+def per_gate_step(cell, x, h_prev):
+    """One GRU step composed of one tape op per gate operation (the oracle)."""
+    z_pre = ad.add(ad.matmul(cell.W_z, x), ad.matmul(cell.U_z, h_prev))
+    r_pre = ad.add(ad.matmul(cell.W_r, x), ad.matmul(cell.U_r, h_prev))
+    if cell.use_bias:
+        z_pre = ad.add(z_pre, cell.b_z)
+        r_pre = ad.add(r_pre, cell.b_r)
+    z = ad.sigmoid(z_pre)
+    r = ad.sigmoid(r_pre)
+    h_pre = ad.add(ad.matmul(cell.W_h, x), ad.hadamard(r, ad.matmul(cell.U_h, h_prev)))
+    if cell.use_bias:
+        h_pre = ad.add(h_pre, cell.b_h)
+    h_tilde = ad.tanh(h_pre)
+    keep = ad.hadamard(z, h_prev)
+    update = ad.hadamard(ad.sub(Tensor(np.ones(cell.hidden_size)), z), h_tilde)
+    return ad.add(keep, update)
+
+
+def per_gate_states(cell, seq, h0=None, reverse=False):
+    """Per-gate steps over the rows of ``seq``; row t is the state after row t."""
+    T, width = seq.shape
+    rows = [ad.reshape(ad.slice_axis(seq, 0, t, t + 1), (width,)) for t in range(T)]
+    h = h0 if h0 is not None else Tensor(np.zeros(cell.hidden_size))
+    states = [None] * T
+    for t in (reversed(range(T)) if reverse else range(T)):
+        h = per_gate_step(cell, rows[t], h)
+        states[t] = h
+    return ad.stack_rows(states)
 
 
 def small_config(**overrides):
@@ -142,6 +174,81 @@ class TestGruForward:
             states = gru_forward(Tensor(seq), cell, h0=Tensor(h0)).values
             bound = max(np.abs(h0).max(), 1.0)
             assert np.all(np.abs(states) <= bound + 1e-12)
+
+
+class TestGruSequence:
+    def test_matches_the_per_gate_oracle_on_random_shapes(self):
+        rng = np.random.default_rng(60)
+        for trial in range(48):
+            T, I, H = (int(v) for v in rng.integers(1, 7, size=3))
+            use_bias, reverse, with_h0 = trial % 2 == 0, trial % 4 < 2, trial % 3 != 0
+            cell = GruCell(I, H, "c", rng, use_bias)
+            for p in cell.parameters():
+                p.values[...] = rng.normal(size=p.shape)
+            seq = Parameter(rng.normal(size=(T, I)), "seq")
+            h0 = Parameter(rng.uniform(-1.0, 1.0, H), "h0") if with_h0 else None
+            cotangent = Tensor(rng.normal(size=(T, H)))
+            leaves = cell.parameters() + [seq] + ([h0] if with_h0 else [])
+
+            def run(build):
+                for p in leaves:
+                    p.zero_grad()
+                with Tape() as tape:
+                    states = build()
+                    loss = ad.total(ad.hadamard(states, cotangent))
+                tape.backward(loss)
+                return states.values, [p.grad.copy() for p in leaves]
+
+            got, got_grads = run(
+                lambda: ad.gru_sequence(seq, cell.parameters(), h0, reverse))
+            want, want_grads = run(lambda: per_gate_states(cell, seq, h0, reverse))
+            npt.assert_allclose(got, want, atol=1e-12, rtol=0)
+            for p, g, w in zip(leaves, got_grads, want_grads):
+                npt.assert_allclose(g, w, atol=1e-10, rtol=0, err_msg=p.name)
+
+    def test_second_sweep_doubles_every_gradient(self):
+        rng = np.random.default_rng(61)
+        cell = GruCell(3, 2, "c", rng)
+        seq = Parameter(rng.normal(size=(4, 3)), "seq")
+        with Tape() as tape:
+            loss = ad.total(ad.gru_sequence(seq, cell.parameters(), reverse=True))
+        tape.backward(loss)
+        first = [p.grad.copy() for p in cell.parameters() + [seq]]
+        tape.backward(loss)
+        for p, g in zip(cell.parameters() + [seq], first):
+            npt.assert_array_equal(p.grad, 2 * g)
+
+    def test_records_one_tape_entry_per_direction(self):
+        bg = BiGru(3, 2, "bg", np.random.default_rng(62))
+        with Tape() as tape:
+            bi_gru(Tensor(np.ones((5, 3))), bg)
+        assert len(tape) == 3  # two sequence ops and their concat
+
+    def test_finished_tape_is_freed_by_reference_counting(self):
+        rng = np.random.default_rng(63)
+        bg = BiGru(3, 2, "bg", rng)
+        seq = Tensor(rng.normal(size=(4, 3)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = ad.total(pool_states(bi_gru(seq, bg)))
+            tape.backward(loss)
+            freed = weakref.ref(tape)
+            del tape, loss
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_shape_errors(self):
+        cell = GruCell(3, 2, "c", np.random.default_rng(64))
+        with pytest.raises(ad.ShapeError):
+            ad.gru_sequence(Tensor(np.zeros((0, 3))), cell.parameters())
+        with pytest.raises(ad.ShapeError):
+            ad.gru_sequence(Tensor(np.zeros((2, 3))), cell.parameters(), Tensor(np.zeros(3)))
+        with pytest.raises(ad.ShapeError):
+            ad.gru_sequence(Tensor(np.zeros((2, 3))), cell.parameters()[:5])
 
 
 class TestBiGru:
