@@ -3,8 +3,11 @@
 Graphs are recorded onto an explicit :class:`Tape` used as a context
 manager; outside any tape, every op is plain (and cheaper) numpy compute.
 The reverse sweep replays the recorded entries exactly once, in reverse
-execution order.  Tapes are tracked per thread, so independent graphs may
-run concurrently on different threads.  A tensor refers to its tape only
+execution order.  A gradient reaches a tensor only if it was recorded on
+the tape being swept or is a :class:`Parameter`; every other operand is a
+constant, so no backward work is spent on it, and only parameters carry a
+``.grad``.  Tapes are tracked per thread, so independent graphs may run
+concurrently on different threads.  A tensor refers to its tape only
 weakly, so a finished graph is freed by reference counting alone.
 
 Every op verifies its output is finite and raises :class:`NonFiniteError`
@@ -24,7 +27,6 @@ __all__ = [
     "Tape",
     "NonFiniteError",
     "ShapeError",
-    "as_tensor",
     "add",
     "sub",
     "hadamard",
@@ -72,20 +74,14 @@ def _active_tape():
     return stack[-1] if stack else None
 
 
-def _ensure_finite(values: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise NonFiniteError(f"{op} produced a non-finite value")
-    return values
-
-
 class Tensor:
     """Dense array of 64-bit reals, row-major."""
 
     def __init__(self, values, _op: str = "tensor"):
         arr = np.asarray(values, dtype=np.float64)
-        _ensure_finite(arr, _op)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{_op} produced a non-finite value")
         self.values = arr
-        self.grad: np.ndarray | None = None
         self._tape_ref: weakref.ref | None = None
 
     @property
@@ -116,31 +112,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
-    # operator sugar; strict shapes, no broadcasting
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        other = as_tensor(other)
-        if other.shape == () and self.shape != ():
-            return smul(self, other)
-        if self.shape == () and other.shape != ():
-            return smul(other, self)
-        return hadamard(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
 
 class Parameter(Tensor):
     """Trainable tensor with a stable name and an accumulated gradient."""
@@ -160,14 +131,14 @@ class Parameter(Tensor):
 class Tape:
     """Ordered record of executed ops, replayed once in reverse order.
 
-    Gradient accumulation is additive: leaf tensors (parameters,
-    constants) keep whatever is already in ``.grad``, so two backward
-    calls without zeroing double a parameter's gradient.  A parameter
-    accumulates in place into the buffer it owns.
+    Each entry keeps only the operands a gradient may reach (see
+    :func:`_receives_grad`).  Parameters accumulate in place into the
+    buffer they own, so two backward calls without zeroing double a
+    parameter's gradient.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple, tuple]] = []
+        self._entries: list[tuple[Tensor, tuple]] = []
         self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
@@ -183,47 +154,39 @@ class Tape:
         return len(self._entries)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate gradients of every leaf reachable from ``loss``."""
+        """Accumulate the gradient of ``loss`` into every reachable parameter."""
         if loss.values.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.values.shape}")
-        ref = self._ref
-        if loss._tape_ref is not ref:
+        if loss._tape_ref is not self._ref:
             raise ValueError("loss was not recorded on this tape")
-        # Adjoints of intermediates live in a scratch map so repeated
-        # sweeps stay correct; only leaves accumulate into .grad.
+        # adjoints of intermediates live in a scratch map so repeated sweeps stay correct
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        for out, parents, grad_fns in reversed(self._entries):
+        for out, links in reversed(self._entries):
             g = adjoint.pop(id(out), None)
             if g is None:
                 continue
-            out.grad = g
-            for parent, fn in zip(parents, grad_fns):
-                if fn is None:
-                    continue
+            for parent, fn in links:
                 contrib = fn(g)
-                if parent._tape_ref is ref:
-                    key = id(parent)
-                    if key in adjoint:
-                        adjoint[key] = adjoint[key] + contrib
-                    else:
-                        adjoint[key] = contrib
-                elif isinstance(parent, Parameter):
+                if isinstance(parent, Parameter):
                     parent.grad += contrib
                 else:
-                    # contrib may alias another op's cotangent, so never add into it
-                    parent.grad = contrib if parent.grad is None else parent.grad + contrib
+                    key = id(parent)
+                    adjoint[key] = adjoint[key] + contrib if key in adjoint else contrib
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _receives_grad(t: Tensor, tape: "Tape | None") -> bool:
+    """The one gradient rule: a sweep of ``tape`` reaches ``t`` only if ``t``
+    is a parameter or was recorded on ``tape``."""
+    return tape is not None and (isinstance(t, Parameter) or t._tape_ref is tape._ref)
 
 
 def _apply(values: np.ndarray, op: str, parents: tuple, grad_fns: tuple) -> Tensor:
-    out = Tensor(_ensure_finite(np.asarray(values, dtype=np.float64), op), _op=op)
+    out = Tensor(values, _op=op)
     tape = _active_tape()
     if tape is not None:
         out._tape_ref = tape._ref
-        tape._entries.append((out, parents, grad_fns))
+        links = tuple((p, fn) for p, fn in zip(parents, grad_fns) if _receives_grad(p, tape))
+        tape._entries.append((out, links))
     return out
 
 
@@ -387,8 +350,9 @@ def gru_sequence(x: Tensor, gates, h0: Tensor | None = None,
     last to first; row t of the output is always the state after input
     row t.  The input projections of all steps are three GEMMs outside the
     recurrence (Appleyard et al., arXiv:1604.01946).  The backward pass is
-    hand-written BPTT: every parent's gradient is computed at the first
-    parent's request and released once the last one has taken its share.
+    hand-written BPTT: the gradient of every operand a sweep can reach is
+    computed at the first request and released once the last one has taken
+    its share; the input's is skipped when the input is a constant.
     """
     gates = tuple(gates)
     if len(gates) not in (6, 9):
@@ -447,8 +411,7 @@ def gru_sequence(x: Tensor, gates, h0: Tensor | None = None,
             dh = dh * z + d_rec[t] @ U
         dW = d_pre.T @ xs
         dU = d_rec.T @ states[:-1]
-        dx = d_pre[:, :H] @ Wz + d_pre[:, H:2 * H] @ Wr + d_pre[:, 2 * H:] @ Wh
-        grads = [dx[::-1] if reverse else dx]
+        grads = [None]  # dx, computed below only when x receives it
         grads += [dW[i * H:(i + 1) * H] for i in range(3)]
         grads += [dU[i * H:(i + 1) * H] for i in range(3)]
         if len(gates) == 9:
@@ -456,15 +419,21 @@ def gru_sequence(x: Tensor, gates, h0: Tensor | None = None,
             grads += [db[i * H:(i + 1) * H] for i in range(3)]
         if h0 is not None:
             grads.append(dh)
-        return grads
+        if 0 in wanted:
+            dx = d_pre[:, :H] @ Wz + d_pre[:, H:2 * H] @ Wr + d_pre[:, 2 * H:] @ Wh
+            grads[0] = dx[::-1] if reverse else dx
+        return {i: grads[i] for i in wanted}
 
     parents = (x,) + gates + (() if h0 is None else (h0,))
+    tape = _active_tape()
+    # exactly the gradients the tape will ask for, so none is left over for a later sweep
+    wanted = {i for i, p in enumerate(parents) if _receives_grad(p, tape)}
     pending: dict[int, np.ndarray] = {}
 
     def grad_of(i):
         def fn(g):
             if not pending:
-                pending.update(enumerate(bptt(g)))
+                pending.update(bptt(g))
             return pending.pop(i)
 
         return fn
@@ -576,7 +545,7 @@ def grad_check(function, params, eps: float = 1e-5) -> float:
     """
     params = list(params)
     for p in params:
-        p.grad = np.zeros_like(p.values)
+        p.zero_grad()
     with Tape() as tape:
         out = function()
     tape.backward(out)

@@ -14,6 +14,7 @@ stands in for the encoder in tests and offline runs.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -253,6 +254,10 @@ def read_hs_file(path) -> list[LayerStack]:
                 raise DimensionOverflowError(
                     f"{path}: record {stack_id!r} declares {n_values} values"
                 )
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if 4 * n_values > left:
+                raise TruncatedPayloadError(f"{path}: record index {index} ({stack_id!r}) "
+                                            f"declares {n_values} values in {left} bytes")
             payload = _read_exact(fh, 4 * n_values, f"payload of {stack_id!r}")
             data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
             stacks.append(LayerStack(data.reshape(n_layers, seq_len, hidden), id=stack_id))

@@ -23,6 +23,9 @@ from .errors import DataFormatError
 
 CHECKPOINT_SCHEMA = 1
 
+_POSITIVE_INT_FIELDS = ("fused_width", "n_pairs", "emb_dim", "hidden_size", "dense_size",
+                        "filters_per_kernel")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -46,13 +49,33 @@ class ModelConfig:
             raise ValueError("at least one branch must be enabled")
         if self.emb_submodel not in ("bigru", "cnn", "both"):
             raise ValueError(f"unknown emb_submodel {self.emb_submodel!r}")
-        for name in ("fused_width", "n_pairs", "emb_dim", "hidden_size",
-                     "dense_size", "filters_per_kernel"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not self.kernel_sizes or any(k < 1 for k in self.kernel_sizes):
-            raise ValueError("kernel sizes must be positive")
+        for name in _POSITIVE_INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # bool is not an int here
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not self.kernel_sizes or not all(type(k) is int and k > 0 for k in self.kernel_sizes):
+            raise ValueError(f"kernel sizes must be positive integers, got {self.kernel_sizes!r}")
         object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
+
+
+def _weight_count(c: ModelConfig) -> int:
+    """Number of float64 weights in ``IbenModel(c)``, by integer arithmetic."""
+    H, F, dense, bias = c.hidden_size, c.filters_per_kernel, c.dense_size, int(bool(c.use_bias))
+    rnn = c.use_emb_branch and c.emb_submodel != "cnn"
+    cnn = c.use_emb_branch and c.emb_submodel != "bigru"
+    n = dense * (int(c.use_bert_branch) + int(c.use_emb_branch)) + bias  # the head
+    if c.use_bert_branch:
+        n += 6 * H * (c.fused_width + H + bias) + dense * (4 * H + bias)
+        n += c.n_pairs if c.learn_layer_weights else 0
+    if rnn:
+        n += 6 * H * (c.emb_dim + H + bias)
+    if cnn:
+        n += sum(F * (k * c.emb_dim + 1) for k in c.kernel_sizes)
+    if c.use_emb_branch:
+        n += dense * ((4 * H if rnn else 0) + (F * len(c.kernel_sizes) if cnn else 0) + bias)
+    return n
 
 
 def _glorot(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -112,11 +135,6 @@ def _seq_rows(seq: Tensor) -> list[Tensor]:
         raise ad.ShapeError(f"sequence input must be 2-D, got shape {seq.shape}")
     T, width = seq.shape
     return [ad.reshape(ad.slice_axis(seq, 0, t, t + 1), (width,)) for t in range(T)]
-
-
-def gru_forward(seq: Tensor, cell: GruCell, h0: Tensor | None = None) -> Tensor:
-    """Apply the cell along the sequence; row t holds the state after step t."""
-    return ad.gru_sequence(seq, cell.parameters(), h0)
 
 
 def bi_gru(seq: Tensor, params: BiGru) -> Tensor:
@@ -383,7 +401,11 @@ def load_checkpoint(path) -> IbenModel:
     header, blob = _read_checkpoint_header(path)
     if header.get("schema") != CHECKPOINT_SCHEMA:
         raise DataFormatError(f"{path}: unsupported checkpoint schema {header.get('schema')!r}")
-    model = IbenModel(_config_from_json(header.get("config", {}), path))
+    config = _config_from_json(header.get("config", {}), path)
+    need = 8 * _weight_count(config)
+    if need != len(blob):
+        raise DataFormatError(f"{path}: blob is {len(blob)} bytes, its config needs {need}")
+    model = IbenModel(config)
     params = model.parameters()
     entries = header.get("params", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):

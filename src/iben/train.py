@@ -65,23 +65,28 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected moment update of every parameter."""
+    """One bias-corrected moment update of every parameter.
+
+    The temporaries of every parameter share two buffers of the largest size.
+    """
     state.t += 1
     bc1 = 1.0 - config.beta1 ** state.t
     bc2 = 1.0 - config.beta2 ** state.t
+    scratch = np.empty((2, max((p.values.size for p in params), default=0)))
     for p in params:
         g = p.grad
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {p.name}")
         m = state.m[p.name]
         v = state.v[p.name]
+        a, b = (row[:g.size].reshape(g.shape) for row in scratch)
         m *= config.beta1
-        m += (1.0 - config.beta1) * g
+        m += np.multiply(1.0 - config.beta1, g, out=a)
         v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        v += np.multiply(1.0 - config.beta2, np.multiply(g, g, out=a), out=a)
+        np.multiply(config.learning_rate, np.divide(m, bc1, out=a), out=a)  # lr * m_hat
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), config.eps, out=b)
+        p.values -= np.divide(a, b, out=a)
 
 
 def sgd_step(params, config: TrainConfig) -> None:
@@ -128,8 +133,8 @@ def train(model, dataset, config: TrainConfig, epoch_callback=None) -> list[floa
                 for idx in batch:
                     (fused, emb), target = dataset[idx]
                     with ad.Tape() as tape:
-                        pred = ad.reshape(model.forward(fused=fused, emb=emb), (1,))
-                        goal = Tensor([float(target)])
+                        pred = model.forward(fused=fused, emb=emb)
+                        goal = Tensor(float(target))
                         if config.loss == "mse":
                             sample_loss = ad.mse_loss(pred, goal)
                             term = ad.scale(sample_loss, 1.0 / len(batch))

@@ -149,14 +149,6 @@ class UnifiedEmbedder:
         self.oov_policy = oov_policy or OovPolicy()
         self.total_dim = sum(t.dim for t in self.tables)
 
-    @property
-    def table_offsets(self) -> list[int]:
-        """Column offset of each table's block, plus the total width."""
-        offsets = [0]
-        for t in self.tables:
-            offsets.append(offsets[-1] + t.dim)
-        return offsets
-
     def embed_token(self, token: str) -> np.ndarray:
         """Unified vector: per-table lookups concatenated in table order."""
         if token == PAD_TOKEN:
@@ -176,14 +168,3 @@ class UnifiedEmbedder:
                 data[t] = self.embed_token(token)
         return EmbeddingMatrix(data)
 
-
-def coverage_report(table: WordVectorTable, tokens) -> tuple[int, int, list[str]]:
-    """Count how many of the tokens the table knows; list the misses."""
-    hits = 0
-    misses: list[str] = []
-    for token in tokens:
-        if token in table:
-            hits += 1
-        else:
-            misses.append(token)
-    return hits, len(misses), misses

@@ -261,6 +261,27 @@ class TestConv1d:
         assert err <= 1e-6
 
 
+    def test_constant_input_gives_the_gradients_of_a_parameter_input(self):
+        rng = np.random.default_rng(105)
+        xv = rng.normal(size=(6, 3))
+        kern = Parameter(rng.normal(size=(2, 3, 3)), name="k")
+        bias = Parameter(rng.normal(size=2), name="b")
+        cotangent = Tensor(rng.normal(size=(4, 2)))
+        runs = []
+        for x in (Tensor(xv), Parameter(xv, name="x")):
+            kern.zero_grad()
+            bias.zero_grad()
+            with Tape() as tape:
+                loss = ad.total(ad.hadamard(ad.conv1d(x, kern, bias), cotangent))
+            tape.backward(loss)
+            once = [kern.grad.copy(), bias.grad.copy()]
+            tape.backward(loss)
+            runs.append(once + [kern.grad.copy(), bias.grad.copy()])
+        for got, want in zip(*runs):
+            npt.assert_array_equal(got, want)
+        npt.assert_array_equal(runs[0][2], 2 * runs[0][0])
+
+
 class TestPooling:
     def test_single_row_input_returns_that_row(self):
         row = Tensor([[1.0, -2.0, 3.0]])
@@ -392,6 +413,26 @@ class TestTapeSemantics:
         combo = tape_gradient(lambda t: ad.add(ad.scale(f(t), 2.5),
                                                ad.scale(g(t), -1.25)), p)
         npt.assert_allclose(combo, 2.5 * gf - 1.25 * gg, rtol=1e-12)
+
+    def test_only_parameters_carry_a_gradient(self):
+        x = Tensor([1.0, -2.0])
+        p = Parameter(np.array([0.5, 3.0]), name="p")
+        with Tape() as tape:
+            mid = ad.hadamard(x, p)
+            loss = ad.total(mid)
+        tape.backward(loss)
+        npt.assert_array_equal(p.grad, x.values)
+        assert not any(hasattr(t, "grad") for t in (x, mid, loss))
+
+    def test_outer_tape_tensor_is_a_constant_on_an_inner_tape(self):
+        p = Parameter(np.array([1.0, 2.0]), name="p")
+        with Tape() as outer:
+            h = ad.scale(p, 3.0)
+            with Tape() as inner:
+                loss = ad.total(ad.hadamard(h, p))
+        inner.backward(loss)
+        npt.assert_array_equal(p.grad, h.values)  # h held fixed: d/dp sum(h * p) = h
+        assert not hasattr(h, "grad") and len(outer) == 1
 
     def test_nested_tapes_record_to_the_innermost(self):
         p = Parameter(np.array([1.0]), name="p")

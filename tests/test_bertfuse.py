@@ -322,6 +322,16 @@ class TestHsFile:
         with pytest.raises(DimensionOverflowError):
             read_hs_file(path)
 
+    def test_payload_longer_than_the_file_rejected_before_reading(self, tmp_path):
+        """2048^3 values pass the element cap; the 96-byte file cannot hold them."""
+        path = tmp_path / "short.hs"
+        header = (b"IBENHS1\x00" + struct.pack("<I", 1)
+                  + struct.pack("<I", 1) + b"q"
+                  + struct.pack("<III", 2048, 2048, 2048))
+        path.write_bytes(header.ljust(96, b"\x00"))
+        with pytest.raises(TruncatedPayloadError, match=r"short\.hs: record index 0 \('q'\)"):
+            read_hs_file(path)
+
     def test_non_utf8_id_names_the_file_and_record(self, tmp_path):
         rng = np.random.default_rng(32)
         path = tmp_path / "id.hs"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import iben.cli as cli
+import iben.model as model_lib
 from iben.bertfuse import read_hs_file
 from iben.cli import main, validate_runconfig
 from iben.errors import ConfigError
@@ -407,6 +408,38 @@ class TestEvaluate:
                      "--out", str(tmp_path / "p.csv")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err and "bad.ckpt" in err
+
+    @pytest.mark.parametrize("hidden_size, message", [
+        (2.5, "hidden_size must be a positive integer"), (100000, "config needs"),
+    ], ids=["non_integer", "larger_than_the_blob"])
+    def test_checkpoint_config_is_checked_before_the_model_is_built(
+            self, pipeline, trained, tmp_path, capsys, monkeypatch, hidden_size, message):
+        header_line, _, blob = trained.read_bytes().partition(b"\n")
+        header = json.loads(header_line)
+        header["config"]["hidden_size"] = hidden_size
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+
+        def refuse(config):
+            raise AssertionError("the model was built from an unchecked config")
+
+        monkeypatch.setattr(model_lib, "IbenModel", refuse)
+        assert main(["evaluate", "--checkpoint", str(bad), "--data", str(pipeline["data"]),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and "bad.ckpt" in err
+
+    def test_container_payload_beyond_the_file_exits_2(self, pipeline, tmp_path, capsys):
+        features = tmp_path / "short.hs"
+        raw = pipeline["features"].read_bytes()
+        id_len = struct.unpack_from("<I", raw, 12)[0]
+        dims_at = 16 + id_len
+        features.write_bytes(raw[:dims_at] + struct.pack("<III", 2048, 2048, 2048)
+                             + raw[dims_at + 12:])
+        config = write_config(pipeline, tmp_path / "short_run", features=str(features))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "short.hs: record index 0" in err
 
     def test_non_utf8_container_id_exits_2(self, pipeline, tmp_path, capsys):
         features = tmp_path / "bad_id.hs"

@@ -18,10 +18,10 @@ from iben.model import (
     GruCell,
     IbenModel,
     ModelConfig,
+    _weight_count,
     bi_gru,
     checkpoint_manifest,
     conv_features,
-    gru_forward,
     load_checkpoint,
     pool_states,
     save_checkpoint,
@@ -140,7 +140,7 @@ class TestGruForward:
         rng = np.random.default_rng(1)
         cell = GruCell(3, 2, "c", rng)
         x = rng.normal(size=(1, 3))
-        states = gru_forward(Tensor(x), cell)
+        states = ad.gru_sequence(Tensor(x), cell.parameters())
         one = cell.step(Tensor(x[0]), Tensor(np.zeros(2)))
         npt.assert_array_equal(states.values[0], one.values)
 
@@ -148,7 +148,7 @@ class TestGruForward:
         cell = GruCell(2, 3, "c", np.random.default_rng(0))
         zero_params(cell)
         h0 = np.array([1.0, -0.5, 0.25])
-        states = gru_forward(Tensor(np.zeros((4, 2))), cell, h0=Tensor(h0))
+        states = ad.gru_sequence(Tensor(np.zeros((4, 2))), cell.parameters(), Tensor(h0))
         for t in range(4):
             npt.assert_allclose(states.values[t], 0.5 ** (t + 1) * h0, atol=1e-15)
 
@@ -156,7 +156,7 @@ class TestGruForward:
         rng = np.random.default_rng(2)
         cell = GruCell(3, 2, "c", rng)
         seq = rng.normal(size=(3, 3))
-        states = gru_forward(Tensor(seq), cell).values
+        states = ad.gru_sequence(Tensor(seq), cell.parameters()).values
         h = np.zeros(2)
         for t in range(3):
             h = brute_cell_step(seq[t], h, cell)
@@ -171,7 +171,7 @@ class TestGruForward:
                 p.values[...] = rng.normal(scale=2.0, size=p.shape)
             h0 = rng.uniform(-1, 1, 3)
             seq = rng.normal(scale=3.0, size=(6, 4))
-            states = gru_forward(Tensor(seq), cell, h0=Tensor(h0)).values
+            states = ad.gru_sequence(Tensor(seq), cell.parameters(), Tensor(h0)).values
             bound = max(np.abs(h0).max(), 1.0)
             assert np.all(np.abs(states) <= bound + 1e-12)
 
@@ -218,6 +218,34 @@ class TestGruSequence:
         for p, g in zip(cell.parameters() + [seq], first):
             npt.assert_array_equal(p.grad, 2 * g)
 
+    def test_constant_input_gives_the_gradients_of_a_parameter_input(self):
+        """Skipping dX and dh0 for constants leaves every weight gradient bit-equal."""
+        rng = np.random.default_rng(65)
+        for reverse in (False, True):
+            for with_h0 in (False, True):
+                cell = GruCell(3, 4, "c", rng)
+                xv, h0v = rng.normal(size=(5, 3)), rng.uniform(-1.0, 1.0, 4)
+                cotangent = Tensor(rng.normal(size=(5, 4)))
+
+                def sweeps(make):
+                    cell_grads = []
+                    x, h0 = make(xv, "x"), make(h0v, "h0") if with_h0 else None
+                    with Tape() as tape:
+                        states = ad.gru_sequence(x, cell.parameters(), h0, reverse)
+                        loss = ad.total(ad.hadamard(states, cotangent))
+                    for p in cell.parameters():
+                        p.zero_grad()
+                    for _ in range(2):
+                        tape.backward(loss)
+                        cell_grads.append([p.grad.copy() for p in cell.parameters()])
+                    return cell_grads
+
+                const = sweeps(lambda v, name: Tensor(v))
+                for once, twice, want_once, want_twice in zip(*const, *sweeps(Parameter)):
+                    npt.assert_array_equal(once, want_once)
+                    npt.assert_array_equal(twice, want_twice)
+                    npt.assert_array_equal(twice, 2 * once)
+
     def test_records_one_tape_entry_per_direction(self):
         bg = BiGru(3, 2, "bg", np.random.default_rng(62))
         with Tape() as tape:
@@ -257,7 +285,7 @@ class TestBiGru:
         bg = BiGru(3, 2, "bg", rng)
         seq = rng.normal(size=(5, 3))
         out = bi_gru(Tensor(seq), bg).values
-        rev_run = gru_forward(Tensor(seq[::-1].copy()), bg.bwd).values
+        rev_run = ad.gru_sequence(Tensor(seq[::-1].copy()), bg.bwd.parameters()).values
         npt.assert_array_equal(out[:, 2:], rev_run[::-1])
 
     def test_palindrome_with_tied_cells_is_symmetric(self):
@@ -369,6 +397,14 @@ class TestModelConfig:
     def test_rejects_non_positive_widths(self):
         with pytest.raises(ValueError, match="hidden_size"):
             small_config(hidden_size=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_size", 2.5), ("hidden_size", True), ("fused_width", "6"),
+        ("seed", 1.5), ("kernel_sizes", (1, 2.0)), ("kernel_sizes", (True,)),
+    ])
+    def test_rejects_non_integer_sizes(self, field, value):
+        with pytest.raises(ValueError, match="integer"):
+            small_config(**{field: value})
 
     def test_rejects_empty_kernel_sizes(self):
         with pytest.raises(ValueError, match="kernel"):
@@ -562,6 +598,15 @@ class TestCheckpoints:
         path = self.tamper(tmp_path, lambda h: h.__setitem__("blob_bytes", 3))
         with pytest.raises(DataFormatError, match="blob"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(use_bias=False), dict(learn_layer_weights=True),
+        dict(use_bert_branch=False, emb_submodel="cnn"),
+        dict(use_emb_branch=False), dict(emb_submodel="bigru"), dict(kernel_sizes=(1, 3, 4)),
+    ])
+    def test_weight_count_matches_the_built_model(self, overrides):
+        model = self.make_model(**overrides)
+        assert _weight_count(model.config) == sum(p.size for p in model.parameters())
 
     def test_unsupported_schema_detected(self, tmp_path):
         path = self.tamper(tmp_path, lambda h: h.__setitem__("schema", 99))

@@ -51,6 +51,24 @@ def scalar_adam(theta, g, steps, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
     return theta
 
 
+def reference_adam_step(params, state, config):
+    """The per-parameter-temporaries update, kept as the oracle of adam_step."""
+    state.t += 1
+    bc1 = 1.0 - config.beta1 ** state.t
+    bc2 = 1.0 - config.beta2 ** state.t
+    for p in params:
+        g = p.grad
+        m = state.m[p.name]
+        v = state.v[p.name]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        p.values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
@@ -99,6 +117,27 @@ class TestAdamStep:
             adam_step([p], state, cfg)
         expected = scalar_adam(0.7, -0.3, steps=2)
         assert abs(float(p.values) - expected) <= 1e-15
+
+    def test_matches_the_reference_update_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        shapes = [(), (5,), (3, 4), (2, 3, 2), (1,)]
+        cfg = TrainConfig(learning_rate=0.01)
+        init = [rng.normal(size=s) for s in shapes]
+        sides = []
+        for step in (adam_step, reference_adam_step):
+            params = [Parameter(v.copy(), f"p{i}") for i, v in enumerate(init)]
+            sides.append((step, params, AdamState.for_params(params)))
+        for _ in range(3):
+            grads = [rng.normal(size=s) for s in shapes]
+            for step, params, state in sides:
+                for p, g in zip(params, grads):
+                    p.grad[...] = g
+                step(params, state, cfg)
+        (_, got, got_state), (_, want, want_state) = sides
+        for p, w in zip(got, want):
+            npt.assert_array_equal(p.values, w.values)
+            npt.assert_array_equal(got_state.m[p.name], want_state.m[w.name])
+            npt.assert_array_equal(got_state.v[p.name], want_state.v[w.name])
 
     def test_non_finite_gradient_names_the_parameter(self):
         p = Parameter(np.zeros(2), "branch_a.fwd.W_z")
