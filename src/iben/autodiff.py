@@ -31,7 +31,7 @@ __all__ = [
     "sub",
     "hadamard",
     "scale",
-    "smul",
+    "scale_rows",
     "matmul",
     "sigmoid",
     "tanh",
@@ -117,7 +117,9 @@ class Parameter(Tensor):
     """Trainable tensor with a stable name and an accumulated gradient."""
 
     def __init__(self, values, name: str):
-        super().__init__(values, _op=f"parameter {name}")
+        # C order, so that a flat reshape of the values or the gradient is a view
+        super().__init__(np.asarray(values, dtype=np.float64, order="C"),
+                         _op=f"parameter {name}")
         self.name = name
         self.grad = np.zeros_like(self.values)
 
@@ -219,17 +221,15 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _apply(a.values * c, "scale", (a,), (lambda g: g * c,))
 
 
-def smul(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply a tensor by a scalar-shaped tensor (both differentiable)."""
-    if s.shape != ():
-        raise ShapeError(f"smul needs a scalar second operand, got shape {s.shape}")
-    av, sv = a.values, s.values
-    return _apply(
-        av * sv,
-        "smul",
-        (a, s),
-        (lambda g: g * sv, lambda g: np.asarray((g * av).sum())),
-    )
+def scale_rows(x: Tensor, w: Tensor) -> Tensor:
+    """Row i of an R x C matrix times w[i], for a length-R ``w``."""
+    xv, wv = x.values, w.values
+    if xv.ndim != 2 or wv.shape != (xv.shape[0],):
+        raise ShapeError(f"scale_rows needs an R x C matrix and R weights, "
+                         f"got shapes {x.shape} and {w.shape}")
+    col = wv[:, None]
+    return _apply(xv * col, "scale_rows", (x, w),
+                  (lambda g: g * col, lambda g: (g * xv).sum(axis=1)))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -336,49 +336,46 @@ def total(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # sequence ops
 
-def gru_sequence(x: Tensor, gates, h0: Tensor | None = None,
+def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
                  reverse: bool = False) -> Tensor:
     """GRU states over the rows of a T x I sequence, as one T x H tensor.
 
-    ``gates`` is (W_z, W_r, W_h, U_z, U_r, U_h), optionally followed by
-    (b_z, b_r, b_h); each W is H x I, each U is H x H.  One step is
+    ``weights`` is (W, U) or (W, U, b): W is 3H x I, U is 3H x H and b has
+    length 3H, each stacked as the z, r and h gate blocks in that order.
+    With W_z the first H rows of W, and so on, one step is
 
         z = sigmoid(W_z x + U_z h + b_z)     r = sigmoid(W_r x + U_r h + b_r)
         c = tanh(W_h x + r * (U_h h) + b_h)  h' = z * h + (1 - z) * c
 
     from ``h0`` (zeros when None).  With ``reverse`` the rows are consumed
     last to first; row t of the output is always the state after input
-    row t.  The input projections of all steps are three GEMMs outside the
-    recurrence (Appleyard et al., arXiv:1604.01946).  The backward pass is
-    hand-written BPTT: the gradient of every operand a sweep can reach is
+    row t.  The input projection of all steps and gates is one GEMM outside
+    the recurrence (Appleyard et al., arXiv:1604.01946).  The backward pass
+    is hand-written BPTT: the gradient of every operand a sweep can reach is
     computed at the first request and released once the last one has taken
     its share; the input's is skipped when the input is a constant.
     """
-    gates = tuple(gates)
-    if len(gates) not in (6, 9):
-        raise ShapeError(f"gru_sequence needs 6 or 9 gate tensors, got {len(gates)}")
+    weights = tuple(weights)
+    if len(weights) not in (2, 3):
+        raise ShapeError(f"gru_sequence needs (W, U) or (W, U, b), got {len(weights)} tensors")
     xv = x.values
     if xv.ndim != 2 or xv.shape[0] == 0:
         raise ShapeError(f"gru_sequence needs a non-empty T x I input, got shape {x.shape}")
-    Wz, Wr, Wh, Uz, Ur, Uh = (p.values for p in gates[:6])
-    H, I = Wz.shape
-    if (xv.shape[1] != I or Wr.shape != (H, I) or Wh.shape != (H, I)
-            or any(u.shape != (H, H) for u in (Uz, Ur, Uh))
-            or any(b.shape != (H,) for b in gates[6:])):
-        raise ShapeError(f"gru_sequence gate shapes do not fit an input of width "
-                         f"{xv.shape[1]} and {H} hidden units")
+    W, U = weights[0].values, weights[1].values
+    H = W.shape[0] // 3 if W.ndim == 2 else 0
+    if (H == 0 or W.shape != (3 * H, xv.shape[1]) or U.shape != (3 * H, H)
+            or any(b.shape != (3 * H,) for b in weights[2:])):
+        raise ShapeError(f"gru_sequence weight shapes {[w.shape for w in weights]} do not "
+                         f"stack three gates over an input of width {xv.shape[1]}")
     h = np.zeros(H) if h0 is None else h0.values
     if h.shape != (H,):
         raise ShapeError(f"gru_sequence initial state has shape {h.shape}, expected ({H},)")
 
     xs = np.ascontiguousarray(xv[::-1]) if reverse else xv
     T = xs.shape[0]
-    proj = [xs @ W.T for W in (Wz, Wr, Wh)]
-    if len(gates) == 9:
-        proj = [p + b.values for p, b in zip(proj, gates[6:])]
-    pre_zr = np.concatenate(proj[:2], axis=1)
-    pre_c = proj[2]
-    U = np.concatenate([Uz, Ur, Uh])
+    pre = xs @ W.T
+    if len(weights) == 3:
+        pre += weights[2].values
     states = np.empty((T + 1, H))  # row 0 is h0, row t + 1 the state after step t
     states[0] = h
     zr = np.empty((T, 2 * H))
@@ -386,10 +383,10 @@ def gru_sequence(x: Tensor, gates, h0: Tensor | None = None,
     cand = np.empty((T, H))
     for t in range(T):
         g = U @ h
-        zr[t] = _logistic(pre_zr[t] + g[:2 * H])
+        zr[t] = _logistic(pre[t, :2 * H] + g[:2 * H])
         z, r = zr[t, :H], zr[t, H:]
         recur_c[t] = g[2 * H:]
-        cand[t] = np.tanh(pre_c[t] + r * recur_c[t])
+        cand[t] = np.tanh(pre[t, 2 * H:] + r * recur_c[t])
         h = z * h + (1.0 - z) * cand[t]
         states[t + 1] = h
     out = states[1:][::-1] if reverse else states[1:]
@@ -409,22 +406,20 @@ def gru_sequence(x: Tensor, gates, h0: Tensor | None = None,
             d_rec[t, :2 * H] = d_pre[t, :2 * H]
             d_rec[t, 2 * H:] = dc * r
             dh = dh * z + d_rec[t] @ U
-        dW = d_pre.T @ xs
-        dU = d_rec.T @ states[:-1]
-        grads = [None]  # dx, computed below only when x receives it
-        grads += [dW[i * H:(i + 1) * H] for i in range(3)]
-        grads += [dU[i * H:(i + 1) * H] for i in range(3)]
-        if len(gates) == 9:
-            db = d_pre.sum(axis=0)
-            grads += [db[i * H:(i + 1) * H] for i in range(3)]
+        grads = [None, d_pre.T @ xs, d_rec.T @ states[:-1]]  # dx, computed below when wanted
+        if len(weights) == 3:
+            grads.append(d_pre.sum(axis=0))
         if h0 is not None:
             grads.append(dh)
         if 0 in wanted:
-            dx = d_pre[:, :H] @ Wz + d_pre[:, H:2 * H] @ Wr + d_pre[:, 2 * H:] @ Wh
+            # a sum of per-gate products, not one stacked GEMM, so that a learned
+            # row scaling upstream gets the bits a per-gate model gives it
+            dx = (d_pre[:, :H] @ W[:H] + d_pre[:, H:2 * H] @ W[H:2 * H]
+                  + d_pre[:, 2 * H:] @ W[2 * H:])
             grads[0] = dx[::-1] if reverse else dx
         return {i: grads[i] for i in wanted}
 
-    parents = (x,) + gates + (() if h0 is None else (h0,))
+    parents = (x,) + weights + (() if h0 is None else (h0,))
     tape = _active_tape()
     # exactly the gradients the tape will ask for, so none is left over for a later sweep
     wanted = {i for i, p in enumerate(parents) if _receives_grad(p, tape)}

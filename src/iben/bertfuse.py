@@ -259,8 +259,12 @@ def read_hs_file(path) -> list[LayerStack]:
                 raise TruncatedPayloadError(f"{path}: record index {index} ({stack_id!r}) "
                                             f"declares {n_values} values in {left} bytes")
             payload = _read_exact(fh, 4 * n_values, f"payload of {stack_id!r}")
-            data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-            stacks.append(LayerStack(data.reshape(n_layers, seq_len, hidden), id=stack_id))
+            data = np.frombuffer(payload, dtype="<f4")
+            if not np.isfinite(data).all():
+                raise HsFileError(f"{path}: record index {index} ({stack_id!r}) "
+                                  f"holds non-finite values")
+            data = data.astype(np.float64).reshape(n_layers, seq_len, hidden)
+            stacks.append(LayerStack(data, id=stack_id))
     return stacks
 
 

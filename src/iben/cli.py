@@ -23,7 +23,7 @@ from . import model as model_lib
 from . import train as train_lib
 from .autodiff import Parameter, Tensor
 from .corpus import PAD_TOKEN, TokenSequence
-from .errors import ConfigError, DataFormatError, IbenError, TrainingError
+from .errors import ConfigError, DataFormatError, IbenError, TrainingError, open_text
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -98,7 +98,7 @@ def validate_runconfig(raw) -> dict:
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
@@ -221,7 +221,7 @@ def _write_token_file(sequences, path, jsonl: bool) -> None:
 
 def _read_token_file(path, jsonl: bool) -> list[tuple[str, list[str]]]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -346,7 +346,10 @@ def cmd_evaluate(args) -> int:
     if manifest is None:
         raise ConfigError(
             f"{args.checkpoint}: no embedded run manifest; cannot rebuild input features")
-    resolved = validate_runconfig(manifest)
+    try:
+        resolved = validate_runconfig(manifest)
+    except ConfigError as exc:
+        raise DataFormatError(f"{args.checkpoint}: embedded run manifest: {exc}") from exc
     features = args.features if args.features else resolved["features"]
 
     records = corpus.parse_dataset(args.data)
@@ -467,6 +470,11 @@ def gradcheck_report(dims: str = "small", seed: int = 0) -> list[tuple[str, floa
               lambda gc=gc, xs=xs, h0=h0, weights=weights, reverse=reverse: ad.total(
                   ad.hadamard(ad.gru_sequence(xs, gc.parameters(), h0, reverse), weights)),
               gc.parameters() + [xs, h0])
+
+    rows = Parameter(rng.normal(size=(d["pairs"], d["D"])), name="rows")
+    row_weights = Parameter(rng.normal(size=d["pairs"]), name="row_weights")
+    check("scale_rows", lambda: ad.total(ad.tanh(ad.scale_rows(rows, row_weights))),
+          [rows, row_weights])
 
     return report
 

@@ -15,7 +15,7 @@ import string
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import DataFormatError
+from .errors import DataFormatError, open_text
 
 PAD_TOKEN = "<pad>"
 DEFAULT_MAX_LEN = 40
@@ -93,7 +93,7 @@ class StopList:
 
     @classmethod
     def from_file(cls, path) -> "StopList":
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             return cls.from_lines(fh)
 
     @classmethod
@@ -116,7 +116,7 @@ def parse_dataset(path) -> list[HeadlineRecord]:
     """Read a headline CSV with columns id, original, edit, grades, meanGrade."""
     required = ("id", "original", "edit", "grades", "meanGrade")
     records = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataFormatError(f"{path}: empty file, expected a CSV header")

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the UTF-8 text opener.
 
 The CLI maps these onto its exit-code contract: validation and check
 failures exit 1, file-format and I/O problems exit 2.
 """
+
+import contextlib
 
 
 class IbenError(Exception):
@@ -19,3 +21,28 @@ class ConfigError(IbenError):
 
 class TrainingError(IbenError):
     """Training aborted (non-finite loss or gradient)."""
+
+
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """Open ``path`` as UTF-8 text for reading.
+
+    Bytes that are not UTF-8 raise :class:`DataFormatError` naming the file
+    and its first line that does not decode.
+    """
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}{_first_bad_line(path)}: not valid UTF-8 "
+                                  f"({exc.reason})") from exc
+
+
+def _first_bad_line(path) -> str:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return f" line {lineno}"
+    return ""

@@ -21,7 +21,8 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import DataFormatError
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
+_HEADER_KEYS = {"schema", "config", "seed", "params", "blob_bytes", "manifest"}
 
 _POSITIVE_INT_FIELDS = ("fused_width", "n_pairs", "emb_dim", "hidden_size", "dense_size",
                         "filters_per_kernel")
@@ -57,6 +58,8 @@ class ModelConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not self.kernel_sizes or not all(type(k) is int and k > 0 for k in self.kernel_sizes):
             raise ValueError(f"kernel sizes must be positive integers, got {self.kernel_sizes!r}")
+        if len(set(self.kernel_sizes)) != len(self.kernel_sizes):
+            raise ValueError(f"kernel sizes must not repeat, got {self.kernel_sizes!r}")
         object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
 
 
@@ -84,7 +87,12 @@ def _glorot(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class GruCell:
-    """One direction's gate parameters; step() applies the gate equations."""
+    """One direction's weights, each stacked as z, r and h gate blocks.
+
+    ``W`` (3H x I), ``U`` (3H x H) and, with ``use_bias``, ``b`` (3H) are the
+    parameters.  ``W_z`` ... ``b_h`` are plain tensor views of their blocks,
+    for reading and writing single gates; they are not parameters.
+    """
 
     def __init__(self, input_size: int, hidden_size: int, name: str, rng,
                  use_bias: bool = True):
@@ -92,24 +100,19 @@ class GruCell:
         self.hidden_size = hidden_size
         self.use_bias = use_bias
         H, I = hidden_size, input_size
-        self.W_z = Parameter(_glorot(rng, (H, I), I, H), f"{name}.W_z")
-        self.W_r = Parameter(_glorot(rng, (H, I), I, H), f"{name}.W_r")
-        self.W_h = Parameter(_glorot(rng, (H, I), I, H), f"{name}.W_h")
-        self.U_z = Parameter(_glorot(rng, (H, H), H, H), f"{name}.U_z")
-        self.U_r = Parameter(_glorot(rng, (H, H), H, H), f"{name}.U_r")
-        self.U_h = Parameter(_glorot(rng, (H, H), H, H), f"{name}.U_h")
-        if use_bias:
-            self.b_z = Parameter(np.zeros(H), f"{name}.b_z")
-            self.b_r = Parameter(np.zeros(H), f"{name}.b_r")
-            self.b_h = Parameter(np.zeros(H), f"{name}.b_h")
-        else:
-            self.b_z = self.b_r = self.b_h = None
+        self.W = Parameter(_glorot(rng, (3 * H, I), I, H), f"{name}.W")
+        self.U = Parameter(_glorot(rng, (3 * H, H), H, H), f"{name}.U")
+        self.b = Parameter(np.zeros(3 * H), f"{name}.b") if use_bias else None
+
+        def blocks(p):
+            return [Tensor(p.values[i * H:(i + 1) * H]) for i in range(3)]
+
+        self.W_z, self.W_r, self.W_h = blocks(self.W)
+        self.U_z, self.U_r, self.U_h = blocks(self.U)
+        self.b_z, self.b_r, self.b_h = blocks(self.b) if use_bias else (None,) * 3
 
     def parameters(self) -> list[Parameter]:
-        params = [self.W_z, self.W_r, self.W_h, self.U_z, self.U_r, self.U_h]
-        if self.use_bias:
-            params += [self.b_z, self.b_r, self.b_h]
-        return params
+        return [self.W, self.U] + ([self.b] if self.use_bias else [])
 
     def step(self, x: Tensor, h_prev: Tensor) -> Tensor:
         """z gates the old state; (1 - z) admits the tanh candidate."""
@@ -128,13 +131,6 @@ class BiGru:
 
     def parameters(self) -> list[Parameter]:
         return self.fwd.parameters() + self.bwd.parameters()
-
-
-def _seq_rows(seq: Tensor) -> list[Tensor]:
-    if len(seq.shape) != 2:
-        raise ad.ShapeError(f"sequence input must be 2-D, got shape {seq.shape}")
-    T, width = seq.shape
-    return [ad.reshape(ad.slice_axis(seq, 0, t, t + 1), (width,)) for t in range(T)]
 
 
 def bi_gru(seq: Tensor, params: BiGru) -> Tensor:
@@ -226,11 +222,8 @@ class IbenModel:
             self.branch_a = BiGru(config.fused_width, H, "branch_a", rng, config.use_bias)
             self._params += self.branch_a.parameters()
             if config.learn_layer_weights:
-                self.layer_weights = [
-                    Parameter(np.asarray(1.0), f"layer_weights.alpha_{i + 1}")
-                    for i in range(config.n_pairs)
-                ]
-                self._params += self.layer_weights
+                self.layer_weights = Parameter(np.ones(config.n_pairs), "layer_weights")
+                self._params.append(self.layer_weights)
 
         self.branch_b_rnn = None
         self.branch_b_conv = None
@@ -283,14 +276,7 @@ class IbenModel:
                     f"fused input width {x.shape[1]} != configured {self.config.fused_width}"
                 )
             if self.layer_weights is not None:
-                if x.shape[0] != self.config.n_pairs:
-                    raise ad.ShapeError(
-                        f"fused input has {x.shape[0]} rows, expected {self.config.n_pairs}"
-                    )
-                rows = _seq_rows(x)
-                x = ad.stack_rows(
-                    [ad.smul(row, w) for row, w in zip(rows, self.layer_weights)]
-                )
+                x = ad.scale_rows(x, self.layer_weights)
             va = self.dense_a(pool_states(bi_gru(x, self.branch_a)))
             if self.config.dense_activation:
                 va = ad.relu(va)
@@ -384,6 +370,9 @@ def _read_checkpoint_header(path) -> tuple[dict, bytes]:
         raise DataFormatError(f"{path}: unreadable checkpoint header") from exc
     if not isinstance(header, dict):
         raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
+    unknown = sorted(set(header) - _HEADER_KEYS)
+    if unknown:
+        raise DataFormatError(f"{path}: unknown checkpoint header keys {unknown}")
     return header, blob
 
 
@@ -400,7 +389,8 @@ def load_checkpoint(path) -> IbenModel:
     """Rebuild a model from a checkpoint, validating every declared shape."""
     header, blob = _read_checkpoint_header(path)
     if header.get("schema") != CHECKPOINT_SCHEMA:
-        raise DataFormatError(f"{path}: unsupported checkpoint schema {header.get('schema')!r}")
+        raise DataFormatError(f"{path}: unsupported checkpoint schema {header.get('schema')!r}, "
+                              f"expected {CHECKPOINT_SCHEMA}")
     config = _config_from_json(header.get("config", {}), path)
     need = 8 * _weight_count(config)
     if need != len(blob):

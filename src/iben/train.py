@@ -64,29 +64,33 @@ class AdamState:
         return state
 
 
+_ADAM_BLOCK = 1 << 16
+
+
 def adam_step(params, state: AdamState, config: TrainConfig) -> None:
     """One bias-corrected moment update of every parameter.
 
-    The temporaries of every parameter share two buffers of the largest size.
+    Each parameter is updated in flat blocks of at most 2**16 values, whose
+    temporaries share two scratch rows.
     """
     state.t += 1
     bc1 = 1.0 - config.beta1 ** state.t
     bc2 = 1.0 - config.beta2 ** state.t
-    scratch = np.empty((2, max((p.values.size for p in params), default=0)))
+    scratch = np.empty((2, min(_ADAM_BLOCK, max((p.values.size for p in params), default=0))))
     for p in params:
-        g = p.grad
-        if not np.isfinite(g).all():
+        if not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient for parameter {p.name}")
-        m = state.m[p.name]
-        v = state.v[p.name]
-        a, b = (row[:g.size].reshape(g.shape) for row in scratch)
-        m *= config.beta1
-        m += np.multiply(1.0 - config.beta1, g, out=a)
-        v *= config.beta2
-        v += np.multiply(1.0 - config.beta2, np.multiply(g, g, out=a), out=a)
-        np.multiply(config.learning_rate, np.divide(m, bc1, out=a), out=a)  # lr * m_hat
-        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), config.eps, out=b)
-        p.values -= np.divide(a, b, out=a)
+        flat = [x.reshape(-1) for x in (p.values, p.grad, state.m[p.name], state.v[p.name])]
+        for lo in range(0, p.grad.size, _ADAM_BLOCK):
+            w, g, m, v = (x[lo:lo + _ADAM_BLOCK] for x in flat)
+            a, b = scratch[:, :g.size]
+            m *= config.beta1
+            m += np.multiply(1.0 - config.beta1, g, out=a)
+            v *= config.beta2
+            v += np.multiply(1.0 - config.beta2, np.multiply(g, g, out=a), out=a)
+            np.multiply(config.learning_rate, np.divide(m, bc1, out=a), out=a)  # lr * m_hat
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), config.eps, out=b)
+            w -= np.divide(a, b, out=a)
 
 
 def sgd_step(params, config: TrainConfig) -> None:

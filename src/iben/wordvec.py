@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PAD_TOKEN, TokenSequence
-from .errors import DataFormatError
+from .errors import DataFormatError, open_text
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +50,7 @@ def load_text_vectors(path, format: str = "glove_text", name: str = "") -> WordV
     entries: dict[str, np.ndarray] = {}
     dim = None
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lineno = 0
         if format == "w2v_text":
             header = fh.readline()

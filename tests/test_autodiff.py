@@ -122,13 +122,22 @@ class TestElementwiseOps:
         p = Parameter(x, name="r")
         assert ad.grad_check(lambda: ad.total(ad.relu(p)), [p]) <= 1e-6
 
-    def test_hadamard_and_smul_gradients(self):
+    def test_hadamard_and_scale_rows_gradients(self):
         rng = np.random.default_rng(13)
-        a = Parameter(rng.normal(size=6), name="a")
-        b = Parameter(rng.normal(size=6), name="b")
-        s = Parameter(np.asarray(0.7), name="s")
-        err = ad.grad_check(lambda: ad.total(ad.smul(ad.hadamard(a, b), s)), [a, b, s])
+        a = Parameter(rng.normal(size=(3, 4)), name="a")
+        b = Parameter(rng.normal(size=(3, 4)), name="b")
+        w = Parameter(rng.normal(size=3), name="w")
+        err = ad.grad_check(lambda: ad.total(ad.scale_rows(ad.hadamard(a, b), w)), [a, b, w])
         assert err <= 1e-6
+
+    def test_scale_rows_values_and_shape_errors(self):
+        x = np.arange(6.0).reshape(3, 2)
+        out = ad.scale_rows(Tensor(x), Tensor(np.array([2.0, 0.0, -1.0])))
+        npt.assert_array_equal(out.values, [[0.0, 2.0], [0.0, 0.0], [-4.0, -5.0]])
+        with pytest.raises(ShapeError):
+            ad.scale_rows(Tensor(x), Tensor(np.ones(2)))
+        with pytest.raises(ShapeError):
+            ad.scale_rows(Tensor(np.ones(3)), Tensor(np.ones(3)))
 
 
 class TestMatmul:

@@ -1,6 +1,7 @@
 """Layer pooling/pairing/fusion and the hidden-state container."""
 
 import struct
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ import pytest
 from iben.bertfuse import (
     BadMagicError,
     DimensionOverflowError,
+    HsFileError,
     LayerPairing,
     LayerStack,
     TruncatedPayloadError,
@@ -340,6 +342,18 @@ class TestHsFile:
         path.write_bytes(path.read_bytes().replace(b"no", b"\xff\xfe"))
         with pytest.raises(DataFormatError, match=r"id\.hs: record index 1 .*UTF-8"):
             read_hs_file(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_the_file_and_record(self, tmp_path, bad):
+        path = tmp_path / "nan.hs"
+        header = (b"IBENHS1\x00" + struct.pack("<I", 1)
+                  + struct.pack("<I", 1) + b"q"
+                  + struct.pack("<III", 1, 1, 2))
+        path.write_bytes(header + np.array([0.5, bad], dtype="<f4").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HsFileError, match=r"nan\.hs: record index 0 \('q'\) .*non-finite"):
+                read_hs_file(path)
 
     def test_mixed_shapes_rejected_on_write(self, tmp_path):
         a = LayerStack(np.zeros((2, 1, 3)))

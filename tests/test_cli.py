@@ -309,6 +309,12 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 1
         assert "mystery_knob" in capsys.readouterr().err
 
+    def test_repeated_kernel_sizes_exit_1(self, pipeline, tmp_path, capsys):
+        config = write_config(pipeline, tmp_path / "repeated", kernel_sizes=[2, 2])
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "kernel_sizes" in err and "non-unique" in err
+
     def test_unreadable_config_json_exits_2(self, tmp_path, capsys):
         config = tmp_path / "broken.json"
         config.write_text("{not json")
@@ -396,7 +402,12 @@ class TestEvaluate:
         (lambda h: h["params"].__setitem__(0, 7), "list of objects"),
         (lambda h: h["config"].__setitem__("kernel_sizes", 3), "kernel_sizes"),
         (lambda h: h.__setitem__("config", [1, 2]), "config is not a JSON object"),
-    ], ids=["param_entry_not_object", "kernel_sizes_not_list", "config_not_object"])
+        (lambda h: h["config"].__setitem__("kernel_sizes", [2, 2]), "must not repeat"),
+        (lambda h: h.__setitem__("schema", 1), "schema 1, expected 2"),
+        (lambda h: h["manifest"].__setitem__("max_len", 0), "embedded run manifest"),
+        (lambda h: h.__setitem__("manifesx", h.pop("manifest")), "unknown checkpoint header"),
+    ], ids=["param_entry_not_object", "kernel_sizes_not_list", "config_not_object",
+            "repeated_kernel_sizes", "schema_1", "invalid_manifest", "unknown_header_key"])
     def test_malformed_checkpoint_header_exits_2(self, pipeline, trained, tmp_path,
                                                  capsys, mutate, message):
         header_line, _, blob = trained.read_bytes().partition(b"\n")
@@ -457,6 +468,48 @@ class TestEvaluate:
                      "--out", str(tmp_path / "p.csv")]) == 2
 
 
+class TestNonUtf8Input:
+    """Every text reader names the file and line of bytes that are not UTF-8."""
+
+    @staticmethod
+    def corrupt(src, dst, line_no):
+        lines = src.read_bytes().splitlines(keepends=True)
+        lines[line_no - 1] = b"\xff" + lines[line_no - 1][1:]
+        dst.write_bytes(b"".join(lines))
+        return dst
+
+    def run(self, pipeline, tmp_path, reader):
+        root = pipeline["root"]
+        if reader == "dataset":
+            data = self.corrupt(pipeline["data"], tmp_path / "bad.csv", 3)
+            return ["stats", "--data", str(data)], "bad.csv line 3"
+        if reader == "vectors":
+            vectors = self.corrupt(pipeline["vectors"], tmp_path / "bad.txt", 2)
+            config = write_config(pipeline, tmp_path / "run",
+                                  embedding_tables=[{"path": str(vectors)}])
+            return ["train", "--config", str(config)], "bad.txt line 2"
+        if reader == "run_config":
+            good = write_config(pipeline, tmp_path / "run")
+            config = self.corrupt(good, tmp_path / "bad.json", 1)
+            return ["train", "--config", str(config)], "bad.json line 1"
+        if reader == "token_file":
+            tokens = self.corrupt(pipeline["tokens"], tmp_path / "bad.tsv", 4)
+            return ["pseudo-encode", "--tokens", str(tokens), "--layers", "2",
+                    "--hidden", "2", "--out", str(tmp_path / "o.hs")], "bad.tsv line 4"
+        stop = tmp_path / "bad.stop"
+        stop.write_bytes(b"the\nof\nwh\xffre\n")
+        return ["preprocess", "--data", str(root / "data.csv"), "--variant", "edited",
+                "--stopwords", str(stop), "--out", str(tmp_path / "t.tsv")], "bad.stop line 3"
+
+    @pytest.mark.parametrize("reader", ["dataset", "vectors", "run_config", "token_file",
+                                        "stoplist"])
+    def test_exits_2_naming_the_file_and_line(self, pipeline, tmp_path, capsys, reader):
+        argv, where = self.run(pipeline, tmp_path, reader)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{where}: not valid UTF-8" in err
+
+
 class TestBaseline:
     def test_sqrt_two_case(self, tmp_path, capsys):
         train_csv = write_dataset(tmp_path / "train.csv", [
@@ -479,7 +532,7 @@ class TestGradcheck:
         out = capsys.readouterr().out
         for name in ("matmul", "sigmoid", "conv1d_k1", "max_over_time",
                      "gru_cell", "bi_gru", "model_full", "gru_sequence",
-                     "gru_sequence_rev"):
+                     "gru_sequence_rev", "scale_rows"):
             assert name in out
         assert "FAIL" not in out
 

@@ -57,17 +57,28 @@ def brute_cell_step(x, h_prev, cell):
 
 
 def per_gate_step(cell, x, h_prev):
-    """One GRU step composed of one tape op per gate operation (the oracle)."""
-    z_pre = ad.add(ad.matmul(cell.W_z, x), ad.matmul(cell.U_z, h_prev))
-    r_pre = ad.add(ad.matmul(cell.W_r, x), ad.matmul(cell.U_r, h_prev))
+    """One GRU step composed of one tape op per gate operation (the oracle).
+
+    Each gate's weights are its block of the stacked parameters, cut out on
+    the tape, so that gradients reach the stacked parameters.
+    """
+    H = cell.hidden_size
+
+    def gates(p):
+        return [ad.slice_axis(p, 0, i * H, (i + 1) * H) for i in range(3)]
+
+    (W_z, W_r, W_h), (U_z, U_r, U_h) = gates(cell.W), gates(cell.U)
+    z_pre = ad.add(ad.matmul(W_z, x), ad.matmul(U_z, h_prev))
+    r_pre = ad.add(ad.matmul(W_r, x), ad.matmul(U_r, h_prev))
     if cell.use_bias:
-        z_pre = ad.add(z_pre, cell.b_z)
-        r_pre = ad.add(r_pre, cell.b_r)
+        b_z, b_r, b_h = gates(cell.b)
+        z_pre = ad.add(z_pre, b_z)
+        r_pre = ad.add(r_pre, b_r)
     z = ad.sigmoid(z_pre)
     r = ad.sigmoid(r_pre)
-    h_pre = ad.add(ad.matmul(cell.W_h, x), ad.hadamard(r, ad.matmul(cell.U_h, h_prev)))
+    h_pre = ad.add(ad.matmul(W_h, x), ad.hadamard(r, ad.matmul(U_h, h_prev)))
     if cell.use_bias:
-        h_pre = ad.add(h_pre, cell.b_h)
+        h_pre = ad.add(h_pre, b_h)
     h_tilde = ad.tanh(h_pre)
     keep = ad.hadamard(z, h_prev)
     update = ad.hadamard(ad.sub(Tensor(np.ones(cell.hidden_size)), z), h_tilde)
@@ -127,12 +138,39 @@ class TestGruCellStep:
         with pytest.raises(ad.ShapeError):
             cell.step(Tensor(np.zeros(5)), Tensor(np.zeros(2)))
 
-    def test_no_bias_variant_has_six_parameters(self):
+    def test_no_bias_variant_has_two_parameters(self):
         cell = GruCell(3, 2, "c", np.random.default_rng(0), use_bias=False)
-        assert len(cell.parameters()) == 6
+        assert [p.name for p in cell.parameters()] == ["c.W", "c.U"]
+        assert cell.b_z is cell.b_r is cell.b_h is None
         h = cell.step(Tensor(np.ones(3)), Tensor(np.zeros(2)))
         npt.assert_allclose(h.values, brute_cell_step(np.ones(3), np.zeros(2), cell),
                             atol=1e-12)
+
+    def test_stacked_parameters_and_their_gate_views(self):
+        cell = GruCell(3, 2, "c", np.random.default_rng(0))
+        assert [(p.name, p.shape) for p in cell.parameters()] == [
+            ("c.W", (6, 3)), ("c.U", (6, 2)), ("c.b", (6,))]
+        views = [cell.W_z, cell.W_r, cell.W_h, cell.U_z, cell.U_r, cell.U_h,
+                 cell.b_z, cell.b_r, cell.b_h]
+        assert not any(isinstance(v, Parameter) for v in views)
+        for i, (w, u, b) in enumerate(zip(views[:3], views[3:6], views[6:])):
+            w.values[...] = i + 1.0
+            u.values[...] = -(i + 1.0)
+            b.values[...] = 10.0 * (i + 1)
+        npt.assert_array_equal(cell.W.values[:, 0], [1, 1, 2, 2, 3, 3])
+        npt.assert_array_equal(cell.U.values[:, 1], [-1, -1, -2, -2, -3, -3])
+        npt.assert_array_equal(cell.b.values, [10, 10, 20, 20, 30, 30])
+
+    def test_stacked_draw_equals_the_per_gate_draws(self):
+        """One 3H x I uniform draw is the three H x I draws made in turn."""
+        H, I = 4, 5
+        cell = GruCell(I, H, "c", np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        a, b = math.sqrt(6.0 / (I + H)), math.sqrt(6.0 / (2 * H))
+        W = [rng.uniform(-a, a, (H, I)) for _ in range(3)]
+        U = [rng.uniform(-b, b, (H, H)) for _ in range(3)]
+        npt.assert_array_equal(cell.W.values, np.concatenate(W))
+        npt.assert_array_equal(cell.U.values, np.concatenate(U))
 
 
 class TestGruForward:
@@ -275,8 +313,14 @@ class TestGruSequence:
             ad.gru_sequence(Tensor(np.zeros((0, 3))), cell.parameters())
         with pytest.raises(ad.ShapeError):
             ad.gru_sequence(Tensor(np.zeros((2, 3))), cell.parameters(), Tensor(np.zeros(3)))
-        with pytest.raises(ad.ShapeError):
-            ad.gru_sequence(Tensor(np.zeros((2, 3))), cell.parameters()[:5])
+        with pytest.raises(ad.ShapeError, match="W, U"):
+            ad.gru_sequence(Tensor(np.zeros((2, 3))), cell.parameters()[:1])
+        with pytest.raises(ad.ShapeError, match="W, U"):
+            ad.gru_sequence(Tensor(np.zeros((2, 3))), cell.parameters() + [cell.b])
+        with pytest.raises(ad.ShapeError, match="three gates"):
+            ad.gru_sequence(Tensor(np.zeros((2, 3))), [Tensor(np.zeros((5, 3))), cell.U])
+        with pytest.raises(ad.ShapeError, match="three gates"):
+            ad.gru_sequence(Tensor(np.zeros((2, 3))), [cell.W, cell.U, Tensor(np.zeros(2))])
 
 
 class TestBiGru:
@@ -406,6 +450,10 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="integer"):
             small_config(**{field: value})
 
+    def test_rejects_repeated_kernel_sizes(self):
+        with pytest.raises(ValueError, match="repeat"):
+            small_config(kernel_sizes=(2, 2))
+
     def test_rejects_empty_kernel_sizes(self):
         with pytest.raises(ValueError, match="kernel"):
             small_config(kernel_sizes=())
@@ -471,12 +519,11 @@ class TestForward:
     def test_learnable_pair_weights_scale_rows(self):
         config = small_config(learn_layer_weights=True)
         model = IbenModel(config)
-        names = [p.name for p in model.parameters()]
-        assert "layer_weights.alpha_1" in names
+        assert model.layer_weights in model.parameters()
+        assert (model.layer_weights.name, model.layer_weights.shape) == ("layer_weights", (3,))
         fused, emb = self.inputs(config)
         base = model.forward(fused=fused, emb=emb).item()
-        for w in model.layer_weights:
-            w.values[...] = 0.0
+        model.layer_weights.values[...] = 0.0
         zeroed = model.forward(fused=fused, emb=emb).item()
         zero_rows = model.forward(fused=np.zeros_like(fused), emb=emb).item()
         assert zeroed == zero_rows
@@ -489,9 +536,32 @@ class TestForward:
         b = IbenModel(config).forward(fused=fused, emb=emb).item()
         assert a == b
 
+    def test_fused_rows_must_match_the_learned_weights(self):
+        config = small_config(learn_layer_weights=True)
+        fused, emb = self.inputs(config)
+        with pytest.raises(ad.ShapeError, match="scale_rows"):
+            IbenModel(config).forward(fused=fused[:2], emb=emb)
+
+    def test_default_config_has_26_parameters_and_no_single_gate(self):
+        model = IbenModel(ModelConfig(fused_width=8, emb_dim=8, hidden_size=4))
+        assert len(model.parameters()) == 26
+        H = model.config.hidden_size
+        for cell in (model.branch_a.fwd, model.branch_a.bwd,
+                     model.branch_b_rnn.fwd, model.branch_b_rnn.bwd):
+            assert [p.shape[0] for p in cell.parameters()] == [3 * H] * 3
+
+    @pytest.mark.parametrize("learn, entries", [(False, 36), (True, 37)])
+    def test_forward_tape_entries_at_twelve_pairs(self, learn, entries):
+        config = small_config(n_pairs=12, kernel_sizes=(1, 2, 3, 4),
+                              learn_layer_weights=learn)
+        fused, emb = self.inputs(config)
+        with Tape() as tape:
+            IbenModel(config).forward(fused=fused, emb=emb)
+        assert len(tape) == entries
+
     def test_full_model_gradient_check(self):
         config = small_config(hidden_size=3, emb_dim=4, fused_width=5,
-                              n_pairs=3, seed=7)
+                              n_pairs=3, learn_layer_weights=True, seed=7)
         model = IbenModel(config)
         rng = np.random.default_rng(23)
         fused = rng.normal(size=(3, 5))

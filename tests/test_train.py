@@ -120,7 +120,7 @@ class TestAdamStep:
 
     def test_matches_the_reference_update_bit_for_bit(self):
         rng = np.random.default_rng(7)
-        shapes = [(), (5,), (3, 4), (2, 3, 2), (1,)]
+        shapes = [(), (5,), (3, 4), (2, 3, 2), (1,), (7, 10_001)]  # the last spans two blocks
         cfg = TrainConfig(learning_rate=0.01)
         init = [rng.normal(size=s) for s in shapes]
         sides = []
