@@ -28,7 +28,6 @@ __all__ = [
     "NonFiniteError",
     "ShapeError",
     "add",
-    "sub",
     "hadamard",
     "scale",
     "scale_rows",
@@ -37,9 +36,7 @@ __all__ = [
     "tanh",
     "relu",
     "concat",
-    "slice_axis",
     "reshape",
-    "stack_rows",
     "total",
     "gru_sequence",
     "conv1d",
@@ -205,11 +202,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _apply(a.values + b.values, "add", (a, b), (lambda g: g, lambda g: g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    return _apply(a.values - b.values, "sub", (a, b), (lambda g: g, lambda g: -g))
-
-
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "hadamard")
     av, bv = a.values, b.values
@@ -300,30 +292,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
                   tuple(block_grad(i) for i in range(len(tensors))))
 
 
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * a.values.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    shape = a.shape
-
-    def fn(g):
-        full = np.zeros(shape, dtype=np.float64)
-        full[idx] = g
-        return full
-
-    return _apply(a.values[idx].copy(), "slice", (a,), (fn,))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.shape
     return _apply(a.values.reshape(shape), "reshape", (a,),
                   (lambda g: g.reshape(old),))
-
-
-def stack_rows(vectors) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix, one per row."""
-    vectors = list(vectors)
-    return concat([reshape(v, (1, v.shape[0])) for v in vectors], axis=0)
 
 
 def total(a: Tensor) -> Tensor:

@@ -268,11 +268,12 @@ def read_hs_file(path) -> list[LayerStack]:
     return stacks
 
 
-def stacks_by_id(stacks) -> dict[str, LayerStack]:
+def stacks_by_id(stacks, path) -> dict[str, LayerStack]:
+    """The stacks read from container ``path``, keyed by their unique ids."""
     out = {}
-    for s in stacks:
+    for index, s in enumerate(stacks):
         if s.id in out:
-            raise DataFormatError(f"duplicate stack id {s.id!r}")
+            raise DataFormatError(f"{path}: record index {index} has duplicate stack id {s.id!r}")
         out[s.id] = s
     return out
 

@@ -151,7 +151,7 @@ def _assemble_samples(records, resolved, features_path):
     use_emb = resolved["branches"] in ("emb", "both")
     fused_map = {}
     if use_bert:
-        stacks = bertfuse.stacks_by_id(bertfuse.read_hs_file(features_path))
+        stacks = bertfuse.stacks_by_id(bertfuse.read_hs_file(features_path), features_path)
         for r in records:
             stack = stacks.get(r.id)
             if stack is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -332,6 +333,16 @@ def _config_from_json(data, path) -> ModelConfig:
         raise DataFormatError(f"{path}: checkpoint config is invalid: {exc}") from exc
 
 
+def _param_table(params) -> list[dict]:
+    """The checkpoint layout: each parameter's name, shape and byte offset in the blob."""
+    offsets = accumulate((8 * p.size for p in params), initial=0)
+    return [{"name": p.name, "shape": list(p.shape), "offset": o} for p, o in zip(params, offsets)]
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
 def save_checkpoint(model: IbenModel, path, manifest: dict | None = None) -> None:
     """Write the model to ``path``; ``manifest`` rides along in the header.
 
@@ -339,46 +350,39 @@ def save_checkpoint(model: IbenModel, path, manifest: dict | None = None) -> Non
     so a checkpoint records how its input features were produced.
     """
     params = model.parameters()
-    entries = []
-    offset = 0
-    for p in params:
-        entries.append({"name": p.name, "shape": list(p.shape), "offset": offset})
-        offset += p.values.size * 8
     header = {
         "schema": CHECKPOINT_SCHEMA,
         "config": _config_to_json(model.config),
         "seed": model.config.seed,
-        "params": entries,
-        "blob_bytes": offset,
+        "params": _param_table(params),
+        "blob_bytes": 8 * sum(p.size for p in params),
     }
     if manifest is not None:
         header["manifest"] = manifest
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
+        fh.write(_canonical(header).encode("utf-8") + b"\n")
         for p in params:
             fh.write(p.values.astype("<f8").tobytes())
 
 
-def _read_checkpoint_header(path) -> tuple[dict, bytes]:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
+def _read_checkpoint_header(fh, path) -> dict:
+    """Parse the header line at the start of ``fh``; the blob is left unread."""
     try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataFormatError(f"{path}: unreadable checkpoint header") from exc
     if not isinstance(header, dict):
         raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
     unknown = sorted(set(header) - _HEADER_KEYS)
     if unknown:
         raise DataFormatError(f"{path}: unknown checkpoint header keys {unknown}")
-    return header, blob
+    return header
 
 
 def checkpoint_manifest(path) -> dict | None:
     """Return the manifest stored alongside the weights, if any."""
-    header, _ = _read_checkpoint_header(path)
+    with open(path, "rb") as fh:
+        header = _read_checkpoint_header(fh, path)
     manifest = header.get("manifest")
     if manifest is not None and not isinstance(manifest, dict):
         raise DataFormatError(f"{path}: checkpoint manifest is not a JSON object")
@@ -386,8 +390,10 @@ def checkpoint_manifest(path) -> dict | None:
 
 
 def load_checkpoint(path) -> IbenModel:
-    """Rebuild a model from a checkpoint, validating every declared shape."""
-    header, blob = _read_checkpoint_header(path)
+    """Rebuild a model from a checkpoint whose parameter table is the model's own."""
+    with open(path, "rb") as fh:
+        header = _read_checkpoint_header(fh, path)
+        blob = fh.read()
     if header.get("schema") != CHECKPOINT_SCHEMA:
         raise DataFormatError(f"{path}: unsupported checkpoint schema {header.get('schema')!r}, "
                               f"expected {CHECKPOINT_SCHEMA}")
@@ -395,31 +401,22 @@ def load_checkpoint(path) -> IbenModel:
     need = 8 * _weight_count(config)
     if need != len(blob):
         raise DataFormatError(f"{path}: blob is {len(blob)} bytes, its config needs {need}")
-    model = IbenModel(config)
-    params = model.parameters()
-    entries = header.get("params", [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise DataFormatError(f"{path}: checkpoint params must be a list of objects")
-    if len(entries) != len(params):
-        raise DataFormatError(
-            f"{path}: checkpoint lists {len(entries)} parameters, model has {len(params)}"
-        )
     if header.get("blob_bytes") != len(blob):
         raise DataFormatError(
-            f"{path}: blob is {len(blob)} bytes, header declares {header.get('blob_bytes')}"
-        )
-    for p, entry in zip(params, entries):
-        if entry.get("name") != p.name:
-            raise DataFormatError(
-                f"{path}: parameter {entry.get('name')!r} does not match model's {p.name!r}"
-            )
-        shape = entry.get("shape")
-        if not isinstance(shape, list) or tuple(shape) != p.shape:
-            raise DataFormatError(f"{path}: shape mismatch for parameter {p.name!r}")
-        offset = entry.get("offset")
-        nbytes = p.values.size * 8
-        if not isinstance(offset, int) or offset < 0 or offset + nbytes > len(blob):
-            raise DataFormatError(f"{path}: bad offset for parameter {p.name!r}")
-        flat = np.frombuffer(blob, dtype="<f8", count=p.values.size, offset=offset)
-        p.values[...] = flat.reshape(p.shape)
+            f"{path}: blob is {len(blob)} bytes, header declares {header.get('blob_bytes')}")
+    model = IbenModel(config)
+    params = model.parameters()
+    table = _param_table(params)
+    entries = header.get("params")
+    if _canonical(entries) != _canonical(table):
+        found = entries if isinstance(entries, list) else [entries]
+        i = next((i for i, (got, want) in enumerate(zip(found, table))
+                  if _canonical(got) != _canonical(want)), min(len(found), len(table)))
+        got, want = (_canonical(t[i]) if i < len(t) else "nothing" for t in (found, table))
+        raise DataFormatError(f"{path}: checkpoint params entry {i} {got} does not match the "
+                              f"model's {want}; params must be the model's list of objects")
+    values = np.frombuffer(blob, dtype="<f8")
+    for p, entry in zip(params, table):
+        start = entry["offset"] // 8
+        p.values[...] = values[start:start + p.size].reshape(p.shape)
     return model

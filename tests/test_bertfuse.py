@@ -387,9 +387,10 @@ class TestHsFile:
     def test_stacks_by_id(self):
         a = LayerStack(np.zeros((1, 1, 1)), id="a")
         b = LayerStack(np.zeros((1, 1, 1)), id="b")
-        assert set(stacks_by_id([a, b])) == {"a", "b"}
-        with pytest.raises(Exception, match="duplicate"):
-            stacks_by_id([a, a])
+        assert set(stacks_by_id([a, b], "f.hs")) == {"a", "b"}
+        with pytest.raises(DataFormatError,
+                           match=r"^f\.hs: record index 2 has duplicate stack id 'a'$"):
+            stacks_by_id([a, b, a], "f.hs")
 
 
 class TestPseudoEncode:

@@ -10,7 +10,7 @@ import pytest
 
 import iben.cli as cli
 import iben.model as model_lib
-from iben.bertfuse import read_hs_file
+from iben.bertfuse import LayerStack, read_hs_file, write_hs_file
 from iben.cli import main, validate_runconfig
 from iben.errors import ConfigError
 
@@ -324,6 +324,17 @@ class TestTrain:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_duplicate_feature_record_exits_2_naming_the_file(self, pipeline, tmp_path,
+                                                               capsys):
+        stacks = read_hs_file(pipeline["features"])
+        stacks[1] = LayerStack(stacks[1].data, id=stacks[0].id)
+        features = tmp_path / "duplicate.hs"
+        write_hs_file(stacks, features)
+        config = write_config(pipeline, tmp_path / "duplicate_run", features=str(features))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "duplicate.hs: record index 1" in err
+
     def test_missing_feature_record_is_a_config_error(self, pipeline, tmp_path, capsys):
         # hidden states built for only half the dataset
         tokens = tmp_path / "partial.tsv"
@@ -406,8 +417,15 @@ class TestEvaluate:
         (lambda h: h.__setitem__("schema", 1), "schema 1, expected 2"),
         (lambda h: h["manifest"].__setitem__("max_len", 0), "embedded run manifest"),
         (lambda h: h.__setitem__("manifesx", h.pop("manifest")), "unknown checkpoint header"),
+        (lambda h: next(e for e in h["params"] if e["name"] == "head.b").__setitem__("offset", 0),
+         '{"name": "head.b", "offset": 0, "shape": [1]} does not match'),
+        (lambda h: h["params"][0].__setitem__("offset", True),
+         'entry 0 {"name": "branch_a.fwd.W", "offset": true,'),
+        (lambda h: h["params"].__setitem__(slice(0, 2), h["params"][1::-1]),
+         'entry 0 {"name": "branch_a.fwd.U", "offset": '),
     ], ids=["param_entry_not_object", "kernel_sizes_not_list", "config_not_object",
-            "repeated_kernel_sizes", "schema_1", "invalid_manifest", "unknown_header_key"])
+            "repeated_kernel_sizes", "schema_1", "invalid_manifest", "unknown_header_key",
+            "duplicated_offset", "boolean_offset", "swapped_entries"])
     def test_malformed_checkpoint_header_exits_2(self, pipeline, trained, tmp_path,
                                                  capsys, mutate, message):
         header_line, _, blob = trained.read_bytes().partition(b"\n")

@@ -3,7 +3,8 @@
 Bytes of a valid checkpoint, hidden-state container and vector table are
 flipped, or the file is cut short.  `iben evaluate`/`train` must then
 either succeed or exit 2 with a single `error:` line on stderr; nothing
-may raise out of `main`.
+may raise out of `main`.  A checkpoint's parameter table is also edited
+entry by entry, and any table but the model's own must exit 2.
 """
 
 import contextlib
@@ -96,3 +97,48 @@ def test_corrupted_vector_table(files, data):
         files, files["root"] / "bad_vectors_run", embedding_tables=[{"path": str(bad)}],
         train={"epochs": 1, "batch_size": 4, "learning_rate": 0.01})))
     assert_exits_2_with_one_line_or_succeeds(["train", "--config", str(config)])
+
+
+def edit_param_table(table, data):
+    """One field of one entry set to another value, or two entries swapped, or one
+    entry duplicated into another position."""
+    table = [dict(e) for e in table]
+    index = st.integers(0, len(table) - 1)
+    i = data.draw(index, label="entry")
+    edit = data.draw(st.sampled_from(["field", "swap", "duplicate"]), label="edit")
+    if edit == "swap":
+        j = data.draw(index, label="with")
+        table[i], table[j] = table[j], table[i]
+    elif edit == "duplicate":
+        table.insert(data.draw(st.integers(0, len(table)), label="at"), dict(table[i]))
+    else:
+        key = data.draw(st.sampled_from(["name", "shape", "offset"]), label="field")
+        # the value written as float, e.g. 1.0 for 1, or as a longer name
+        near = {"name": lambda v: v + "x", "shape": lambda v: [float(n) for n in v],
+                "offset": float}[key](table[i][key])
+        table[i][key] = data.draw(st.one_of(
+            st.sampled_from([e[key] for e in table]),  # another entry's value, or its own
+            st.just(near), st.booleans(), st.none(), st.integers(-9, 10 ** 6),
+            st.text(max_size=4), st.lists(st.integers(0, 20), max_size=3)), label="value")
+    return table
+
+
+@FUZZ
+@given(data=st.data())
+def test_edited_checkpoint_param_table(files, data):
+    header_line, _, blob = files["checkpoint"].read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    table = header["params"]
+    header["params"] = edit_param_table(table, data)
+    bad = files["root"] / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--checkpoint", str(bad), "--data", str(files["data"]),
+                     "--out", str(files["root"] / "p.csv")])
+    message = err.getvalue()
+    if json.dumps(header["params"], sort_keys=True) == json.dumps(table, sort_keys=True):
+        assert code == 0, message
+    else:
+        assert code == 2, message
+        assert re.fullmatch(r"error: \S+bad\.ckpt: checkpoint params entry \d+ .*\n", message)

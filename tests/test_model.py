@@ -1,6 +1,7 @@
 """GRU cells, pooling, the convolution bank, the full network, checkpoints."""
 
 import gc
+import io
 import json
 import math
 import weakref
@@ -10,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import iben.autodiff as ad
+import iben.model as model_lib
 from iben.autodiff import Parameter, Tape, Tensor
 from iben.errors import DataFormatError
 from iben.model import (
@@ -26,6 +28,7 @@ from iben.model import (
     pool_states,
     save_checkpoint,
 )
+from oracle_ops import slice_axis, stack_rows, sub
 
 
 def zero_params(obj):
@@ -65,7 +68,7 @@ def per_gate_step(cell, x, h_prev):
     H = cell.hidden_size
 
     def gates(p):
-        return [ad.slice_axis(p, 0, i * H, (i + 1) * H) for i in range(3)]
+        return [slice_axis(p, 0, i * H, (i + 1) * H) for i in range(3)]
 
     (W_z, W_r, W_h), (U_z, U_r, U_h) = gates(cell.W), gates(cell.U)
     z_pre = ad.add(ad.matmul(W_z, x), ad.matmul(U_z, h_prev))
@@ -81,20 +84,20 @@ def per_gate_step(cell, x, h_prev):
         h_pre = ad.add(h_pre, b_h)
     h_tilde = ad.tanh(h_pre)
     keep = ad.hadamard(z, h_prev)
-    update = ad.hadamard(ad.sub(Tensor(np.ones(cell.hidden_size)), z), h_tilde)
+    update = ad.hadamard(sub(Tensor(np.ones(cell.hidden_size)), z), h_tilde)
     return ad.add(keep, update)
 
 
 def per_gate_states(cell, seq, h0=None, reverse=False):
     """Per-gate steps over the rows of ``seq``; row t is the state after row t."""
     T, width = seq.shape
-    rows = [ad.reshape(ad.slice_axis(seq, 0, t, t + 1), (width,)) for t in range(T)]
+    rows = [ad.reshape(slice_axis(seq, 0, t, t + 1), (width,)) for t in range(T)]
     h = h0 if h0 is not None else Tensor(np.zeros(cell.hidden_size))
     states = [None] * T
     for t in (reversed(range(T)) if reverse else range(T)):
         h = per_gate_step(cell, rows[t], h)
         states[t] = h
-    return ad.stack_rows(states)
+    return stack_rows(states)
 
 
 def small_config(**overrides):
@@ -633,11 +636,75 @@ class TestCheckpoints:
         save_checkpoint(self.make_model(), path)
         assert checkpoint_manifest(path) is None
 
+    def test_manifest_is_read_from_the_header_line_alone(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        manifest = {"variant": "edited", "max_len": 40}
+        save_checkpoint(self.make_model(), path, manifest=manifest)
+        header_line, _, blob = path.read_bytes().partition(b"\n")
+        path.write_bytes(header_line + b"\n" + blob[:5])
+        assert checkpoint_manifest(path) == manifest
+        with pytest.raises(DataFormatError, match="blob is 5 bytes"):
+            load_checkpoint(path)
+
+        class HeaderLineOnly(io.BufferedReader):
+            def read(self, size=-1):
+                raise AssertionError("the blob was read")
+
+        monkeypatch.setattr(model_lib, "open", lambda file, mode: HeaderLineOnly(io.FileIO(file)),
+                            raising=False)
+        assert checkpoint_manifest(path) == manifest
+
+    def test_header_lists_the_parameters_back_to_back(self, tmp_path):
+        model = self.make_model(learn_layer_weights=True)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        params = model.parameters()
+        sizes = [p.size for p in params]
+        assert header["params"] == [
+            {"name": p.name, "shape": list(p.shape), "offset": 8 * sum(sizes[:i])}
+            for i, p in enumerate(params)]
+        assert header["blob_bytes"] == 8 * sum(sizes)
+
+    @pytest.mark.parametrize("mutate, entry", [
+        (lambda t: t[-1].__setitem__("offset", 0), lambda n: n - 1),
+        (lambda t: t[0].__setitem__("offset", True), lambda n: 0),
+        (lambda t: t[1].__setitem__("offset", float(t[1]["offset"])), lambda n: 1),
+        (lambda t: t[2].__setitem__("shape", [float(d) for d in t[2]["shape"]]), lambda n: 2),
+        (lambda t: t[0].__setitem__("dtype", "<f8"), lambda n: 0),
+        (lambda t: t[0].pop("offset"), lambda n: 0),
+        (lambda t: t.insert(1, t[0]), lambda n: 1),
+        (lambda t: t.__setitem__(slice(0, 2), t[1::-1]), lambda n: 0),
+        (lambda t: t.pop(), lambda n: n - 1),
+        (lambda t: t.append(dict(t[-1])), lambda n: n),
+    ], ids=["duplicated_offset", "boolean_offset", "float_offset", "float_shape", "extra_key",
+            "missing_key", "duplicated_entry", "swapped_entries", "missing_entry",
+            "extra_entry"])
+    def test_table_other_than_the_models_is_refused(self, tmp_path, mutate, entry):
+        """Canonical JSON text is compared, so ``true`` and ``1.0`` are not ``1``."""
+        path = self.tamper(tmp_path, lambda h: mutate(h["params"]))
+        index = entry(len(self.make_model().parameters()))
+        with pytest.raises(DataFormatError,
+                           match=rf"m\.ckpt: checkpoint params entry {index} .* does not match"):
+            load_checkpoint(path)
+
+    def test_params_that_are_not_a_list_are_refused(self, tmp_path):
+        path = self.tamper(tmp_path, lambda h: h.__setitem__("params", {"name": "head.b"}))
+        with pytest.raises(DataFormatError, match=r"entry 0 \{\"name\": \"head.b\"\} does not"):
+            load_checkpoint(path)
+
     def test_unreadable_header(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"\xff\xfe garbage\n more")
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+    def test_header_nested_past_the_recursion_limit_is_unreadable(self, tmp_path):
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+        for read in (load_checkpoint, checkpoint_manifest):
+            with pytest.raises(DataFormatError, match="unreadable checkpoint header"):
+                read(path)
 
     def tamper(self, tmp_path, mutate):
         model = self.make_model()
