@@ -29,9 +29,9 @@ __all__ = [
     "ShapeError",
     "add",
     "hadamard",
-    "scale",
     "scale_rows",
     "matmul",
+    "linear",
     "sigmoid",
     "tanh",
     "relu",
@@ -133,7 +133,9 @@ class Tape:
     Each entry keeps only the operands a gradient may reach (see
     :func:`_receives_grad`).  Parameters accumulate in place into the
     buffer they own, so two backward calls without zeroing double a
-    parameter's gradient.
+    parameter's gradient.  A gradient function may add a parameter's share
+    into that buffer itself and return None, to spare a parameter-sized
+    temporary.
     """
 
     def __init__(self):
@@ -167,7 +169,8 @@ class Tape:
             for parent, fn in links:
                 contrib = fn(g)
                 if isinstance(parent, Parameter):
-                    parent.grad += contrib
+                    if contrib is not None:  # None: the op added its share in place
+                        parent.grad += contrib
                 else:
                     key = id(parent)
                     adjoint[key] = adjoint[key] + contrib if key in adjoint else contrib
@@ -189,6 +192,15 @@ def _apply(values: np.ndarray, op: str, parents: tuple, grad_fns: tuple) -> Tens
     return out
 
 
+_BLOCK_COLUMNS = 512
+
+
+def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``out += a @ b``, a block of columns at a time, with no temporary as large as ``out``."""
+    for lo in range(0, b.shape[1], _BLOCK_COLUMNS):
+        out[:, lo:lo + _BLOCK_COLUMNS] += a @ b[:, lo:lo + _BLOCK_COLUMNS]
+
+
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op} needs equal shapes, got {a.shape} and {b.shape}")
@@ -208,20 +220,17 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return _apply(av * bv, "hadamard", (a, b), (lambda g: g * bv, lambda g: g * av))
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _apply(a.values * c, "scale", (a,), (lambda g: g * c,))
-
-
 def scale_rows(x: Tensor, w: Tensor) -> Tensor:
-    """Row i of an R x C matrix times w[i], for a length-R ``w``."""
+    """Row i of an R x C matrix, or of each matrix of a batch, times w[i],
+    for a length-R ``w``."""
     xv, wv = x.values, w.values
-    if xv.ndim != 2 or wv.shape != (xv.shape[0],):
-        raise ShapeError(f"scale_rows needs an R x C matrix and R weights, "
-                         f"got shapes {x.shape} and {w.shape}")
+    if xv.ndim < 2 or wv.shape != (xv.shape[-2],):
+        raise ShapeError(f"scale_rows needs an R x C matrix (or a batch of them) and "
+                         f"R weights, got shapes {x.shape} and {w.shape}")
     col = wv[:, None]
     return _apply(xv * col, "scale_rows", (x, w),
-                  (lambda g: g * col, lambda g: (g * xv).sum(axis=1)))
+                  (lambda g: g * col,
+                   lambda g: (g * xv).sum(axis=-1).reshape(-1, wv.size).sum(axis=0)))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -270,6 +279,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"matmul supports 2-D/1-D operands only, got {av.ndim}-D @ {bv.ndim}-D")
 
 
+def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ W.T + b`` for an in-vector or a B x in matrix and an out x in ``W``."""
+    xv, wv = x.values, W.values
+    if (xv.ndim not in (1, 2) or wv.ndim != 2 or xv.shape[-1] != wv.shape[1]
+            or (b is not None and b.shape != wv.shape[:1])):
+        raise ShapeError(f"linear needs an in-vector or B x in input, an out x in weight and "
+                         f"an out bias, got shapes {x.shape}, {W.shape} and "
+                         f"{None if b is None else b.shape}")
+    out = xv @ wv.T
+    if b is not None:
+        out += b.values
+    rows = xv.reshape(-1, wv.shape[1])
+    grads = (lambda g: g @ wv, lambda g: g.reshape(-1, wv.shape[0]).T @ rows,
+             lambda g: g.reshape(-1, wv.shape[0]).sum(axis=0))
+    parents = (x, W) if b is None else (x, W, b)
+    return _apply(out, "linear", parents, grads[:len(parents)])
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
@@ -312,83 +339,95 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
                  reverse: bool = False) -> Tensor:
     """GRU states over the rows of a T x I sequence, as one T x H tensor.
 
-    ``weights`` is (W, U) or (W, U, b): W is 3H x I, U is 3H x H and b has
-    length 3H, each stacked as the z, r and h gate blocks in that order.
-    With W_z the first H rows of W, and so on, one step is
+    A B x T x I batch of sequences gives B x T x H states; a 2-D input is the
+    batch of one without the axis.  ``weights`` is (W, U) or (W, U, b): W is
+    3H x I, U is 3H x H and b has length 3H, each stacked as the z, r and h
+    gate blocks in that order.  With W_z the first H rows of W, and so on,
+    one step is
 
         z = sigmoid(W_z x + U_z h + b_z)     r = sigmoid(W_r x + U_r h + b_r)
         c = tanh(W_h x + r * (U_h h) + b_h)  h' = z * h + (1 - z) * c
 
-    from ``h0`` (zeros when None).  With ``reverse`` the rows are consumed
-    last to first; row t of the output is always the state after input
-    row t.  The input projection of all steps and gates is one GEMM outside
-    the recurrence (Appleyard et al., arXiv:1604.01946).  The backward pass
-    is hand-written BPTT: the gradient of every operand a sweep can reach is
-    computed at the first request and released once the last one has taken
-    its share; the input's is skipped when the input is a constant.
+    from ``h0`` (H, or B x H for a batch; zeros when None).  With ``reverse``
+    the rows are consumed last to first; row t of the output is always the
+    state after input row t.  The input projection of every sample, step and
+    gate is one GEMM outside the recurrence, and each step's recurrence is
+    one B x H by H x 3H GEMM (Appleyard et al., arXiv:1604.01946).  The
+    backward pass is hand-written BPTT that forms each weight gradient once
+    per batch, a parameter W's by adding into its buffer in place: the
+    gradient of every operand a sweep can reach is computed at the first
+    request and released once the last one has taken its share; the input's
+    is skipped when the input is a constant.
     """
     weights = tuple(weights)
     if len(weights) not in (2, 3):
         raise ShapeError(f"gru_sequence needs (W, U) or (W, U, b), got {len(weights)} tensors")
     xv = x.values
-    if xv.ndim != 2 or xv.shape[0] == 0:
-        raise ShapeError(f"gru_sequence needs a non-empty T x I input, got shape {x.shape}")
+    if xv.ndim not in (2, 3) or 0 in xv.shape[:-1]:
+        raise ShapeError(f"gru_sequence needs a non-empty T x I or B x T x I input, "
+                         f"got shape {x.shape}")
     W, U = weights[0].values, weights[1].values
     H = W.shape[0] // 3 if W.ndim == 2 else 0
-    if (H == 0 or W.shape != (3 * H, xv.shape[1]) or U.shape != (3 * H, H)
+    if (H == 0 or W.shape != (3 * H, xv.shape[-1]) or U.shape != (3 * H, H)
             or any(b.shape != (3 * H,) for b in weights[2:])):
         raise ShapeError(f"gru_sequence weight shapes {[w.shape for w in weights]} do not "
-                         f"stack three gates over an input of width {xv.shape[1]}")
-    h = np.zeros(H) if h0 is None else h0.values
-    if h.shape != (H,):
-        raise ShapeError(f"gru_sequence initial state has shape {h.shape}, expected ({H},)")
+                         f"stack three gates over an input of width {xv.shape[-1]}")
+    h_shape = xv.shape[:-2] + (H,)
+    if h0 is not None and h0.shape != h_shape:
+        raise ShapeError(f"gru_sequence initial state has shape {h0.shape}, expected {h_shape}")
 
-    xs = np.ascontiguousarray(xv[::-1]) if reverse else xv
-    T = xs.shape[0]
-    pre = xs @ W.T
+    *_, T, I = xv.shape
+    rows = xv.reshape(-1, I)  # row b * T + t is input row t of sample b
+    B = rows.shape[0] // T
+    pre = rows @ W.T
     if len(weights) == 3:
         pre += weights[2].values
-    states = np.empty((T + 1, H))  # row 0 is h0, row t + 1 the state after step t
-    states[0] = h
-    zr = np.empty((T, 2 * H))
-    recur_c = np.empty((T, H))  # U_h h_prev
-    cand = np.empty((T, H))
-    for t in range(T):
-        g = U @ h
-        zr[t] = _logistic(pre[t, :2 * H] + g[:2 * H])
-        z, r = zr[t, :H], zr[t, H:]
-        recur_c[t] = g[2 * H:]
-        cand[t] = np.tanh(pre[t, 2 * H:] + r * recur_c[t])
-        h = z * h + (1.0 - z) * cand[t]
-        states[t + 1] = h
-    out = states[1:][::-1] if reverse else states[1:]
+    pre = pre.reshape(B, T, 3 * H)
+    # the state after input row t is states[:, t + new], the one before it states[:, t + 1 - new]
+    new = 0 if reverse else 1
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    states = np.empty((B, T + 1, H))
+    h = states[:, T * (1 - new)]
+    h[...] = 0.0 if h0 is None else h0.values.reshape(B, H)
+    zr = np.empty((B, T, 2 * H))
+    recur_c = np.empty((B, T, H))  # U_h h_prev
+    cand = np.empty((B, T, H))
+    UT = U.T
+    for t in steps:
+        g = h @ UT
+        zr[:, t] = _logistic(pre[:, t, :2 * H] + g[:, :2 * H])
+        z, r = zr[:, t, :H], zr[:, t, H:]
+        recur_c[:, t] = g[:, 2 * H:]
+        cand[:, t] = np.tanh(pre[:, t, 2 * H:] + r * recur_c[:, t])
+        h = z * h + (1.0 - z) * cand[:, t]
+        states[:, t + new] = h
+    out = states[:, new:new + T].reshape(h_shape[:-1] + (T, H))
 
     def bptt(g):
-        gs = g[::-1] if reverse else g
-        d_pre = np.empty((T, 3 * H))  # z, r and candidate pre-activations
-        d_rec = np.empty((T, 3 * H))  # the three blocks of U @ h_prev
-        dh = np.zeros(H)
-        for t in range(T - 1, -1, -1):
-            dh = dh + gs[t]
-            z, r, c = zr[t, :H], zr[t, H:], cand[t]
+        gs = g.reshape(B, T, H)
+        d_pre = np.empty((B, T, 3 * H))  # z, r and candidate pre-activations
+        dh = np.zeros((B, H))
+        for t in reversed(steps):
+            dh = dh + gs[:, t]
+            z, r, c = zr[:, t, :H], zr[:, t, H:], cand[:, t]
             dc = dh * (1.0 - z) * (1.0 - c * c)
-            d_pre[t, :H] = dh * (states[t] - c) * z * (1.0 - z)
-            d_pre[t, H:2 * H] = dc * recur_c[t] * r * (1.0 - r)
-            d_pre[t, 2 * H:] = dc
-            d_rec[t, :2 * H] = d_pre[t, :2 * H]
-            d_rec[t, 2 * H:] = dc * r
-            dh = dh * z + d_rec[t] @ U
-        grads = [None, d_pre.T @ xs, d_rec.T @ states[:-1]]  # dx, computed below when wanted
-        if len(weights) == 3:
-            grads.append(d_pre.sum(axis=0))
-        if h0 is not None:
-            grads.append(dh)
-        if 0 in wanted:
-            # a sum of per-gate products, not one stacked GEMM, so that a learned
-            # row scaling upstream gets the bits a per-gate model gives it
-            dx = (d_pre[:, :H] @ W[:H] + d_pre[:, H:2 * H] @ W[H:2 * H]
-                  + d_pre[:, 2 * H:] @ W[2 * H:])
-            grads[0] = dx[::-1] if reverse else dx
+            d = d_pre[:, t]
+            d[:, :H] = dh * (states[:, t + 1 - new] - c) * z * (1.0 - z)
+            d[:, H:2 * H] = dc * recur_c[:, t] * r * (1.0 - r)
+            d[:, 2 * H:] = dc
+            dh = dh * z + np.concatenate((d[:, :2 * H], dc * r), axis=1) @ U
+        d_rows = d_pre.reshape(B * T, 3 * H)  # in the row order of ``rows``
+        dx = (d_rows @ W).reshape(xv.shape) if 0 in wanted else None
+        dW = None
+        if isinstance(weights[0], Parameter):  # in place: W is 12.6 MB at paper dims
+            _add_product(weights[0].grad, d_rows.T, rows)
+        elif 1 in wanted:
+            dW = d_rows.T @ rows
+        db = d_rows.sum(axis=0)
+        d_pre[..., 2 * H:] *= zr[..., H:]  # now the gradient of U @ h_prev
+        dU = d_rows.T @ states[:, 1 - new:1 - new + T].reshape(B * T, H)
+        grads = ([dx, dW, dU] + ([db] if len(weights) == 3 else [])
+                 + ([dh.reshape(h_shape)] if h0 is not None else []))
         return {i: grads[i] for i in wanted}
 
     parents = (x,) + weights + (() if h0 is None else (h0,))
@@ -409,14 +448,20 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid convolution of an L x D sequence with F kernels of width k.
+    """Valid convolution of an L x D sequence, or of each of a B x L x D
+    batch, with F kernels of width k.
 
-    out[t, f] = bias[f] + sum_{j<k, d<D} x[t+j, d] * kernels[f, j, d]
+    out[..., t, f] = bias[f] + sum_{j<k, d<D} x[..., t+j, d] * kernels[f, j, d]
+
+    One GEMM of every input row against all F x k kernel slices gives
+    ``prod[..., s, f, j] = x[..., s, :] . kernels[f, j, :]``, and output row t
+    sums ``prod[..., t+j, f, j]`` over j.  The input and kernel gradients are
+    one GEMM each over the same (row, f, j) layout, so no window is copied.
     """
     xv, kv, bv = x.values, kernels.values, bias.values
-    if xv.ndim != 2 or kv.ndim != 3 or bv.ndim != 1:
-        raise ShapeError("conv1d needs input LxD, kernels Fxk xD, bias F")
-    L, D = xv.shape
+    if xv.ndim not in (2, 3) or kv.ndim != 3 or bv.ndim != 1:
+        raise ShapeError("conv1d needs input L x D or B x L x D, kernels F x k x D, bias F")
+    L, D = xv.shape[-2:]
     F, k, Dk = kv.shape
     if Dk != D:
         raise ShapeError(f"kernel feature width {Dk} != input width {D}")
@@ -424,48 +469,57 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"bias length {bv.shape[0]} != filter count {F}")
     if k > L:
         raise ShapeError(f"kernel size {k} exceeds sequence length {L}")
-    windows = np.lib.stride_tricks.sliding_window_view(xv, k, axis=0)  # (L-k+1, D, k)
-    out = np.einsum("tdj,fjd->tf", windows, kv) + bv
+    n = L - k + 1
+    rows = xv.reshape(-1, D)
+    slices = kv.reshape(F * k, D)
+    prod = (rows @ slices.T).reshape(xv.shape[:-1] + (F, k))
+    out = prod[..., :n, :, 0].copy()
+    for j in range(1, k):
+        out += prod[..., j:j + n, :, j]
+    out += bv
+    prod_shape = prod.shape  # the backward keeps the shape, not the products
 
-    def grad_x(g):
-        dx = np.zeros_like(xv)
+    def spread(g):
+        """The output gradient at the (row, f, j) product each output term used."""
+        full = np.zeros(prod_shape)
         for j in range(k):
-            dx[j:j + g.shape[0], :] += g @ kv[:, j, :]
-        return dx
+            full[..., j:j + n, :, j] = g
+        return full.reshape(-1, F * k)
 
     return _apply(
         out,
         "conv1d",
         (x, kernels, bias),
-        (grad_x,
-         lambda g: np.einsum("tf,tdj->fjd", g, windows),
-         lambda g: g.sum(axis=0)),
+        (lambda g: (spread(g) @ slices).reshape(xv.shape),
+         lambda g: (spread(g).T @ rows).reshape(kv.shape),
+         lambda g: g.reshape(-1, F).sum(axis=0)),
     )
 
 
 def max_over_time(x: Tensor) -> Tensor:
-    """Per-column maximum of an L x D matrix; ties break to the first row."""
+    """Per-column maximum over the rows of an L x D matrix, or of each
+    matrix of a batch; ties break to the first row."""
     xv = x.values
-    if xv.ndim != 2:
-        raise ShapeError(f"max_over_time needs a 2-D input, got shape {x.shape}")
-    idx = xv.argmax(axis=0)
+    if xv.ndim < 2:
+        raise ShapeError(f"max_over_time needs a 2-D or batched input, got shape {x.shape}")
+    idx = np.expand_dims(xv.argmax(axis=-2), -2)
 
     def fn(g):
         dx = np.zeros_like(xv)
-        dx[idx, np.arange(xv.shape[1])] = g
+        np.put_along_axis(dx, idx, np.expand_dims(g, -2), axis=-2)
         return dx
 
-    return _apply(xv.max(axis=0), "max_over_time", (x,), (fn,))
+    return _apply(xv.max(axis=-2), "max_over_time", (x,), (fn,))
 
 
 def avg_over_time(x: Tensor) -> Tensor:
-    """Per-column mean of an L x D matrix."""
+    """Per-column mean over the rows of an L x D matrix, or of each matrix of a batch."""
     xv = x.values
-    if xv.ndim != 2:
-        raise ShapeError(f"avg_over_time needs a 2-D input, got shape {x.shape}")
-    L = xv.shape[0]
-    return _apply(xv.mean(axis=0), "avg_over_time", (x,),
-                  (lambda g: np.tile(g / L, (L, 1)),))
+    if xv.ndim < 2:
+        raise ShapeError(f"avg_over_time needs a 2-D or batched input, got shape {x.shape}")
+    L = xv.shape[-2]
+    return _apply(xv.mean(axis=-2), "avg_over_time", (x,),
+                  (lambda g: np.repeat(np.expand_dims(g / L, -2), L, axis=-2),))
 
 
 # ---------------------------------------------------------------------------

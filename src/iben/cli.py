@@ -102,6 +102,8 @@ def _load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise DataFormatError(f"{path}: JSON nested too deeply to read") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +473,22 @@ def gradcheck_report(dims: str = "small", seed: int = 0) -> list[tuple[str, floa
                   ad.hadamard(ad.gru_sequence(xs, gc.parameters(), h0, reverse), weights)),
               gc.parameters() + [xs, h0])
 
+    batch = model_lib.GruCell(d["D"], d["H"], "gru_sequence_batch", rng)
+    xb = Parameter(rng.normal(size=(3, d["T"], d["D"])), name="gru_sequence_batch.x")
+    hb = Parameter(rng.uniform(-1.0, 1.0, (3, d["H"])), name="gru_sequence_batch.h0")
+    wb = Tensor(rng.normal(size=(3, d["T"], d["H"])))
+    check("gru_sequence_batch",
+          lambda: ad.total(ad.hadamard(ad.gru_sequence(xb, batch.parameters(), hb, True), wb)),
+          batch.parameters() + [xb, hb])
+
+    k = max(d["kernels"])
+    xc = Parameter(rng.normal(size=(3, d["T"], d["D"])), name="conv1d_batch.x")
+    kern = Parameter(rng.normal(size=(d["filters"], k, d["D"])), name="conv1d_batch.k")
+    bias = Parameter(rng.normal(size=d["filters"]), name="conv1d_batch.b")
+    wc = Tensor(rng.normal(size=(3, d["T"] - k + 1, d["filters"])))
+    check("conv1d_batch", lambda: ad.total(ad.hadamard(ad.conv1d(xc, kern, bias), wc)),
+          [xc, kern, bias])
+
     rows = Parameter(rng.normal(size=(d["pairs"], d["D"])), name="rows")
     row_weights = Parameter(rng.normal(size=d["pairs"]), name="row_weights")
     check("scale_rows", lambda: ad.total(ad.tanh(ad.scale_rows(rows, row_weights))),
@@ -485,7 +503,7 @@ def cmd_gradcheck(args) -> int:
     for name, err in report:
         ok = err <= GRADCHECK_THRESHOLD
         failed = failed or not ok
-        print(f"{name:<16} {err:.3e} {'ok' if ok else 'FAIL'}")
+        print(f"{name:<18} {err:.3e} {'ok' if ok else 'FAIL'}")
     if failed:
         print(f"error: a component exceeded {GRADCHECK_THRESHOLD:g}", file=sys.stderr)
     return 1 if failed else 0

@@ -116,10 +116,12 @@ class GruCell:
         return [self.W, self.U] + ([self.b] if self.use_bias else [])
 
     def step(self, x: Tensor, h_prev: Tensor) -> Tensor:
-        """z gates the old state; (1 - z) admits the tanh candidate."""
-        row = ad.reshape(x, (1, -1))
-        return ad.reshape(ad.gru_sequence(row, self.parameters(), h_prev),
-                          (self.hidden_size,))
+        """z gates the old state; (1 - z) admits the tanh candidate.
+
+        ``x`` and ``h_prev`` are vectors, or B-row matrices for a batch.
+        """
+        row = ad.reshape(x, x.shape[:-1] + (1, x.shape[-1]))
+        return ad.reshape(ad.gru_sequence(row, self.parameters(), h_prev), h_prev.shape)
 
 
 class BiGru:
@@ -138,16 +140,17 @@ def bi_gru(seq: Tensor, params: BiGru) -> Tensor:
     """Row t is the forward state at t joined with the backward state at t.
 
     The backward half comes from running the backward cell over the
-    reversed sequence and re-reversing its states.
+    reversed sequence and re-reversing its states.  A B x T x I batch gives
+    B x T x 2H states.
     """
     return ad.concat([ad.gru_sequence(seq, params.fwd.parameters()),
                       ad.gru_sequence(seq, params.bwd.parameters(), reverse=True)],
-                     axis=1)
+                     axis=-1)
 
 
 def pool_states(states: Tensor) -> Tensor:
-    """Max-over-time block followed by avg-over-time block; length 4H."""
-    return ad.concat([ad.max_over_time(states), ad.avg_over_time(states)])
+    """Max-over-time block followed by avg-over-time block; length 4H (per sample)."""
+    return ad.concat([ad.max_over_time(states), ad.avg_over_time(states)], axis=-1)
 
 
 class ConvBank:
@@ -182,7 +185,7 @@ def conv_features(matrix: Tensor, bank: ConvBank) -> Tensor:
     for k in bank.kernel_sizes:
         conv = ad.conv1d(matrix, bank.kernels[k], bank.biases[k])
         outs.append(ad.max_over_time(ad.relu(conv)))
-    return ad.concat(outs)
+    return ad.concat(outs, axis=-1)
 
 
 class Dense:
@@ -193,19 +196,22 @@ class Dense:
         self.b = Parameter(np.zeros(out_size), f"{name}.b") if use_bias else None
 
     def __call__(self, v: Tensor) -> Tensor:
-        out = ad.matmul(self.W, v)
-        if self.b is not None:
-            out = ad.add(out, self.b)
-        return out
+        """An in-vector, or a B x in matrix, to out values per row."""
+        return ad.linear(v, self.W, self.b)
 
     def parameters(self) -> list[Parameter]:
         return [self.W] if self.b is None else [self.W, self.b]
 
 
-def _input_matrix(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(getattr(x, "data", x))
+def _input_matrix(x, width: int, what: str) -> Tensor:
+    """One sample's matrix or a batch of them, as a tensor ``width`` columns wide."""
+    if not isinstance(x, Tensor):
+        x = Tensor(getattr(x, "data", x))
+    if x.values.ndim not in (2, 3):
+        raise ad.ShapeError(f"{what} must be a matrix or a batch of them, got shape {x.shape}")
+    if x.shape[-1] != width:
+        raise ad.ShapeError(f"{what} width {x.shape[-1]} != configured {width}")
+    return x
 
 
 class IbenModel:
@@ -266,41 +272,42 @@ class IbenModel:
             p.zero_grad()
 
     def forward(self, fused=None, emb=None) -> Tensor:
-        """Scalar prediction; inputs for disabled branches are ignored."""
-        feats = []
-        if self.config.use_bert_branch:
+        """Scalar prediction for P x W and L x D inputs, or a length-B vector of
+        them for B x P x W and B x L x D batches; inputs for disabled branches
+        are ignored."""
+        c = self.config
+        xa = xb = None
+        if c.use_bert_branch:
             if fused is None:
                 raise ValueError("encoder branch is enabled but got no fused input")
-            x = _input_matrix(fused)
-            if x.shape[1] != self.config.fused_width:
-                raise ad.ShapeError(
-                    f"fused input width {x.shape[1]} != configured {self.config.fused_width}"
-                )
-            if self.layer_weights is not None:
-                x = ad.scale_rows(x, self.layer_weights)
-            va = self.dense_a(pool_states(bi_gru(x, self.branch_a)))
-            if self.config.dense_activation:
-                va = ad.relu(va)
-            feats.append(va)
-        if self.config.use_emb_branch:
+            xa = _input_matrix(fused, c.fused_width, "fused input")
+        if c.use_emb_branch:
             if emb is None:
                 raise ValueError("embedding branch is enabled but got no matrix input")
-            x = _input_matrix(emb)
-            if x.shape[1] != self.config.emb_dim:
-                raise ad.ShapeError(
-                    f"embedding width {x.shape[1]} != configured {self.config.emb_dim}"
-                )
+            xb = _input_matrix(emb, c.emb_dim, "embedding")
+        if xa is not None and xb is not None and xa.shape[:-2] != xb.shape[:-2]:
+            raise ad.ShapeError(f"fused input batch shape {xa.shape[:-2]} != embedding "
+                                f"batch shape {xb.shape[:-2]}")
+        feats = []
+        if xa is not None:
+            if self.layer_weights is not None:
+                xa = ad.scale_rows(xa, self.layer_weights)
+            va = self.dense_a(pool_states(bi_gru(xa, self.branch_a)))
+            if c.dense_activation:
+                va = ad.relu(va)
+            feats.append(va)
+        if xb is not None:
             parts = []
             if self.branch_b_rnn is not None:
-                parts.append(pool_states(bi_gru(x, self.branch_b_rnn)))
+                parts.append(pool_states(bi_gru(xb, self.branch_b_rnn)))
             if self.branch_b_conv is not None:
-                parts.append(conv_features(x, self.branch_b_conv))
-            vb = self.dense_b(parts[0] if len(parts) == 1 else ad.concat(parts))
-            if self.config.dense_activation:
+                parts.append(conv_features(xb, self.branch_b_conv))
+            vb = self.dense_b(parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1))
+            if c.dense_activation:
                 vb = ad.relu(vb)
             feats.append(vb)
-        joined = feats[0] if len(feats) == 1 else ad.concat(feats)
-        return ad.reshape(self.head(joined), ())
+        joined = feats[0] if len(feats) == 1 else ad.concat(feats, axis=-1)
+        return ad.reshape(self.head(joined), joined.shape[:-1])
 
     def predict(self, fused=None, emb=None, clamp: bool = False) -> float:
         """Forward pass outside any tape, as a plain float."""
@@ -394,16 +401,20 @@ def load_checkpoint(path) -> IbenModel:
     with open(path, "rb") as fh:
         header = _read_checkpoint_header(fh, path)
         blob = fh.read()
-    if header.get("schema") != CHECKPOINT_SCHEMA:
-        raise DataFormatError(f"{path}: unsupported checkpoint schema {header.get('schema')!r}, "
+    schema, blob_bytes, seed = (header.get(k) for k in ("schema", "blob_bytes", "seed"))
+    if type(schema) is not int or schema != CHECKPOINT_SCHEMA:
+        raise DataFormatError(f"{path}: unsupported checkpoint schema {schema!r}, "
                               f"expected {CHECKPOINT_SCHEMA}")
     config = _config_from_json(header.get("config", {}), path)
+    if type(seed) is not int or seed != config.seed:
+        raise DataFormatError(f"{path}: checkpoint seed {seed!r} is not its config's "
+                              f"seed {config.seed}")
     need = 8 * _weight_count(config)
     if need != len(blob):
         raise DataFormatError(f"{path}: blob is {len(blob)} bytes, its config needs {need}")
-    if header.get("blob_bytes") != len(blob):
-        raise DataFormatError(
-            f"{path}: blob is {len(blob)} bytes, header declares {header.get('blob_bytes')}")
+    if type(blob_bytes) is not int or blob_bytes != len(blob):
+        raise DataFormatError(f"{path}: blob is {len(blob)} bytes, header blob_bytes "
+                              f"declares {blob_bytes!r}")
     model = IbenModel(config)
     params = model.parameters()
     table = _param_table(params)

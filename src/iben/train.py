@@ -1,8 +1,10 @@
 """Minibatch optimization, RMSE evaluation, and the mean baseline.
 
-Batches are drawn in seeded-shuffle order and per-sample gradients
-accumulate in ascending sample-index order, so a (seed, data, config)
-triple fully determines the trained parameters, bit for bit.
+Batches are drawn in seeded-shuffle order, and each batch runs as one
+stack of its samples' inputs, in ascending sample-index order, through one
+forward pass, one loss and one reverse sweep on one tape.  So a (seed,
+data, config) triple, at a fixed BLAS thread count, fully determines the
+trained parameters, bit for bit.
 """
 
 from __future__ import annotations
@@ -112,11 +114,41 @@ def _clip_gradients(params, cap: float) -> None:
             p.grad *= factor
 
 
+def _stack_batch(dataset, batch):
+    """The batch's fused and embedding inputs, each stacked along a new first
+    axis (None where the samples have none), and its targets."""
+    samples = [dataset[i] for i in batch]
+    stacked = []
+    for slot, what in enumerate(("fused", "embedding")):
+        arrays = [getattr(inputs[slot], "data", inputs[slot]) for inputs, _ in samples]
+        shapes = [None if a is None else np.shape(a) for a in arrays]
+        for i, shape in zip(batch, shapes):
+            if shape != shapes[0]:
+                raise ad.ShapeError(f"sample {i} has {what} input shape {shape}, sample "
+                                    f"{batch[0]} has {shapes[0]}; a batch needs one shape")
+        stacked.append(None if shapes[0] is None else np.stack(arrays))
+    return stacked, Tensor([float(target) for _, target in samples])
+
+
+def _backward_batch(model, dataset, batch, loss: str) -> float:
+    """Accumulate the batch loss's gradient, from one tape, into the model's
+    parameters; return the sum of the per-sample losses.  The tape and the
+    stacked inputs are freed on return."""
+    (fused, emb), goal = _stack_batch(dataset, batch)
+    with ad.Tape() as tape:
+        pred = model.forward(fused=fused, emb=emb)
+        total = (ad.mse_loss if loss == "mse" else ad.mae_sum_loss)(pred, goal)
+    tape.backward(total)
+    diff = pred.values - goal.values
+    return float((diff * diff if loss == "mse" else np.abs(diff)).sum())
+
+
 def train(model, dataset, config: TrainConfig, epoch_callback=None) -> list[float]:
     """Fit the model in place; returns per-epoch mean training loss.
 
     ``dataset`` holds ``((fused, emb), target)`` pairs, either input None
-    when its branch is disabled.  ``epoch_callback(epoch, model)`` runs
+    when its branch is disabled; the samples of a batch must share each
+    input's shape.  ``epoch_callback(epoch, model)`` runs
     after each epoch (e.g. to track dev RMSE); it must not mutate the
     model.
     """
@@ -134,19 +166,7 @@ def train(model, dataset, config: TrainConfig, epoch_callback=None) -> list[floa
             batch = sorted(int(i) for i in order[start:start + config.batch_size])
             model.zero_grad()
             try:
-                for idx in batch:
-                    (fused, emb), target = dataset[idx]
-                    with ad.Tape() as tape:
-                        pred = model.forward(fused=fused, emb=emb)
-                        goal = Tensor(float(target))
-                        if config.loss == "mse":
-                            sample_loss = ad.mse_loss(pred, goal)
-                            term = ad.scale(sample_loss, 1.0 / len(batch))
-                        else:
-                            sample_loss = ad.mae_sum_loss(pred, goal)
-                            term = sample_loss
-                    tape.backward(term)
-                    loss_sum += sample_loss.item()
+                loss_sum += _backward_batch(model, dataset, batch, config.loss)
             except ad.NonFiniteError as exc:
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch + 1}, batch {batch_no + 1}: {exc}"

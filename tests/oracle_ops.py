@@ -3,12 +3,31 @@
 The per-gate GRU oracle in ``test_model.py`` cuts gate blocks out of the
 stacked weights with :func:`slice_axis`, forms ``1 - z`` with :func:`sub`
 and stacks its states with :func:`stack_rows`; the model itself needs
-none of them.
+none of them.  The op tests use :func:`scale` as a simple linear op.
+
+:func:`gru_sequence` (one T x I sequence) and :func:`conv1d` (one L x D
+matrix, by ``einsum``) are the single-sample ops the batched ones in
+``iben.autodiff`` replaced, kept as their oracles.
 """
 
 import numpy as np
 
-from iben.autodiff import Tensor, _apply, _require_same_shape, concat, reshape
+from iben.autodiff import (
+    ShapeError,
+    Tensor,
+    _active_tape,
+    _apply,
+    _logistic,
+    _receives_grad,
+    _require_same_shape,
+    concat,
+    reshape,
+)
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return _apply(a.values * c, "scale", (a,), (lambda g: g * c,))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -34,3 +53,138 @@ def stack_rows(vectors) -> Tensor:
     """Stack 1-D tensors of equal length into a matrix, one per row."""
     vectors = list(vectors)
     return concat([reshape(v, (1, v.shape[0])) for v in vectors], axis=0)
+
+
+def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
+                 reverse: bool = False) -> Tensor:
+    """GRU states over the rows of a T x I sequence, as one T x H tensor.
+
+    ``weights`` is (W, U) or (W, U, b): W is 3H x I, U is 3H x H and b has
+    length 3H, each stacked as the z, r and h gate blocks in that order.
+    With W_z the first H rows of W, and so on, one step is
+
+        z = sigmoid(W_z x + U_z h + b_z)     r = sigmoid(W_r x + U_r h + b_r)
+        c = tanh(W_h x + r * (U_h h) + b_h)  h' = z * h + (1 - z) * c
+
+    from ``h0`` (zeros when None).  With ``reverse`` the rows are consumed
+    last to first; row t of the output is always the state after input
+    row t.  The input projection of all steps and gates is one GEMM outside
+    the recurrence (Appleyard et al., arXiv:1604.01946).  The backward pass
+    is hand-written BPTT: the gradient of every operand a sweep can reach is
+    computed at the first request and released once the last one has taken
+    its share; the input's is skipped when the input is a constant.
+    """
+    weights = tuple(weights)
+    if len(weights) not in (2, 3):
+        raise ShapeError(f"gru_sequence needs (W, U) or (W, U, b), got {len(weights)} tensors")
+    xv = x.values
+    if xv.ndim != 2 or xv.shape[0] == 0:
+        raise ShapeError(f"gru_sequence needs a non-empty T x I input, got shape {x.shape}")
+    W, U = weights[0].values, weights[1].values
+    H = W.shape[0] // 3 if W.ndim == 2 else 0
+    if (H == 0 or W.shape != (3 * H, xv.shape[1]) or U.shape != (3 * H, H)
+            or any(b.shape != (3 * H,) for b in weights[2:])):
+        raise ShapeError(f"gru_sequence weight shapes {[w.shape for w in weights]} do not "
+                         f"stack three gates over an input of width {xv.shape[1]}")
+    h = np.zeros(H) if h0 is None else h0.values
+    if h.shape != (H,):
+        raise ShapeError(f"gru_sequence initial state has shape {h.shape}, expected ({H},)")
+
+    xs = np.ascontiguousarray(xv[::-1]) if reverse else xv
+    T = xs.shape[0]
+    pre = xs @ W.T
+    if len(weights) == 3:
+        pre += weights[2].values
+    states = np.empty((T + 1, H))  # row 0 is h0, row t + 1 the state after step t
+    states[0] = h
+    zr = np.empty((T, 2 * H))
+    recur_c = np.empty((T, H))  # U_h h_prev
+    cand = np.empty((T, H))
+    for t in range(T):
+        g = U @ h
+        zr[t] = _logistic(pre[t, :2 * H] + g[:2 * H])
+        z, r = zr[t, :H], zr[t, H:]
+        recur_c[t] = g[2 * H:]
+        cand[t] = np.tanh(pre[t, 2 * H:] + r * recur_c[t])
+        h = z * h + (1.0 - z) * cand[t]
+        states[t + 1] = h
+    out = states[1:][::-1] if reverse else states[1:]
+
+    def bptt(g):
+        gs = g[::-1] if reverse else g
+        d_pre = np.empty((T, 3 * H))  # z, r and candidate pre-activations
+        d_rec = np.empty((T, 3 * H))  # the three blocks of U @ h_prev
+        dh = np.zeros(H)
+        for t in range(T - 1, -1, -1):
+            dh = dh + gs[t]
+            z, r, c = zr[t, :H], zr[t, H:], cand[t]
+            dc = dh * (1.0 - z) * (1.0 - c * c)
+            d_pre[t, :H] = dh * (states[t] - c) * z * (1.0 - z)
+            d_pre[t, H:2 * H] = dc * recur_c[t] * r * (1.0 - r)
+            d_pre[t, 2 * H:] = dc
+            d_rec[t, :2 * H] = d_pre[t, :2 * H]
+            d_rec[t, 2 * H:] = dc * r
+            dh = dh * z + d_rec[t] @ U
+        grads = [None, d_pre.T @ xs, d_rec.T @ states[:-1]]  # dx, computed below when wanted
+        if len(weights) == 3:
+            grads.append(d_pre.sum(axis=0))
+        if h0 is not None:
+            grads.append(dh)
+        if 0 in wanted:
+            # a sum of per-gate products, not one stacked GEMM, so that a learned
+            # row scaling upstream gets the bits a per-gate model gives it
+            dx = (d_pre[:, :H] @ W[:H] + d_pre[:, H:2 * H] @ W[H:2 * H]
+                  + d_pre[:, 2 * H:] @ W[2 * H:])
+            grads[0] = dx[::-1] if reverse else dx
+        return {i: grads[i] for i in wanted}
+
+    parents = (x,) + weights + (() if h0 is None else (h0,))
+    tape = _active_tape()
+    # exactly the gradients the tape will ask for, so none is left over for a later sweep
+    wanted = {i for i, p in enumerate(parents) if _receives_grad(p, tape)}
+    pending: dict[int, np.ndarray] = {}
+
+    def grad_of(i):
+        def fn(g):
+            if not pending:
+                pending.update(bptt(g))
+            return pending.pop(i)
+
+        return fn
+
+    return _apply(out, "gru_sequence", parents, tuple(grad_of(i) for i in range(len(parents))))
+
+
+def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Valid convolution of an L x D sequence with F kernels of width k.
+
+    out[t, f] = bias[f] + sum_{j<k, d<D} x[t+j, d] * kernels[f, j, d]
+    """
+    xv, kv, bv = x.values, kernels.values, bias.values
+    if xv.ndim != 2 or kv.ndim != 3 or bv.ndim != 1:
+        raise ShapeError("conv1d needs input LxD, kernels Fxk xD, bias F")
+    L, D = xv.shape
+    F, k, Dk = kv.shape
+    if Dk != D:
+        raise ShapeError(f"kernel feature width {Dk} != input width {D}")
+    if bv.shape[0] != F:
+        raise ShapeError(f"bias length {bv.shape[0]} != filter count {F}")
+    if k > L:
+        raise ShapeError(f"kernel size {k} exceeds sequence length {L}")
+    windows = np.lib.stride_tricks.sliding_window_view(xv, k, axis=0)  # (L-k+1, D, k)
+    out = np.einsum("tdj,fjd->tf", windows, kv) + bv
+
+    def grad_x(g):
+        dx = np.zeros_like(xv)
+        for j in range(k):
+            dx[j:j + g.shape[0], :] += g @ kv[:, j, :]
+        return dx
+
+    return _apply(
+        out,
+        "conv1d",
+        (x, kernels, bias),
+        (grad_x,
+         lambda g: np.einsum("tf,tdj->fjd", g, windows),
+         lambda g: g.sum(axis=0)),
+    )

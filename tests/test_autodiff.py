@@ -10,7 +10,8 @@ import pytest
 
 import iben.autodiff as ad
 from iben.autodiff import NonFiniteError, Parameter, ShapeError, Tape, Tensor
-from oracle_ops import slice_axis, stack_rows, sub
+import oracle_ops
+from oracle_ops import scale, slice_axis, stack_rows, sub
 
 
 def fd_gradient(f, x, eps=1e-5):
@@ -79,7 +80,7 @@ class TestElementwiseOps:
 
     def test_scale_by_zero_is_zeros(self):
         x = Tensor([1.0, 2.0])
-        npt.assert_array_equal(ad.scale(x, 0.0).values, np.zeros(2))
+        npt.assert_array_equal(scale(x, 0.0).values, np.zeros(2))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -139,6 +140,46 @@ class TestElementwiseOps:
             ad.scale_rows(Tensor(x), Tensor(np.ones(2)))
         with pytest.raises(ShapeError):
             ad.scale_rows(Tensor(np.ones(3)), Tensor(np.ones(3)))
+
+
+    def test_scale_rows_over_a_batch_matches_each_sample(self):
+        rng = np.random.default_rng(14)
+        x = Parameter(rng.normal(size=(3, 4, 2)), name="x")
+        w = Parameter(rng.normal(size=4), name="w")
+        out = ad.scale_rows(x, w).values
+        for b in range(3):
+            npt.assert_array_equal(out[b], ad.scale_rows(Tensor(x.values[b]), w).values)
+        assert ad.grad_check(lambda: ad.total(ad.tanh(ad.scale_rows(x, w))), [x, w]) <= 1e-6
+
+
+class TestLinear:
+    def test_vector_and_batch_values(self):
+        rng = np.random.default_rng(23)
+        W, b = rng.normal(size=(3, 4)), rng.normal(size=3)
+        v, m = rng.normal(size=4), rng.normal(size=(5, 4))
+        npt.assert_allclose(ad.linear(Tensor(v), Tensor(W), Tensor(b)).values, W @ v + b,
+                            atol=1e-14)
+        out = ad.linear(Tensor(m), Tensor(W), Tensor(b)).values
+        assert out.shape == (5, 3)
+        for row, x in zip(out, m):
+            npt.assert_allclose(row, W @ x + b, atol=1e-14)
+        npt.assert_allclose(ad.linear(Tensor(m), Tensor(W)).values, m @ W.T, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(4,), (5, 4)])
+    def test_gradients(self, shape):
+        rng = np.random.default_rng(24)
+        x = Parameter(rng.normal(size=shape), name="x")
+        W = Parameter(rng.normal(size=(3, 4)), name="W")
+        b = Parameter(rng.normal(size=3), name="b")
+        err = ad.grad_check(lambda: ad.total(ad.tanh(ad.linear(x, W, b))), [x, W, b])
+        assert err <= 1e-6
+        assert ad.grad_check(lambda: ad.total(ad.tanh(ad.linear(x, W))), [x, W]) <= 1e-6
+
+    def test_shape_errors(self):
+        W = Tensor(np.ones((3, 4)))
+        for x, bias in ((np.ones(3), None), (np.ones((2, 2, 4)), None), (np.ones(4), np.ones(4))):
+            with pytest.raises(ShapeError, match="linear"):
+                ad.linear(Tensor(x), W, None if bias is None else Tensor(bias))
 
 
 class TestMatmul:
@@ -292,7 +333,57 @@ class TestConv1d:
         npt.assert_array_equal(runs[0][2], 2 * runs[0][0])
 
 
+    def test_batch_matches_the_einsum_oracle(self):
+        """Each sample of a B x L x D batch against the per-sample op it replaced."""
+        rng = np.random.default_rng(106)
+        for B in (1, 2, 5):
+            for _ in range(8):
+                L, D, F = (int(v) for v in rng.integers(1, 7, size=3))
+                k = int(rng.integers(1, L + 1))
+                x = Parameter(rng.normal(size=(B, L, D)), name="x")
+                kern = Parameter(rng.normal(size=(F, k, D)), name="k")
+                bias = Parameter(rng.normal(size=F), name="b")
+                cotangent = rng.normal(size=(B, L - k + 1, F))
+
+                def sweep(xin, cot, op):
+                    for p in (xin, kern, bias):
+                        p.zero_grad()
+                    with Tape() as tape:
+                        out = op(xin, kern, bias)
+                        loss = ad.total(ad.hadamard(out, Tensor(cot)))
+                    tape.backward(loss)
+                    return out.values, kern.grad.copy(), bias.grad.copy()
+
+                got, got_k, got_b = sweep(x, cotangent, ad.conv1d)
+                got_x = x.grad.copy()
+                want_k, want_b = np.zeros_like(got_k), np.zeros_like(got_b)
+                for b in range(B):
+                    xb = Parameter(x.values[b], name="xb")
+                    want, gk, gb = sweep(xb, cotangent[b], oracle_ops.conv1d)
+                    npt.assert_allclose(got[b], want, atol=1e-12, rtol=0)
+                    npt.assert_allclose(got_x[b], xb.grad, atol=1e-10, rtol=0)
+                    want_k += gk
+                    want_b += gb
+                npt.assert_allclose(got_k, want_k, atol=1e-10, rtol=0)
+                npt.assert_allclose(got_b, want_b, atol=1e-10, rtol=0)
+                if B == 1:  # the same sample without the batch axis
+                    single = ad.conv1d(Tensor(x.values[0]), kern, bias).values
+                    npt.assert_array_equal(single, got[0])
+
+
 class TestPooling:
+    def test_batch_pools_each_sample(self):
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=(3, 5, 4))
+        x[np.arange(3)[:, None], x.argmax(axis=1), np.arange(4)] += 0.1
+        p = Parameter(x, name="x")
+        for op in (ad.max_over_time, ad.avg_over_time):
+            out = op(p).values
+            assert out.shape == (3, 4)
+            for b in range(3):
+                npt.assert_array_equal(out[b], op(Tensor(x[b])).values)
+            assert ad.grad_check(lambda op=op: ad.total(ad.tanh(op(p))), [p]) <= 1e-6
+
     def test_single_row_input_returns_that_row(self):
         row = Tensor([[1.0, -2.0, 3.0]])
         npt.assert_array_equal(ad.max_over_time(row).values, [1.0, -2.0, 3.0])
@@ -365,7 +456,7 @@ class TestTapeSemantics:
     def test_backward_requires_scalar(self):
         p = Parameter(np.ones(3), name="p")
         with Tape() as tape:
-            out = ad.scale(p, 2.0)
+            out = scale(p, 2.0)
         with pytest.raises(ShapeError):
             tape.backward(out)
 
@@ -381,7 +472,7 @@ class TestTapeSemantics:
         """f = sum(h + h) with h = 2x must give df/dx = 4."""
         p = Parameter(np.array([1.0, 2.0]), name="x")
         with Tape() as tape:
-            h = ad.scale(p, 2.0)
+            h = scale(p, 2.0)
             out = ad.total(ad.add(h, h))
         tape.backward(out)
         npt.assert_array_equal(p.grad, [4.0, 4.0])
@@ -420,8 +511,8 @@ class TestTapeSemantics:
 
         gf = tape_gradient(f, p)
         gg = tape_gradient(g, p)
-        combo = tape_gradient(lambda t: ad.add(ad.scale(f(t), 2.5),
-                                               ad.scale(g(t), -1.25)), p)
+        combo = tape_gradient(lambda t: ad.add(scale(f(t), 2.5),
+                                               scale(g(t), -1.25)), p)
         npt.assert_allclose(combo, 2.5 * gf - 1.25 * gg, rtol=1e-12)
 
     def test_only_parameters_carry_a_gradient(self):
@@ -437,7 +528,7 @@ class TestTapeSemantics:
     def test_outer_tape_tensor_is_a_constant_on_an_inner_tape(self):
         p = Parameter(np.array([1.0, 2.0]), name="p")
         with Tape() as outer:
-            h = ad.scale(p, 3.0)
+            h = scale(p, 3.0)
             with Tape() as inner:
                 loss = ad.total(ad.hadamard(h, p))
         inner.backward(loss)
@@ -464,7 +555,7 @@ class TestGradCheckUtility:
 
     def test_zero_function_has_zero_error(self):
         p = Parameter(np.array([1.0, 2.0]), name="z")
-        assert ad.grad_check(lambda: ad.total(ad.scale(p, 0.0)), [p]) == 0.0
+        assert ad.grad_check(lambda: ad.total(scale(p, 0.0)), [p]) == 0.0
 
 
 class TestRandomShapeSweep:

@@ -321,6 +321,13 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_config_nested_past_the_recursion_limit_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "deep.json" in err and "nested too deeply" in err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -423,9 +430,15 @@ class TestEvaluate:
          'entry 0 {"name": "branch_a.fwd.W", "offset": true,'),
         (lambda h: h["params"].__setitem__(slice(0, 2), h["params"][1::-1]),
          'entry 0 {"name": "branch_a.fwd.U", "offset": '),
+        (lambda h: h.__setitem__("schema", 2.0), "schema 2.0, expected 2"),
+        (lambda h: h.__setitem__("blob_bytes", float(h["blob_bytes"])), "blob_bytes declares"),
+        (lambda h: h.__setitem__("seed", h["seed"] + 1), "checkpoint seed 2 is not"),
+        (lambda h: h.pop("seed"), "checkpoint seed None is not"),
+        (lambda h: h.__setitem__("seed", True), "checkpoint seed True is not"),
     ], ids=["param_entry_not_object", "kernel_sizes_not_list", "config_not_object",
             "repeated_kernel_sizes", "schema_1", "invalid_manifest", "unknown_header_key",
-            "duplicated_offset", "boolean_offset", "swapped_entries"])
+            "duplicated_offset", "boolean_offset", "swapped_entries", "float_schema",
+            "float_blob_bytes", "other_seed", "missing_seed", "boolean_seed"])
     def test_malformed_checkpoint_header_exits_2(self, pipeline, trained, tmp_path,
                                                  capsys, mutate, message):
         header_line, _, blob = trained.read_bytes().partition(b"\n")
@@ -550,7 +563,7 @@ class TestGradcheck:
         out = capsys.readouterr().out
         for name in ("matmul", "sigmoid", "conv1d_k1", "max_over_time",
                      "gru_cell", "bi_gru", "model_full", "gru_sequence",
-                     "gru_sequence_rev", "scale_rows"):
+                     "gru_sequence_rev", "gru_sequence_batch", "conv1d_batch", "scale_rows"):
             assert name in out
         assert "FAIL" not in out
 

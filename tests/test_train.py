@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from iben.autodiff import Parameter
+from iben.autodiff import Parameter, ShapeError
 from iben.errors import TrainingError
 from iben.model import IbenModel, ModelConfig
 from iben.train import (
@@ -193,13 +193,44 @@ class TestTrain:
         assert len(set(history)) == 1
 
     def test_history_is_the_mean_per_sample_loss(self):
+        """Exactly the loss of the same stacked batches; within 1e-12 of the
+        per-sample predictions, since a row of a batched GEMM may differ from
+        a one-row GEMM in the last bits."""
         model = tiny_model(seed=1)
         data = tiny_dataset(5, seed=2)
+        total = 0.0
+        for start in range(0, 5, 2):
+            batch = data[start:start + 2]
+            fused, emb = (np.stack(x) for x in zip(*(inputs for inputs, _ in batch)))
+            diff = model.forward(fused=fused, emb=emb).values - [y for _, y in batch]
+            total += float((diff * diff).sum())
+        expected = total / len(data)
         preds = [model.predict(fused=f, emb=e) for (f, e), _ in data]
-        expected = sum((p - y) ** 2 for p, (_, y) in zip(preds, data)) / len(data)
+        per_sample = sum((p - y) ** 2 for p, (_, y) in zip(preds, data)) / len(data)
         history = train(model, data, TrainConfig(epochs=2, learning_rate=0.0,
                                                  shuffle=False, batch_size=2))
         assert history == [expected, expected]
+        assert abs(history[0] - per_sample) <= 1e-12
+
+    def test_ragged_batch_names_the_sample(self):
+        data = tiny_dataset(4, seed=3)
+        (fused, emb), target = data[2]
+        data[2] = ((fused, emb[:3]), target)
+        with pytest.raises(ShapeError, match=r"sample 2 has embedding input shape \(3, 3\), "
+                                             r"sample 0 has \(4, 3\)"):
+            train(tiny_model(), data, TrainConfig(epochs=1, shuffle=False, batch_size=4))
+        data[2] = ((None, emb), target)
+        with pytest.raises(ShapeError, match="sample 2 has fused input shape None"):
+            train(tiny_model(), data, TrainConfig(epochs=1, shuffle=False, batch_size=4))
+
+    def test_mae_sum_history_sums_the_absolute_errors(self):
+        model = tiny_model(seed=2)
+        data = tiny_dataset(3, seed=4)
+        fused, emb = (np.stack(x) for x in zip(*(inputs for inputs, _ in data)))
+        diff = model.forward(fused=fused, emb=emb).values - [y for _, y in data]
+        history = train(model, data, TrainConfig(epochs=1, learning_rate=0.0, loss="mae_sum",
+                                                 shuffle=False))
+        assert history == [float(np.abs(diff).sum()) / 3]
 
     def test_same_seed_same_history_and_parameters(self):
         runs = []
