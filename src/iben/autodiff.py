@@ -6,18 +6,16 @@ The reverse sweep replays the recorded entries exactly once, in reverse
 execution order.  A gradient reaches a tensor only if it was recorded on
 the tape being swept or is a :class:`Parameter`; every other operand is a
 constant, so no backward work is spent on it, and only parameters carry a
-``.grad``.  Tapes are tracked per thread, so independent graphs may run
-concurrently on different threads.  A tensor refers to its tape only
-weakly, so a finished graph is freed by reference counting alone.
+``.grad``.  The open tapes are process-wide and not thread-safe: an op
+run on any thread is recorded on the innermost open tape.  A tape knows
+the tensors it recorded, and a tensor does not refer to its tape, so a
+finished graph is freed by reference counting alone.
 
 Every op verifies its output is finite and raises :class:`NonFiniteError`
 otherwise; overflow never propagates silently.
 """
 
 from __future__ import annotations
-
-import threading
-import weakref
 
 import numpy as np
 
@@ -56,19 +54,11 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-_LOCAL = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = _LOCAL.stack = []
-    return stack
+_open_tapes: list = []  # innermost last
 
 
 def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _open_tapes[-1] if _open_tapes else None
 
 
 class Tensor:
@@ -79,12 +69,6 @@ class Tensor:
         if not np.isfinite(arr).all():
             raise NonFiniteError(f"{_op} produced a non-finite value")
         self.values = arr
-        self._tape_ref: weakref.ref | None = None
-
-    @property
-    def tape(self) -> "Tape | None":
-        """The tape this tensor was recorded on, while that tape is alive."""
-        return None if self._tape_ref is None else self._tape_ref()
 
     @property
     def shape(self) -> tuple:
@@ -98,13 +82,6 @@ class Tensor:
         if self.values.size != 1:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
         return float(self.values.reshape(()))
-
-    def backward(self) -> None:
-        """Run the reverse sweep of the tape this tensor was recorded on."""
-        tape = self.tape
-        if tape is None:
-            raise ValueError("tensor was not recorded on any live tape")
-        tape.backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -130,7 +107,9 @@ class Parameter(Tensor):
 class Tape:
     """Ordered record of executed ops, replayed once in reverse order.
 
-    Each entry keeps only the operands a gradient may reach (see
+    Entries are keyed by ``id`` of the op's output and keep that output, so
+    the id stays unique while the tape lives; insertion order is execution
+    order.  Each entry keeps only the operands a gradient may reach (see
     :func:`_receives_grad`).  Parameters accumulate in place into the
     buffer they own, so two backward calls without zeroing double a
     parameter's gradient.  A gradient function may add a parameter's share
@@ -139,15 +118,14 @@ class Tape:
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple]] = []
-        self._ref = weakref.ref(self)
+        self._entries: dict[int, tuple[Tensor, tuple]] = {}
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _open_tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _open_tapes.pop()
         assert popped is self
         return False
 
@@ -158,11 +136,11 @@ class Tape:
         """Accumulate the gradient of ``loss`` into every reachable parameter."""
         if loss.values.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.values.shape}")
-        if loss._tape_ref is not self._ref:
+        if id(loss) not in self._entries:
             raise ValueError("loss was not recorded on this tape")
         # adjoints of intermediates live in a scratch map so repeated sweeps stay correct
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        for out, links in reversed(self._entries):
+        for out, links in reversed(self._entries.values()):
             g = adjoint.pop(id(out), None)
             if g is None:
                 continue
@@ -179,16 +157,15 @@ class Tape:
 def _receives_grad(t: Tensor, tape: "Tape | None") -> bool:
     """The one gradient rule: a sweep of ``tape`` reaches ``t`` only if ``t``
     is a parameter or was recorded on ``tape``."""
-    return tape is not None and (isinstance(t, Parameter) or t._tape_ref is tape._ref)
+    return tape is not None and (isinstance(t, Parameter) or id(t) in tape._entries)
 
 
 def _apply(values: np.ndarray, op: str, parents: tuple, grad_fns: tuple) -> Tensor:
     out = Tensor(values, _op=op)
     tape = _active_tape()
     if tape is not None:
-        out._tape_ref = tape._ref
         links = tuple((p, fn) for p, fn in zip(parents, grad_fns) if _receives_grad(p, tape))
-        tape._entries.append((out, links))
+        tape._entries[id(out)] = (out, links)
     return out
 
 

@@ -220,10 +220,14 @@ def write_hs_file(stacks, path) -> None:
             fh.write(s.data.astype("<f4").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
+def _read_exact(fh, n: int, size: int, where: str, what: str) -> bytes:
+    """``n`` bytes of ``fh``, a file of ``size`` bytes; a length beyond the
+    bytes left is refused before reading."""
+    left = size - fh.tell()
+    buf = fh.read(n) if n <= left else b""
     if len(buf) != n:
-        raise TruncatedPayloadError(f"file ends inside {what}")
+        raise TruncatedPayloadError(f"{where}: file ends inside {what} "
+                                    f"({n} bytes declared, {left} left)")
     return buf
 
 
@@ -233,36 +237,28 @@ def read_hs_file(path) -> list[LayerStack]:
         magic = fh.read(len(HS_MAGIC))
         if magic != HS_MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "record count"))
+        size = os.fstat(fh.fileno()).st_size
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, size, str(path), "the record count"))
         stacks = []
         for index in range(count):
-            (id_len,) = struct.unpack("<I", _read_exact(fh, 4, "id length"))
+            where = f"{path}: record index {index}"
+            (id_len,) = struct.unpack("<I", _read_exact(fh, 4, size, where, "the id length"))
             try:
-                stack_id = _read_exact(fh, id_len, "id").decode("utf-8")
+                stack_id = _read_exact(fh, id_len, size, where, "the id").decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise HsFileError(
-                    f"{path}: record index {index} has an id that is not UTF-8 ({exc})") from exc
+                raise HsFileError(f"{where} has an id that is not UTF-8 ({exc})") from exc
+            where = f"{where} ({stack_id!r})"
             n_layers, seq_len, hidden = struct.unpack(
-                "<III", _read_exact(fh, 12, "dimensions")
-            )
+                "<III", _read_exact(fh, 12, size, where, "the dimensions"))
             if min(n_layers, seq_len, hidden) < 1:
-                raise DimensionOverflowError(
-                    f"{path}: record {stack_id!r} declares a zero dimension"
-                )
+                raise DimensionOverflowError(f"{where} declares a zero dimension")
             n_values = n_layers * seq_len * hidden
             if n_values > _MAX_RECORD_ELEMENTS:
-                raise DimensionOverflowError(
-                    f"{path}: record {stack_id!r} declares {n_values} values"
-                )
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
-            if 4 * n_values > left:
-                raise TruncatedPayloadError(f"{path}: record index {index} ({stack_id!r}) "
-                                            f"declares {n_values} values in {left} bytes")
-            payload = _read_exact(fh, 4 * n_values, f"payload of {stack_id!r}")
-            data = np.frombuffer(payload, dtype="<f4")
+                raise DimensionOverflowError(f"{where} declares {n_values} values")
+            data = np.frombuffer(_read_exact(fh, 4 * n_values, size, where, "the payload"),
+                                 dtype="<f4")
             if not np.isfinite(data).all():
-                raise HsFileError(f"{path}: record index {index} ({stack_id!r}) "
-                                  f"holds non-finite values")
+                raise HsFileError(f"{where} holds non-finite values")
             data = data.astype(np.float64).reshape(n_layers, seq_len, hidden)
             stacks.append(LayerStack(data, id=stack_id))
     return stacks

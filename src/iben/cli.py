@@ -183,6 +183,19 @@ def _assemble_samples(records, resolved, features_path):
     return samples, dims
 
 
+def _check_dims(dims, config: model_lib.ModelConfig, resolved, features_path) -> None:
+    """Refuse assembled inputs whose widths differ from the model's, naming their files."""
+    if config.use_bert_branch and (dims["n_pairs"], dims["fused_width"]) != (
+            config.n_pairs, config.fused_width):
+        raise ConfigError(f"{features_path}: records fuse to {dims['n_pairs']}x"
+                          f"{dims['fused_width']}, the model takes "
+                          f"{config.n_pairs}x{config.fused_width}")
+    if config.use_emb_branch and dims["emb_dim"] != config.emb_dim:
+        tables = ", ".join(entry["path"] for entry in resolved["embedding_tables"])
+        raise ConfigError(f"embedding tables {tables}: {dims['emb_dim']} columns, "
+                          f"the model takes {config.emb_dim}")
+
+
 def _model_config_from(resolved, dims) -> model_lib.ModelConfig:
     use_bert = resolved["branches"] in ("bert", "both")
     use_emb = resolved["branches"] in ("emb", "both")
@@ -221,7 +234,19 @@ def _write_token_file(sequences, path, jsonl: bool) -> None:
             fh.write("\n")
 
 
+def _is_text(value) -> bool:
+    """A str that UTF-8 can encode; JSON can spell a lone surrogate, which it cannot."""
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _read_token_file(path, jsonl: bool) -> list[tuple[str, list[str]]]:
+    """(id, tokens) rows; each row must hold a token other than the pad token."""
     rows = []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -231,14 +256,23 @@ def _read_token_file(path, jsonl: bool) -> list[tuple[str, list[str]]]:
             if jsonl:
                 try:
                     obj = json.loads(line)
-                    record_id, tokens = obj["id"], list(obj["tokens"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise DataFormatError(f"{path} line {lineno}: bad token row ({exc})") from exc
+                if not isinstance(obj, dict):
+                    obj = {}
+                record_id, tokens = obj.get("id"), obj.get("tokens")
+                if not (_is_text(record_id) and isinstance(tokens, list)
+                        and all(_is_text(t) for t in tokens)):
+                    raise DataFormatError(f"{path} line {lineno}: a token row needs a string "
+                                          f"'id' and a list of strings 'tokens'")
             else:
                 if "\t" not in line:
                     raise DataFormatError(f"{path} line {lineno}: expected id<TAB>tokens")
                 record_id, _, token_str = line.partition("\t")
                 tokens = token_str.split(" ") if token_str else []
+            if all(t == PAD_TOKEN for t in tokens):
+                raise DataFormatError(f"{path} line {lineno}: row {record_id!r} has no token "
+                                      f"other than {PAD_TOKEN}")
             rows.append((record_id, tokens))
     return rows
 
@@ -312,7 +346,11 @@ def cmd_train(args) -> int:
         if resolved["branches"] in ("bert", "both") and not resolved["dev_features"]:
             raise ConfigError("dev_data needs dev_features when the encoder branch is on")
         dev_records = corpus.parse_dataset(resolved["dev_data"])
-        dev_samples, _ = _assemble_samples(dev_records, resolved, resolved["dev_features"])
+        if not dev_records:
+            raise ConfigError(f"{resolved['dev_data']}: dev set is empty")
+        dev_samples, dev_dims = _assemble_samples(dev_records, resolved,
+                                                  resolved["dev_features"])
+        _check_dims(dev_dims, net.config, resolved, resolved["dev_features"])
 
         def callback(epoch, current):
             report = train_lib.evaluate_model(current, dev_samples, clamp=resolved["clamp"])
@@ -357,7 +395,8 @@ def cmd_evaluate(args) -> int:
     records = corpus.parse_dataset(args.data)
     if not records:
         raise ConfigError(f"{args.data}: nothing to evaluate")
-    samples, _ = _assemble_samples(records, resolved, features)
+    samples, dims = _assemble_samples(records, resolved, features)
+    _check_dims(dims, net.config, resolved, features)
     report = train_lib.evaluate_model(net, samples, clamp=args.clamp)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -42,7 +42,8 @@ def load_text_vectors(path, format: str = "glove_text", name: str = "") -> WordV
     """Parse a text vector file.
 
     ``glove_text`` is one ``word v1 .. vD`` line per entry; ``w2v_text``
-    is the same preceded by a ``count dim`` header line.  Duplicate words
+    is the same preceded by a ``count dim`` header line, whose count must
+    equal the number of vector lines, duplicates included.  Duplicate words
     keep their first occurrence.
     """
     if format not in ("glove_text", "w2v_text"):
@@ -59,9 +60,10 @@ def load_text_vectors(path, format: str = "glove_text", name: str = "") -> WordV
             if len(parts) != 2:
                 raise DataFormatError(f"{path} line 1: expected 'count dim' header")
             try:
-                dim = int(parts[1])
+                count, dim = int(parts[0]), int(parts[1])
             except ValueError:
-                raise DataFormatError(f"{path} line 1: bad header dim {parts[1]!r}") from None
+                raise DataFormatError(f"{path} line 1: bad header {header.strip()!r}, "
+                                      f"expected two integers") from None
             if dim < 1:
                 raise DataFormatError(f"{path} line 1: dim must be positive")
         for line in fh:
@@ -90,6 +92,9 @@ def load_text_vectors(path, format: str = "glove_text", name: str = "") -> WordV
                 entries[word] = vec
     if not entries:
         raise DataFormatError(f"{path}: no vector entries")
+    if format == "w2v_text" and count != len(entries) + duplicates:
+        raise DataFormatError(f"{path}: header declares {count} vectors, "
+                              f"the file holds {len(entries) + duplicates}")
     if duplicates:
         log.warning("%s: %d duplicate entries ignored (first occurrence kept)", path, duplicates)
     return WordVectorTable(dim, entries, name=name or str(path), duplicates=duplicates)

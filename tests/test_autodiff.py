@@ -4,6 +4,8 @@ Derived gradient values are checked against central finite differences;
 simple values against hand arithmetic.
 """
 
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -448,10 +450,28 @@ class TestLosses:
 
 class TestTapeSemantics:
     def test_no_tape_means_no_graph(self):
-        out = ad.add(Tensor([1.0]), Tensor([2.0]))
-        assert out.tape is None
-        with pytest.raises(ValueError):
-            out.backward()
+        p = Parameter(np.array([1.0, 2.0]), name="p")
+        out = ad.total(p)
+        with Tape() as tape:
+            pass
+        assert len(tape) == 0
+        with pytest.raises(ValueError, match="not recorded on this tape"):
+            tape.backward(out)
+        npt.assert_array_equal(p.grad, [0.0, 0.0])
+
+    def test_an_op_on_another_thread_records_on_the_open_tape(self):
+        """Open tapes are process-wide: a worker thread's op lands on the
+        innermost tape that the main thread opened."""
+        p = Parameter(np.array([1.0, -2.0]), name="p")
+        result = {}
+        with Tape() as tape:
+            worker = threading.Thread(target=lambda: result.update(loss=ad.total(p)))
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(tape) == 1
+        tape.backward(result["loss"])
+        npt.assert_array_equal(p.grad, [1.0, 1.0])
 
     def test_backward_requires_scalar(self):
         p = Parameter(np.ones(3), name="p")

@@ -1,6 +1,8 @@
 """Layer pooling/pairing/fusion and the hidden-state container."""
 
+import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -332,6 +334,40 @@ class TestHsFile:
                   + struct.pack("<III", 2048, 2048, 2048))
         path.write_bytes(header.ljust(96, b"\x00"))
         with pytest.raises(TruncatedPayloadError, match=r"short\.hs: record index 0 \('q'\)"):
+            read_hs_file(path)
+
+    def test_id_length_beyond_the_file_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "long_id.hs"
+        path.write_bytes(b"IBENHS1\x00" + struct.pack("<I", 1)
+                         + struct.pack("<I", 0x7FFFFFFF) + b"q")
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayloadError,
+                               match=r"long_id\.hs: record index 0: file ends inside the id "
+                                     r"\(2147483647 bytes declared, 1 left\)$"):
+                read_hs_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_every_cut_names_the_file_and_the_record(self, tmp_path):
+        rng = np.random.default_rng(33)
+        whole = tmp_path / "whole.hs"
+        write_hs_file([self.float32_stack(rng, id="a"), self.float32_stack(rng, id="bb")],
+                      whole)
+        raw = whole.read_bytes()
+        path = tmp_path / "cut.hs"
+        for keep in range(12, len(raw)):  # past the magic and the record count
+            path.write_bytes(raw[:keep])
+            with pytest.raises(TruncatedPayloadError) as caught:
+                read_hs_file(path)
+            assert re.match(rf"{re.escape(str(path))}: record index [01]\b.*: file ends "
+                            r"inside the (id length|id|dimensions|payload) \(\d+ bytes "
+                            r"declared, \d+ left\)$", str(caught.value)), (keep, caught.value)
+        path.write_bytes(raw[:10])
+        with pytest.raises(TruncatedPayloadError,
+                           match=rf"^{re.escape(str(path))}: file ends inside the record count"):
             read_hs_file(path)
 
     def test_non_utf8_id_names_the_file_and_record(self, tmp_path):

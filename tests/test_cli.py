@@ -244,6 +244,43 @@ class TestPseudoEncode:
                      "--out", str(out)]) == 0
         assert out.read_bytes() != pipeline["features"].read_bytes()
 
+    def test_jsonl_token_file_round_trips(self, pipeline, tmp_path):
+        jsonl = tmp_path / "tokens.jsonl"
+        assert main(["preprocess", "--data", str(pipeline["data"]), "--variant", "edited",
+                     "--max-len", "6", "--out", str(jsonl), "--jsonl"]) == 0
+        out = tmp_path / "from_jsonl.hs"
+        assert main(["pseudo-encode", "--tokens", str(jsonl), "--jsonl", "--layers", "4",
+                     "--hidden", "4", "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == pipeline["features"].read_bytes()
+
+    @pytest.mark.parametrize("row", [
+        '{"id": 5, "tokens": ["a"]}',
+        '{"id": null, "tokens": ["a"]}',
+        '{"id": "b", "tokens": "abc"}',
+        '{"id": "b", "tokens": [1, null]}',
+        '{"id": "b", "tokens": ["\\ud800"]}',
+        '{"id": "b", "tokens": ["<pad>", "<pad>"]}',
+    ], ids=["int_id", "null_id", "string_tokens", "non_string_tokens", "lone_surrogate",
+            "only_pads"])
+    def test_bad_jsonl_row_exits_2_naming_the_line(self, tmp_path, capsys, row):
+        tokens = tmp_path / "rows.jsonl"
+        tokens.write_text('{"id": "a", "tokens": ["x", "<pad>"]}\n' + row + "\n")
+        out = tmp_path / "rows.hs"
+        assert main(["pseudo-encode", "--tokens", str(tokens), "--jsonl", "--layers", "2",
+                     "--hidden", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "rows.jsonl line 2: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["b\t", "b\t<pad> <pad>"], ids=["no_tokens", "only_pads"])
+    def test_tsv_row_without_a_token_exits_2_naming_the_line(self, tmp_path, capsys, row):
+        tokens = tmp_path / "rows.tsv"
+        tokens.write_text("a\tx <pad>\n" + row + "\n")
+        assert main(["pseudo-encode", "--tokens", str(tokens), "--layers", "2",
+                     "--hidden", "2", "--out", str(tmp_path / "rows.hs")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rows.tsv line 2: row 'b' has no token" in err
+
 
 def read_history(out_dir):
     with open(out_dir / "history.csv", encoding="utf-8") as fh:
@@ -354,6 +391,41 @@ class TestTrain:
         config = write_config(pipeline, out_dir, features=str(features))
         assert main(["train", "--config", str(config)]) == 1
         assert "no hidden states" in capsys.readouterr().err
+
+    def test_empty_dev_set_exits_1_before_training(self, pipeline, tmp_path, capsys):
+        dev = write_dataset(tmp_path / "empty_dev.csv", rows=[])
+        out_dir = tmp_path / "empty_dev_run"
+        config = write_config(pipeline, out_dir, dev_data=str(dev),
+                              dev_features=str(pipeline["features"]))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {dev}: dev set is empty\n"
+        assert not out_dir.exists()
+
+    def test_dev_container_of_another_width_names_it(self, pipeline, tmp_path, capsys):
+        wide = tmp_path / "wide.hs"
+        assert main(["pseudo-encode", "--tokens", str(pipeline["tokens"]), "--layers", "4",
+                     "--hidden", "8", "--seed", "1", "--out", str(wide)]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "wide_dev_run"
+        config = write_config(pipeline, out_dir, dev_data=str(pipeline["data"]),
+                              dev_features=str(wide))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {wide}: records fuse to 2x32, the model takes 2x16\n"
+        assert not out_dir.exists()
+
+    def test_container_cut_inside_a_record_names_the_file_and_record(self, pipeline,
+                                                                      tmp_path, capsys):
+        raw = pipeline["features"].read_bytes()
+        id_len = struct.unpack_from("<I", raw, 12)[0]
+        features = tmp_path / "cut.hs"
+        features.write_bytes(raw[:16 + id_len + 5])  # inside record 0's dimensions
+        config = write_config(pipeline, tmp_path / "cut_run", features=str(features))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {features}: record index 0 ('1'): file ends inside the "
+                       f"dimensions (12 bytes declared, 5 left)\n")
 
 
 @pytest.fixture(scope="module")
@@ -470,6 +542,29 @@ class TestEvaluate:
                      "--out", str(tmp_path / "p.csv")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err and "bad.ckpt" in err
+
+    def test_features_of_another_width_name_the_container(self, pipeline, trained, tmp_path,
+                                                          capsys):
+        wide = tmp_path / "wide.hs"
+        assert main(["pseudo-encode", "--tokens", str(pipeline["tokens"]), "--layers", "4",
+                     "--hidden", "8", "--seed", "1", "--out", str(wide)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(trained), "--data", str(pipeline["data"]),
+                     "--features", str(wide), "--out", str(tmp_path / "p.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {wide}: records fuse to 2x32, the model takes 2x16\n"
+
+    def test_tables_of_another_width_are_named(self, pipeline, tmp_path, capsys):
+        vectors = write_vectors(tmp_path / "vectors.txt")
+        out_dir = tmp_path / "run"
+        config = write_config(pipeline, out_dir, embedding_tables=[{"path": str(vectors)}])
+        assert main(["train", "--config", str(config)]) == 0
+        write_vectors(vectors, dim=5)
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(out_dir / "model.ckpt"),
+                     "--data", str(pipeline["data"]), "--out", str(tmp_path / "p.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: embedding tables {vectors}: 5 columns, the model takes 4\n"
 
     def test_container_payload_beyond_the_file_exits_2(self, pipeline, tmp_path, capsys):
         features = tmp_path / "short.hs"

@@ -1,10 +1,11 @@
 """Corrupted input files: the CLI exits 2 with one line, or succeeds.
 
-Bytes of a valid checkpoint, hidden-state container and vector table are
-flipped, or the file is cut short.  `iben evaluate`/`train` must then
-either succeed or exit 2 with a single `error:` line on stderr; nothing
-may raise out of `main`.  A checkpoint's parameter table is also edited
-entry by entry, and any table but the model's own must exit 2.
+Bytes of a valid checkpoint, hidden-state container, vector table and
+token file (TSV and JSON lines) are flipped, or the file is cut short.
+`iben evaluate`/`train`/`pseudo-encode` must then either succeed or exit 2
+with a single `error:` line on stderr; nothing may raise out of `main`.  A
+checkpoint's parameter table is also edited entry by entry, and any table
+but the model's own must exit 2.
 """
 
 import contextlib
@@ -28,13 +29,17 @@ def files(tmp_path_factory):
     data = write_dataset(root / "data.csv")
     vectors = write_vectors(root / "vectors.txt")
     tokens = root / "tokens.tsv"
+    jsonl = root / "tokens.jsonl"
     features = root / "features.hs"
-    pipeline = {"data": data, "vectors": vectors, "features": features}
+    pipeline = {"data": data, "vectors": vectors, "features": features,
+                "tsv": tokens, "jsonl": jsonl}
     config = root / "run.json"
     config.write_text(json.dumps(make_config(pipeline, root / "run")))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["preprocess", "--data", str(data), "--variant", "edited",
                      "--max-len", "6", "--out", str(tokens)]) == 0
+        assert main(["preprocess", "--data", str(data), "--variant", "edited",
+                     "--max-len", "6", "--out", str(jsonl), "--jsonl"]) == 0
         assert main(["pseudo-encode", "--tokens", str(tokens), "--layers", "4",
                      "--hidden", "4", "--seed", "1", "--out", str(features)]) == 0
         assert main(["train", "--config", str(config)]) == 0
@@ -97,6 +102,16 @@ def test_corrupted_vector_table(files, data):
         files, files["root"] / "bad_vectors_run", embedding_tables=[{"path": str(bad)}],
         train={"epochs": 1, "batch_size": 4, "learning_rate": 0.01})))
     assert_exits_2_with_one_line_or_succeeds(["train", "--config", str(config)])
+
+
+@pytest.mark.parametrize("kind", ["tsv", "jsonl"])
+@settings(FUZZ, max_examples=300)  # cheap examples; 150 never left a row without a token
+@given(data=st.data())
+def test_corrupted_token_file(files, data, kind):
+    bad = corrupt(files[kind], files["root"] / f"bad.{kind}", data)
+    assert_exits_2_with_one_line_or_succeeds(
+        ["pseudo-encode", "--tokens", str(bad), "--layers", "2", "--hidden", "2",
+         "--out", str(files["root"] / "tokens.hs")] + (["--jsonl"] if kind == "jsonl" else []))
 
 
 def edit_param_table(table, data):

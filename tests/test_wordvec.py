@@ -75,6 +75,24 @@ class TestLoadTextVectors:
         with pytest.raises(DataFormatError, match="line 1"):
             load_text_vectors(path, format="w2v_text")
 
+    def test_w2v_count_counts_duplicates(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("3 2\ncat 1 2\ncat 3 4\n\ndog 5 6\n")
+        table = load_text_vectors(path, format="w2v_text")
+        assert len(table) == 2 and table.duplicates == 1
+
+    @pytest.mark.parametrize("header, message", [
+        ("5 2", r"header declares 5 vectors, the file holds 2"),
+        ("1 2", r"header declares 1 vectors, the file holds 2"),
+        ("-2 2", r"header declares -2 vectors, the file holds 2"),
+        ("two 2", r"line 1: bad header 'two 2'"),
+    ])
+    def test_w2v_count_must_match_the_rows(self, tmp_path, header, message):
+        path = tmp_path / "count.txt"
+        path.write_text(header + "\ncat 1 2\ndog 3 4\n")
+        with pytest.raises(DataFormatError, match=r"count\.txt.*" + message):
+            load_text_vectors(path, format="w2v_text")
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             load_text_vectors(tmp_path / "v.txt", format="w2v_binary")
