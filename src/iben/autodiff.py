@@ -3,13 +3,15 @@
 Graphs are recorded onto an explicit :class:`Tape` used as a context
 manager; outside any tape, every op is plain (and cheaper) numpy compute.
 The reverse sweep replays the recorded entries exactly once, in reverse
-execution order.  A gradient reaches a tensor only if it was recorded on
-the tape being swept or is a :class:`Parameter`; every other operand is a
-constant, so no backward work is spent on it, and only parameters carry a
-``.grad``.  The open tapes are process-wide and not thread-safe: an op
-run on any thread is recorded on the innermost open tape.  A tape knows
-the tensors it recorded, and a tensor does not refer to its tape, so a
-finished graph is freed by reference counting alone.
+execution order, and calls each entry's one backward function once for
+all of its operands.  A gradient reaches a tensor only if it was recorded
+on the tape being swept or is a :class:`Parameter`; every other operand is
+a constant, which the backward function is told so that it can skip that
+gradient, and only parameters carry a ``.grad``.  The open tapes are
+process-wide and not thread-safe: an op run on any thread is recorded on
+the innermost open tape.  A tape knows the tensors it recorded, and a
+tensor does not refer to its tape, so a finished graph is freed by
+reference counting alone.
 
 Every op verifies its output is finite and raises :class:`NonFiniteError`
 otherwise; overflow never propagates silently.
@@ -109,16 +111,17 @@ class Tape:
 
     Entries are keyed by ``id`` of the op's output and keep that output, so
     the id stays unique while the tape lives; insertion order is execution
-    order.  Each entry keeps only the operands a gradient may reach (see
-    :func:`_receives_grad`).  Parameters accumulate in place into the
+    order.  An entry is ``(out, parents, wanted, backward)``: the op's
+    operands, which of them a gradient may reach (see :func:`_apply`), and
+    the op's backward function.  Parameters accumulate in place into the
     buffer they own, so two backward calls without zeroing double a
-    parameter's gradient.  A gradient function may add a parameter's share
-    into that buffer itself and return None, to spare a parameter-sized
-    temporary.
+    parameter's gradient.  A backward function may add a parameter's share
+    into that buffer itself and return None in its place, to spare a
+    parameter-sized temporary.
     """
 
     def __init__(self):
-        self._entries: dict[int, tuple[Tensor, tuple]] = {}
+        self._entries: dict[int, tuple[Tensor, tuple, tuple, object]] = {}
 
     def __enter__(self) -> "Tape":
         _open_tapes.append(self)
@@ -140,12 +143,13 @@ class Tape:
             raise ValueError("loss was not recorded on this tape")
         # adjoints of intermediates live in a scratch map so repeated sweeps stay correct
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        for out, links in reversed(self._entries.values()):
+        for out, parents, wanted, backward in reversed(self._entries.values()):
             g = adjoint.pop(id(out), None)
-            if g is None:
+            if g is None or not any(wanted):
                 continue
-            for parent, fn in links:
-                contrib = fn(g)
+            for parent, want, contrib in zip(parents, wanted, backward(g, wanted), strict=True):
+                if not want:
+                    continue
                 if isinstance(parent, Parameter):
                     if contrib is not None:  # None: the op added its share in place
                         parent.grad += contrib
@@ -154,18 +158,26 @@ class Tape:
                     adjoint[key] = adjoint[key] + contrib if key in adjoint else contrib
 
 
-def _receives_grad(t: Tensor, tape: "Tape | None") -> bool:
+def _receives_grad(t: Tensor, tape: Tape) -> bool:
     """The one gradient rule: a sweep of ``tape`` reaches ``t`` only if ``t``
     is a parameter or was recorded on ``tape``."""
-    return tape is not None and (isinstance(t, Parameter) or id(t) in tape._entries)
+    return isinstance(t, Parameter) or id(t) in tape._entries
 
 
-def _apply(values: np.ndarray, op: str, parents: tuple, grad_fns: tuple) -> Tensor:
+def _apply(values: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
+    """The op's output, recorded on the innermost open tape if there is one.
+
+    ``backward(g, wanted)`` maps the output's gradient ``g`` to one entry per
+    operand, in the order of ``parents``; ``wanted[i]`` says whether a sweep
+    reaches operand i, and the entry of an operand it does not reach may be
+    None.  A sweep calls it at most once, and not at all when no operand is
+    wanted.
+    """
     out = Tensor(values, _op=op)
     tape = _active_tape()
     if tape is not None:
-        links = tuple((p, fn) for p, fn in zip(parents, grad_fns) if _receives_grad(p, tape))
-        tape._entries[id(out)] = (out, links)
+        wanted = tuple(_receives_grad(p, tape) for p in parents)
+        tape._entries[id(out)] = (out, parents, wanted, backward)
     return out
 
 
@@ -188,13 +200,13 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "add")
-    return _apply(a.values + b.values, "add", (a, b), (lambda g: g, lambda g: g))
+    return _apply(a.values + b.values, "add", (a, b), lambda g, wanted: (g, g))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "hadamard")
     av, bv = a.values, b.values
-    return _apply(av * bv, "hadamard", (a, b), (lambda g: g * bv, lambda g: g * av))
+    return _apply(av * bv, "hadamard", (a, b), lambda g, wanted: (g * bv, g * av))
 
 
 def scale_rows(x: Tensor, w: Tensor) -> Tensor:
@@ -206,8 +218,8 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
                          f"R weights, got shapes {x.shape} and {w.shape}")
     col = wv[:, None]
     return _apply(xv * col, "scale_rows", (x, w),
-                  (lambda g: g * col,
-                   lambda g: (g * xv).sum(axis=-1).reshape(-1, wv.size).sum(axis=0)))
+                  lambda g, wanted: (g * col if wanted[0] else None,
+                                     (g * xv).sum(axis=-1).reshape(-1, wv.size).sum(axis=0)))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -218,18 +230,18 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _logistic(a.values)
-    return _apply(out, "sigmoid", (a,), (lambda g: g * out * (1.0 - out),))
+    return _apply(out, "sigmoid", (a,), lambda g, wanted: (g * out * (1.0 - out),))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.values)
-    return _apply(out, "tanh", (a,), (lambda g: g * (1.0 - out * out),))
+    return _apply(out, "tanh", (a,), lambda g, wanted: (g * (1.0 - out * out),))
 
 
 def relu(a: Tensor) -> Tensor:
     x = a.values
     mask = x > 0
-    return _apply(np.where(mask, x, 0.0), "relu", (a,), (lambda g: g * mask,))
+    return _apply(np.where(mask, x, 0.0), "relu", (a,), lambda g, wanted: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +253,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if av.ndim == 2 and bv.ndim == 2:
         if av.shape[1] != bv.shape[0]:
             raise ShapeError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
-        return _apply(av @ bv, "matmul", (a, b),
-                      (lambda g: g @ bv.T, lambda g: av.T @ g))
+        return _apply(av @ bv, "matmul", (a, b), lambda g, wanted: (g @ bv.T, av.T @ g))
     if av.ndim == 2 and bv.ndim == 1:
         if av.shape[1] != bv.shape[0]:
             raise ShapeError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
-        return _apply(av @ bv, "matmul", (a, b),
-                      (lambda g: np.outer(g, bv), lambda g: av.T @ g))
+        return _apply(av @ bv, "matmul", (a, b), lambda g, wanted: (np.outer(g, bv), av.T @ g))
     if av.ndim == 1 and bv.ndim == 2:
         if av.shape[0] != bv.shape[0]:
             raise ShapeError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
-        return _apply(av @ bv, "matmul", (a, b),
-                      (lambda g: bv @ g, lambda g: np.outer(av, g)))
+        return _apply(av @ bv, "matmul", (a, b), lambda g, wanted: (bv @ g, np.outer(av, g)))
     raise ShapeError(f"matmul supports 2-D/1-D operands only, got {av.ndim}-D @ {bv.ndim}-D")
 
 
@@ -268,45 +277,34 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out += b.values
     rows = xv.reshape(-1, wv.shape[1])
-    grads = (lambda g: g @ wv, lambda g: g.reshape(-1, wv.shape[0]).T @ rows,
-             lambda g: g.reshape(-1, wv.shape[0]).sum(axis=0))
     parents = (x, W) if b is None else (x, W, b)
-    return _apply(out, "linear", parents, grads[:len(parents)])
+
+    def backward(g, wanted):
+        g_rows = g.reshape(-1, wv.shape[0])
+        return (g @ wv, g_rows.T @ rows, g_rows.sum(axis=0))[:len(parents)]
+
+    return _apply(out, "linear", parents, backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
-    sizes = [t.values.shape[axis] for t in tensors]
     out = np.concatenate([t.values for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def block_grad(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def fn(g):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            return g[tuple(idx)]
-
-        return fn
-
-    return _apply(out, "concat", tuple(tensors),
-                  tuple(block_grad(i) for i in range(len(tensors))))
+    ends = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
+    return _apply(out, "concat", tuple(tensors), lambda g, wanted: np.split(g, ends, axis=axis))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.shape
-    return _apply(a.values.reshape(shape), "reshape", (a,),
-                  (lambda g: g.reshape(old),))
+    return _apply(a.values.reshape(shape), "reshape", (a,), lambda g, wanted: (g.reshape(old),))
 
 
 def total(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar."""
     shape = a.shape
     return _apply(a.values.sum(), "total", (a,),
-                  (lambda g: np.full(shape, g, dtype=np.float64),))
+                  lambda g, wanted: (np.full(shape, g, dtype=np.float64),))
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +329,9 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
     gate is one GEMM outside the recurrence, and each step's recurrence is
     one B x H by H x 3H GEMM (Appleyard et al., arXiv:1604.01946).  The
     backward pass is hand-written BPTT that forms each weight gradient once
-    per batch, a parameter W's by adding into its buffer in place: the
-    gradient of every operand a sweep can reach is computed at the first
-    request and released once the last one has taken its share; the input's
-    is skipped when the input is a constant.
+    per batch, a parameter W's by adding into its buffer in place; one pass
+    gives every operand's gradient, and the input's is skipped when the
+    input is a constant.
     """
     weights = tuple(weights)
     if len(weights) not in (2, 3):
@@ -380,7 +377,7 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
         states[:, t + new] = h
     out = states[:, new:new + T].reshape(h_shape[:-1] + (T, H))
 
-    def bptt(g):
+    def bptt(g, wanted):
         gs = g.reshape(B, T, H)
         d_pre = np.empty((B, T, 3 * H))  # z, r and candidate pre-activations
         dh = np.zeros((B, H))
@@ -394,34 +391,20 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
             d[:, 2 * H:] = dc
             dh = dh * z + np.concatenate((d[:, :2 * H], dc * r), axis=1) @ U
         d_rows = d_pre.reshape(B * T, 3 * H)  # in the row order of ``rows``
-        dx = (d_rows @ W).reshape(xv.shape) if 0 in wanted else None
+        dx = (d_rows @ W).reshape(xv.shape) if wanted[0] else None
         dW = None
         if isinstance(weights[0], Parameter):  # in place: W is 12.6 MB at paper dims
             _add_product(weights[0].grad, d_rows.T, rows)
-        elif 1 in wanted:
+        elif wanted[1]:
             dW = d_rows.T @ rows
         db = d_rows.sum(axis=0)
         d_pre[..., 2 * H:] *= zr[..., H:]  # now the gradient of U @ h_prev
         dU = d_rows.T @ states[:, 1 - new:1 - new + T].reshape(B * T, H)
-        grads = ([dx, dW, dU] + ([db] if len(weights) == 3 else [])
-                 + ([dh.reshape(h_shape)] if h0 is not None else []))
-        return {i: grads[i] for i in wanted}
+        return ([dx, dW, dU] + ([db] if len(weights) == 3 else [])
+                + ([dh.reshape(h_shape)] if h0 is not None else []))
 
     parents = (x,) + weights + (() if h0 is None else (h0,))
-    tape = _active_tape()
-    # exactly the gradients the tape will ask for, so none is left over for a later sweep
-    wanted = {i for i, p in enumerate(parents) if _receives_grad(p, tape)}
-    pending: dict[int, np.ndarray] = {}
-
-    def grad_of(i):
-        def fn(g):
-            if not pending:
-                pending.update(bptt(g))
-            return pending.pop(i)
-
-        return fn
-
-    return _apply(out, "gru_sequence", parents, tuple(grad_of(i) for i in range(len(parents))))
+    return _apply(out, "gru_sequence", parents, bptt)
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -463,14 +446,13 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             full[..., j:j + n, :, j] = g
         return full.reshape(-1, F * k)
 
-    return _apply(
-        out,
-        "conv1d",
-        (x, kernels, bias),
-        (lambda g: (spread(g) @ slices).reshape(xv.shape),
-         lambda g: (spread(g).T @ rows).reshape(kv.shape),
-         lambda g: g.reshape(-1, F).sum(axis=0)),
-    )
+    def backward(g, wanted):
+        full = spread(g)
+        return ((full @ slices).reshape(xv.shape) if wanted[0] else None,
+                (full.T @ rows).reshape(kv.shape),
+                g.reshape(-1, F).sum(axis=0))
+
+    return _apply(out, "conv1d", (x, kernels, bias), backward)
 
 
 def max_over_time(x: Tensor) -> Tensor:
@@ -481,12 +463,12 @@ def max_over_time(x: Tensor) -> Tensor:
         raise ShapeError(f"max_over_time needs a 2-D or batched input, got shape {x.shape}")
     idx = np.expand_dims(xv.argmax(axis=-2), -2)
 
-    def fn(g):
+    def backward(g, wanted):
         dx = np.zeros_like(xv)
         np.put_along_axis(dx, idx, np.expand_dims(g, -2), axis=-2)
-        return dx
+        return (dx,)
 
-    return _apply(xv.max(axis=-2), "max_over_time", (x,), (fn,))
+    return _apply(xv.max(axis=-2), "max_over_time", (x,), backward)
 
 
 def avg_over_time(x: Tensor) -> Tensor:
@@ -496,7 +478,7 @@ def avg_over_time(x: Tensor) -> Tensor:
         raise ShapeError(f"avg_over_time needs a 2-D or batched input, got shape {x.shape}")
     L = xv.shape[-2]
     return _apply(xv.mean(axis=-2), "avg_over_time", (x,),
-                  (lambda g: np.repeat(np.expand_dims(g / L, -2), L, axis=-2),))
+                  lambda g, wanted: (np.repeat(np.expand_dims(g / L, -2), L, axis=-2),))
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +491,8 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     if n == 0:
         raise ShapeError("mse_loss needs at least one element")
     diff = pred.values - target.values
-    return _apply(
-        np.asarray((diff * diff).mean()),
-        "mse_loss",
-        (pred, target),
-        (lambda g: g * 2.0 * diff / n, lambda g: g * -2.0 * diff / n),
-    )
+    return _apply(np.asarray((diff * diff).mean()), "mse_loss", (pred, target),
+                  lambda g, wanted: (g * 2.0 * diff / n, g * -2.0 * diff / n))
 
 
 def mae_sum_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -522,12 +500,8 @@ def mae_sum_loss(pred: Tensor, target: Tensor) -> Tensor:
     _require_same_shape(pred, target, "mae_sum_loss")
     diff = pred.values - target.values
     sign = np.sign(diff)
-    return _apply(
-        np.asarray(np.abs(diff).sum()),
-        "mae_sum_loss",
-        (pred, target),
-        (lambda g: g * sign, lambda g: g * -sign),
-    )
+    return _apply(np.asarray(np.abs(diff).sum()), "mae_sum_loss", (pred, target),
+                  lambda g, wanted: (g * sign, g * -sign))
 
 
 # ---------------------------------------------------------------------------

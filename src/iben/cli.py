@@ -23,7 +23,8 @@ from . import model as model_lib
 from . import train as train_lib
 from .autodiff import Parameter, Tensor
 from .corpus import PAD_TOKEN, TokenSequence
-from .errors import ConfigError, DataFormatError, IbenError, TrainingError, open_text
+from .errors import (ConfigError, DataFormatError, IbenError, TrainingError, open_text,
+                     refuse_json_constant)
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -99,8 +100,8 @@ def validate_runconfig(raw) -> dict:
 def _load_json(path):
     try:
         with open_text(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, parse_constant=refuse_json_constant)
+    except ValueError as exc:  # a JSONDecodeError, or a NaN or Infinity literal
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise DataFormatError(f"{path}: JSON nested too deeply to read") from exc
@@ -246,8 +247,10 @@ def _is_text(value) -> bool:
 
 
 def _read_token_file(path, jsonl: bool) -> list[tuple[str, list[str]]]:
-    """(id, tokens) rows; each row must hold a token other than the pad token."""
+    """(id, tokens) rows; each row must hold a token other than the pad token,
+    and no two rows may share an id."""
     rows = []
+    first_line: dict[str, int] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -273,6 +276,10 @@ def _read_token_file(path, jsonl: bool) -> list[tuple[str, list[str]]]:
             if all(t == PAD_TOKEN for t in tokens):
                 raise DataFormatError(f"{path} line {lineno}: row {record_id!r} has no token "
                                       f"other than {PAD_TOKEN}")
+            if record_id in first_line:
+                raise DataFormatError(f"{path} line {lineno}: id {record_id!r} repeats the id "
+                                      f"of line {first_line[record_id]}")
+            first_line[record_id] = lineno
             rows.append((record_id, tokens))
     return rows
 
@@ -284,6 +291,11 @@ def cmd_preprocess(args) -> int:
     records = corpus.parse_dataset(args.data)
     stop = (corpus.StopList.from_file(args.stopwords) if args.stopwords
             else corpus.default_stoplist())
+    if not args.jsonl:
+        for r in records:
+            if any(c in r.id for c in "\t\n\r"):
+                raise DataFormatError(f"{args.data}: record id {r.id!r} holds a tab or line "
+                                      f"break, which a TSV token file cannot carry; use --jsonl")
     sequences = [(r.id, corpus.prepare(r, args.variant, stop, args.max_len))
                  for r in records]
     _write_token_file(sequences, args.out, args.jsonl)

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package, and the UTF-8 text opener.
+"""Exception taxonomy shared across the package, the UTF-8 text opener and
+the strict-JSON constant hook.
 
 The CLI maps these onto its exit-code contract: validation and check
 failures exit 1, file-format and I/O problems exit 2.
@@ -21,6 +22,12 @@ class ConfigError(IbenError):
 
 class TrainingError(IbenError):
     """Training aborted (non-finite loss or gradient)."""
+
+
+def refuse_json_constant(name: str):
+    """A ``parse_constant`` hook for :mod:`json`: ``NaN``, ``Infinity`` and
+    ``-Infinity`` are Python's extensions, not JSON numbers."""
+    raise ValueError(f"{name} is not a JSON number")
 
 
 @contextlib.contextmanager

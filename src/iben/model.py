@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import DataFormatError
+from .errors import DataFormatError, refuse_json_constant
 
 CHECKPOINT_SCHEMA = 2
 _HEADER_KEYS = {"schema", "config", "seed", "params", "blob_bytes", "manifest"}
@@ -375,9 +375,9 @@ def save_checkpoint(model: IbenModel, path, manifest: dict | None = None) -> Non
 def _read_checkpoint_header(fh, path) -> dict:
     """Parse the header line at the start of ``fh``; the blob is left unread."""
     try:
-        header = json.loads(fh.readline().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise DataFormatError(f"{path}: unreadable checkpoint header") from exc
+        header = json.loads(fh.readline().decode("utf-8"), parse_constant=refuse_json_constant)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or a NaN or Infinity
+        raise DataFormatError(f"{path}: unreadable checkpoint header ({exc})") from exc
     if not isinstance(header, dict):
         raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
     unknown = sorted(set(header) - _HEADER_KEYS)

@@ -15,10 +15,8 @@ import numpy as np
 from iben.autodiff import (
     ShapeError,
     Tensor,
-    _active_tape,
     _apply,
     _logistic,
-    _receives_grad,
     _require_same_shape,
     concat,
     reshape,
@@ -27,12 +25,12 @@ from iben.autodiff import (
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _apply(a.values * c, "scale", (a,), (lambda g: g * c,))
+    return _apply(a.values * c, "scale", (a,), lambda g, wanted: (g * c,))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
-    return _apply(a.values - b.values, "sub", (a, b), (lambda g: g, lambda g: -g))
+    return _apply(a.values - b.values, "sub", (a, b), lambda g, wanted: (g, -g))
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -41,12 +39,12 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = tuple(idx)
     shape = a.shape
 
-    def fn(g):
+    def backward(g, wanted):
         full = np.zeros(shape, dtype=np.float64)
         full[idx] = g
-        return full
+        return (full,)
 
-    return _apply(a.values[idx].copy(), "slice", (a,), (fn,))
+    return _apply(a.values[idx].copy(), "slice", (a,), backward)
 
 
 def stack_rows(vectors) -> Tensor:
@@ -70,9 +68,8 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
     last to first; row t of the output is always the state after input
     row t.  The input projection of all steps and gates is one GEMM outside
     the recurrence (Appleyard et al., arXiv:1604.01946).  The backward pass
-    is hand-written BPTT: the gradient of every operand a sweep can reach is
-    computed at the first request and released once the last one has taken
-    its share; the input's is skipped when the input is a constant.
+    is hand-written BPTT: one pass gives every operand's gradient, and the
+    input's is skipped when the input is a constant.
     """
     weights = tuple(weights)
     if len(weights) not in (2, 3):
@@ -110,7 +107,7 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
         states[t + 1] = h
     out = states[1:][::-1] if reverse else states[1:]
 
-    def bptt(g):
+    def bptt(g, wanted):
         gs = g[::-1] if reverse else g
         d_pre = np.empty((T, 3 * H))  # z, r and candidate pre-activations
         d_rec = np.empty((T, 3 * H))  # the three blocks of U @ h_prev
@@ -130,29 +127,16 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
             grads.append(d_pre.sum(axis=0))
         if h0 is not None:
             grads.append(dh)
-        if 0 in wanted:
+        if wanted[0]:
             # a sum of per-gate products, not one stacked GEMM, so that a learned
             # row scaling upstream gets the bits a per-gate model gives it
             dx = (d_pre[:, :H] @ W[:H] + d_pre[:, H:2 * H] @ W[H:2 * H]
                   + d_pre[:, 2 * H:] @ W[2 * H:])
             grads[0] = dx[::-1] if reverse else dx
-        return {i: grads[i] for i in wanted}
+        return grads
 
     parents = (x,) + weights + (() if h0 is None else (h0,))
-    tape = _active_tape()
-    # exactly the gradients the tape will ask for, so none is left over for a later sweep
-    wanted = {i for i, p in enumerate(parents) if _receives_grad(p, tape)}
-    pending: dict[int, np.ndarray] = {}
-
-    def grad_of(i):
-        def fn(g):
-            if not pending:
-                pending.update(bptt(g))
-            return pending.pop(i)
-
-        return fn
-
-    return _apply(out, "gru_sequence", parents, tuple(grad_of(i) for i in range(len(parents))))
+    return _apply(out, "gru_sequence", parents, bptt)
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -184,7 +168,7 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         out,
         "conv1d",
         (x, kernels, bias),
-        (grad_x,
-         lambda g: np.einsum("tf,tdj->fjd", g, windows),
-         lambda g: g.sum(axis=0)),
+        lambda g, wanted: (grad_x(g) if wanted[0] else None,
+                           np.einsum("tf,tdj->fjd", g, windows),
+                           g.sum(axis=0)),
     )

@@ -564,6 +564,48 @@ class TestTapeSemantics:
             assert len(inner) == 1
         assert len(outer) == 1
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_backward_with_the_wrong_number_of_gradients_raises(self, count):
+        """One gradient per operand: a short or long answer is an error, not
+        a silently dropped or ignored gradient."""
+        p = Parameter(np.array([1.0, 2.0]), name="p")
+        with Tape() as tape:
+            out = ad._apply(p.values.sum(), "sum_twice", (p, p),
+                            lambda g, wanted: (np.full(2, g),) * count)
+        with pytest.raises(ValueError):
+            tape.backward(out)
+
+    def test_gru_sequence_runs_its_bptt_once_per_sweep(self, monkeypatch):
+        """With the input, W, U, b and h0 all reachable, each sweep calls the
+        op's backward once, and the second sweep adds what the first did."""
+        calls = []
+        apply = ad._apply
+
+        def counting_apply(values, op, parents, backward):
+            def counted(g, wanted):
+                calls.append((op, wanted))
+                return backward(g, wanted)
+
+            return apply(values, op, parents, counted if op == "gru_sequence" else backward)
+
+        monkeypatch.setattr(ad, "_apply", counting_apply)
+        rng = np.random.default_rng(5)
+        T, I, H = 4, 2, 3
+        shapes = {"x": (T, I), "W": (3 * H, I), "U": (3 * H, H), "b": (3 * H,), "h0": (H,)}
+        params = {n: Parameter(rng.normal(size=s), name=n) for n, s in shapes.items()}
+        with Tape() as tape:
+            x = scale(params["x"], 1.0)
+            h0 = scale(params["h0"], 1.0)
+            loss = ad.total(ad.gru_sequence(x, [params[n] for n in "WUb"], h0))
+        tape.backward(loss)
+        assert calls == [("gru_sequence", (True,) * 5)]
+        first = {n: p.grad.copy() for n, p in params.items()}
+        assert all(np.any(g != 0.0) for g in first.values())
+        tape.backward(loss)
+        assert len(calls) == 2
+        for n, p in params.items():
+            npt.assert_array_equal(p.grad, 2 * first[n])
+
 
 class TestGradCheckUtility:
     def test_quadratic_function(self):

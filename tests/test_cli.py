@@ -196,6 +196,25 @@ class TestPreprocess:
                      "--out", str(out)]) == 2
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record_id", ["a\tb", "a\nb", "a\rb"], ids=["tab", "lf", "cr"])
+    def test_tsv_refuses_an_id_with_a_tab_or_line_break(self, tmp_path, capsys, record_id):
+        data = write_dataset(tmp_path / "ids.csv", [(record_id,) + ROWS[0][1:]] + ROWS[1:])
+        out = tmp_path / "tokens.tsv"
+        assert main(["preprocess", "--data", str(data), "--variant", "edited",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ids.csv" in err and "--jsonl" in err
+        assert repr(record_id) in err
+        assert not out.exists()
+        # JSON lines carry the id intact through pseudo-encode
+        jsonl = tmp_path / "tokens.jsonl"
+        assert main(["preprocess", "--data", str(data), "--variant", "edited",
+                     "--out", str(jsonl), "--jsonl"]) == 0
+        features = tmp_path / "ids.hs"
+        assert main(["pseudo-encode", "--tokens", str(jsonl), "--jsonl", "--layers", "2",
+                     "--hidden", "2", "--out", str(features)]) == 0
+        assert [s.id for s in read_hs_file(features)] == [record_id, "2", "3", "4"]
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["preprocess", "--data", str(tmp_path / "nope.csv"),
                      "--variant", "edited", "--out", str(tmp_path / "o")]) == 2
@@ -281,6 +300,21 @@ class TestPseudoEncode:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "rows.tsv line 2: row 'b' has no token" in err
 
+    @pytest.mark.parametrize("jsonl", [False, True], ids=["tsv", "jsonl"])
+    def test_repeated_id_exits_2_naming_both_lines(self, tmp_path, capsys, jsonl):
+        rows = [("a", ["x", "y"]), ("b", ["w"]), ("a", ["z"])]
+        tokens = tmp_path / ("rows.jsonl" if jsonl else "rows.tsv")
+        tokens.write_text("".join(json.dumps({"id": i, "tokens": t}) + "\n" if jsonl
+                                  else f"{i}\t{' '.join(t)}\n" for i, t in rows))
+        out = tmp_path / "rows.hs"
+        argv = ["pseudo-encode", "--tokens", str(tokens), "--layers", "2", "--hidden", "2",
+                "--out", str(out)]
+        assert main(argv + (["--jsonl"] if jsonl else [])) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{tokens.name} line 3: id 'a' repeats the id of line 1" in err
+        assert not out.exists()
+
 
 def read_history(out_dir):
     with open(out_dir / "history.csv", encoding="utf-8") as fh:
@@ -357,6 +391,34 @@ class TestTrain:
         config.write_text("{not json")
         assert main(["train", "--config", str(config)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("eps", math.inf), ("learning_rate", math.nan), ("learning_rate", -math.inf),
+    ], ids=["infinite_eps", "nan_learning_rate", "minus_infinite_learning_rate"])
+    def test_nan_or_infinity_in_the_config_exits_2(self, pipeline, tmp_path, capsys,
+                                                   key, value):
+        """Python's json reads NaN and Infinity, which are not JSON and which a
+        schema's minimum does not catch."""
+        out_dir = tmp_path / "never"
+        cfg = make_config(pipeline, out_dir)
+        cfg["train"][key] = value
+        config = tmp_path / "nonfinite.json"
+        config.write_text(json.dumps(cfg))
+        literal = json.dumps(value)
+        assert literal in config.read_text()
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nonfinite.json" in err
+        assert f"{literal} is not a JSON number" in err
+        assert not out_dir.exists()
+
+    def test_integer_past_the_digit_limit_exits_2(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "digits.json"
+        config.write_text(json.dumps(make_config(pipeline, tmp_path / "never"))
+                          .replace('"seed": 1', '"seed": ' + "1" * 5000))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "digits.json: not valid JSON" in err
 
     def test_config_nested_past_the_recursion_limit_exits_2(self, tmp_path, capsys):
         config = tmp_path / "deep.json"
@@ -507,10 +569,15 @@ class TestEvaluate:
         (lambda h: h.__setitem__("seed", h["seed"] + 1), "checkpoint seed 2 is not"),
         (lambda h: h.pop("seed"), "checkpoint seed None is not"),
         (lambda h: h.__setitem__("seed", True), "checkpoint seed True is not"),
+        (lambda h: h["manifest"]["train"].__setitem__("eps", math.inf),
+         "Infinity is not a JSON number"),
+        (lambda h: h["manifest"]["train"].__setitem__("learning_rate", math.nan),
+         "NaN is not a JSON number"),
     ], ids=["param_entry_not_object", "kernel_sizes_not_list", "config_not_object",
             "repeated_kernel_sizes", "schema_1", "invalid_manifest", "unknown_header_key",
             "duplicated_offset", "boolean_offset", "swapped_entries", "float_schema",
-            "float_blob_bytes", "other_seed", "missing_seed", "boolean_seed"])
+            "float_blob_bytes", "other_seed", "missing_seed", "boolean_seed",
+            "infinite_manifest_value", "nan_manifest_value"])
     def test_malformed_checkpoint_header_exits_2(self, pipeline, trained, tmp_path,
                                                  capsys, mutate, message):
         header_line, _, blob = trained.read_bytes().partition(b"\n")
@@ -653,8 +720,9 @@ class TestBaseline:
 
 
 class TestGradcheck:
-    def test_small_dims_pass(self, capsys):
-        assert main(["gradcheck", "--dims", "small"]) == 0
+    @pytest.mark.parametrize("dims", ["small", "default"])
+    def test_dims_pass(self, capsys, dims):
+        assert main(["gradcheck", "--dims", dims]) == 0
         out = capsys.readouterr().out
         for name in ("matmul", "sigmoid", "conv1d_k1", "max_over_time",
                      "gru_cell", "bi_gru", "model_full", "gru_sequence",
