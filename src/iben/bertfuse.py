@@ -1,8 +1,8 @@
 """Fusion of per-layer encoder hidden states into a branch-A input matrix.
 
-Each selected layer is pooled over its token axis (mean block, then max
-block), pooled layers are concatenated in pairs, and each pair is scaled
-by a per-pair weight.  The default ``layer_sequence`` mode keeps one row
+Each layer is pooled over its token axis (mean block, then max block),
+pooled layers are concatenated in pairs, and each pair is scaled by a
+per-pair weight.  The default ``layer_sequence`` mode keeps one row
 per pair so the recurrent branch sees a sequence; ``summed`` collapses
 the weighted rows into a single vector.
 
@@ -86,6 +86,8 @@ class LayerPairing:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not self.pairs:
+            raise ValueError("a pairing needs at least one pair")
         flat = [i for pair in self.pairs for i in pair]
         if len(set(flat)) != len(flat):
             raise ValueError("pairing reuses a layer index")
@@ -137,39 +139,24 @@ class FusedSequence:
         return self.data.shape[1]
 
 
-def pool_layer(stack: LayerStack, layer_index: int) -> np.ndarray:
-    """Mean block then max block over the token axis; length 2 * hidden."""
-    if not 1 <= layer_index <= stack.n_layers:
-        raise ValueError(f"layer index {layer_index} outside 1..{stack.n_layers}")
-    layer = stack.data[layer_index - 1]
-    return np.concatenate([layer.mean(axis=0), layer.max(axis=0)])
-
-
-def pair_concat(pooled_high: np.ndarray, pooled_low: np.ndarray) -> np.ndarray:
-    """Concatenate two pooled layers, the higher layer's block first."""
-    if pooled_high.shape != pooled_low.shape:
-        raise ValueError(
-            f"pooled sizes disagree: {pooled_high.shape} vs {pooled_low.shape}"
-        )
-    return np.concatenate([pooled_high, pooled_low])
-
-
 def fuse(stack: LayerStack, pairing: LayerPairing, weights,
          mode: str = "layer_sequence") -> FusedSequence:
-    """Build the weighted paired-layer matrix consumed by branch A."""
-    weights = list(weights)
-    if len(weights) != len(pairing):
-        raise ValueError(f"{len(weights)} weights for {len(pairing)} pairs")
+    """Build the weighted paired-layer matrix consumed by branch A.
+
+    Every layer is pooled over its tokens, mean block then max block; row
+    ``i`` holds the blocks of ``pairs[i]`` in order, times ``weights[i]``.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(pairing),):
+        raise ValueError(f"{weights.size} weights for {len(pairing)} pairs")
     if mode not in ("layer_sequence", "summed"):
         raise ValueError(f"unknown fusion mode {mode!r}")
-    rows = []
-    for (high, low), alpha in zip(pairing.pairs, weights):
-        if high > stack.n_layers or low > stack.n_layers:
-            raise ValueError(
-                f"pair ({high},{low}) outside stack with {stack.n_layers} layers"
-            )
-        rows.append(float(alpha) * pair_concat(pool_layer(stack, high), pool_layer(stack, low)))
-    matrix = np.stack(rows)
+    beyond = [pair for pair in pairing.pairs if max(pair) > stack.n_layers]
+    if beyond:
+        raise ValueError(f"pair {beyond[0]} outside stack with {stack.n_layers} layers")
+    pooled = np.concatenate([stack.data.mean(axis=1), stack.data.max(axis=1)], axis=1)
+    index = np.array(pairing.pairs) - 1
+    matrix = pooled[index].reshape(len(pairing), -1) * weights[:, None]
     if mode == "summed":
         matrix = matrix.sum(axis=0, keepdims=True)
     return FusedSequence(matrix)
@@ -283,10 +270,11 @@ def pseudo_encode(seq: TokenSequence, n_layers: int, hidden: int, seed: int,
 
     Every (token, layer) cell seeds its own generator from a stable hash,
     so identical inputs give bitwise-identical stacks on any platform.
-    Pad positions are excluded; values are float32-representable so the
-    container round-trips exactly.
+    Every token other than the pad token is encoded, wherever the pads
+    sit; values are float32-representable so the container round-trips
+    exactly.
     """
-    tokens = [t for t in seq.tokens[: seq.effective_len] if t != PAD_TOKEN]
+    tokens = [t for t in seq.tokens if t != PAD_TOKEN]
     if not tokens:
         raise ValueError("pseudo_encode needs at least one non-pad token")
     if n_layers < 1 or hidden < 1:

@@ -11,6 +11,7 @@ import argparse
 import copy
 import importlib.resources
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,11 +67,21 @@ def _schema_errors(validator, document) -> str | None:
     return "; ".join(spots)
 
 
+def _non_finite_numbers(value, path=""):
+    """(key path, number) for each non-finite float in a JSON document."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, value
+    elif isinstance(value, (dict, list)):
+        for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite_numbers(sub, f"{path}/{key}" if path else str(key))
+
+
 def validate_runconfig(raw) -> dict:
     """Schema-check a raw config and return it with defaults applied.
 
     The defaulted result is validated a second time, so the resolved echo
-    written next to a checkpoint is guaranteed to be re-loadable.
+    written next to a checkpoint is guaranteed to be re-loadable, and it
+    may hold no non-finite number: ``json`` reads ``1e999`` as ``inf``.
     """
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
@@ -82,6 +93,10 @@ def validate_runconfig(raw) -> dict:
     problem = _schema_errors(validator, resolved)
     if problem:
         raise ConfigError(f"resolved config failed re-validation: {problem}")
+    problem = "; ".join(f"{path}: {number!r} is not a finite number"
+                        for path, number in _non_finite_numbers(resolved))
+    if problem:
+        raise ConfigError(f"run config rejected: {problem}")
 
     use_bert = resolved["branches"] in ("bert", "both")
     use_emb = resolved["branches"] in ("emb", "both")
@@ -287,6 +302,14 @@ def _read_token_file(path, jsonl: bool) -> list[tuple[str, list[str]]]:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _parse_split(path, split: str) -> list[corpus.HeadlineRecord]:
+    """The records of a dataset CSV that must hold at least one."""
+    records = corpus.parse_dataset(path)
+    if not records:
+        raise ConfigError(f"{path}: {split} set is empty")
+    return records
+
+
 def cmd_preprocess(args) -> int:
     records = corpus.parse_dataset(args.data)
     stop = (corpus.StopList.from_file(args.stopwords) if args.stopwords
@@ -317,10 +340,9 @@ def cmd_pseudo_encode(args) -> int:
     rows = _read_token_file(args.tokens, args.jsonl)
     stacks = []
     for record_id, tokens in rows:
-        effective = sum(1 for t in tokens if t != PAD_TOKEN)
-        seq = TokenSequence(tuple(tokens), effective, len(tokens))
         stacks.append(bertfuse.pseudo_encode(
-            seq, args.layers, args.hidden, args.seed, stack_id=record_id))
+            TokenSequence(tuple(tokens)), args.layers, args.hidden, args.seed,
+            stack_id=record_id))
     bertfuse.write_hs_file(stacks, args.out)
     print(f"stacks {len(stacks)}")
     return 0
@@ -343,9 +365,7 @@ def cmd_train(args) -> int:
             raw["train"] = section
     resolved = validate_runconfig(raw)
 
-    records = corpus.parse_dataset(resolved["train_data"])
-    if not records:
-        raise ConfigError(f"{resolved['train_data']}: training set is empty")
+    records = _parse_split(resolved["train_data"], "training")
     samples, dims = _assemble_samples(records, resolved, resolved["features"])
     dataset = [(inputs, target) for _, inputs, target in samples]
 
@@ -357,9 +377,7 @@ def cmd_train(args) -> int:
     if resolved["dev_data"]:
         if resolved["branches"] in ("bert", "both") and not resolved["dev_features"]:
             raise ConfigError("dev_data needs dev_features when the encoder branch is on")
-        dev_records = corpus.parse_dataset(resolved["dev_data"])
-        if not dev_records:
-            raise ConfigError(f"{resolved['dev_data']}: dev set is empty")
+        dev_records = _parse_split(resolved["dev_data"], "dev")
         dev_samples, dev_dims = _assemble_samples(dev_records, resolved,
                                                   resolved["dev_features"])
         _check_dims(dev_dims, net.config, resolved, resolved["dev_features"])
@@ -404,9 +422,7 @@ def cmd_evaluate(args) -> int:
         raise DataFormatError(f"{args.checkpoint}: embedded run manifest: {exc}") from exc
     features = args.features if args.features else resolved["features"]
 
-    records = corpus.parse_dataset(args.data)
-    if not records:
-        raise ConfigError(f"{args.data}: nothing to evaluate")
+    records = _parse_split(args.data, "evaluation")
     samples, dims = _assemble_samples(records, resolved, features)
     _check_dims(dims, net.config, resolved, features)
     report = train_lib.evaluate_model(net, samples, clamp=args.clamp)
@@ -421,8 +437,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    train_records = corpus.parse_dataset(args.train)
-    eval_records = corpus.parse_dataset(args.eval)
+    train_records = _parse_split(args.train, "training")
+    eval_records = _parse_split(args.eval, "evaluation")
     rmse = train_lib.baseline_rmse(train_records, eval_records)
     print(f"rmse {rmse:.10f}")
     return 0

@@ -19,6 +19,7 @@ from .errors import DataFormatError, open_text
 
 PAD_TOKEN = "<pad>"
 DEFAULT_MAX_LEN = 40
+MIN_BIN_WIDTH = 0.001  # at most 3,000 histogram bins over [0, 3]
 
 _SPAN_RE = re.compile(r"<([^<>]*)/>")
 _EDGE_PUNCT = string.punctuation
@@ -59,17 +60,9 @@ class HeadlineRecord:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Fixed-capacity token list; pads fill positions past effective_len."""
+    """A token list, pads included; every token other than the pad token is real."""
 
     tokens: tuple[str, ...]
-    effective_len: int
-    max_len: int
-
-    def __post_init__(self):
-        if len(self.tokens) != self.max_len:
-            raise ValueError(f"token list length {len(self.tokens)} != max_len {self.max_len}")
-        if self.effective_len > self.max_len:
-            raise ValueError("effective_len exceeds max_len")
 
 
 class StopList:
@@ -180,12 +173,8 @@ def pad_truncate(tokens, max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
     """Clip to max_len or fill with pad tokens; truncation keeps the head."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    tokens = list(tokens)
-    if len(tokens) > max_len:
-        return TokenSequence(tuple(tokens[:max_len]), max_len, max_len)
-    effective = len(tokens)
-    tokens.extend([PAD_TOKEN] * (max_len - effective))
-    return TokenSequence(tuple(tokens), effective, max_len)
+    tokens = tuple(tokens)[:max_len]
+    return TokenSequence(tokens + (PAD_TOKEN,) * (max_len - len(tokens)))
 
 
 def prepare(record: HeadlineRecord, variant: str, stoplist: StopList | None,
@@ -202,10 +191,12 @@ def grade_histogram(records, bin_width: float) -> list[tuple[float, int]]:
 
     The top edge (grade 3.0) falls into the last bin.  Values within
     1e-9 * bin_width below a boundary count as on the boundary, so the
-    exact decimal grades of the task data bin as written.
+    exact decimal grades of the task data bin as written.  The width must
+    be finite and at least :data:`MIN_BIN_WIDTH`.
     """
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if not MIN_BIN_WIDTH <= bin_width < math.inf:
+        raise ValueError(f"bin width {bin_width:g} is not a finite number of at least "
+                         f"{MIN_BIN_WIDTH:g}")
     n_bins = 1
     while n_bins * bin_width < 3.0 - 1e-9 * bin_width:
         n_bins += 1

@@ -167,7 +167,7 @@ class UnifiedEmbedder:
         return np.concatenate(blocks)
 
     def build_matrix(self, seq: TokenSequence) -> EmbeddingMatrix:
-        data = np.zeros((seq.max_len, self.total_dim), dtype=np.float64)
+        data = np.zeros((len(seq.tokens), self.total_dim), dtype=np.float64)
         for t, token in enumerate(seq.tokens):
             if token != PAD_TOKEN:
                 data[t] = self.embed_token(token)

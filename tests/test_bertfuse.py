@@ -19,8 +19,6 @@ from iben.bertfuse import (
     adjacent_pairing,
     fuse,
     listed_pairing,
-    pair_concat,
-    pool_layer,
     pseudo_encode,
     read_hs_file,
     select_layers,
@@ -74,27 +72,37 @@ class TestLayerStack:
             LayerStack(data, id="bad")
 
 
+def pooled_block(stack, layer):
+    """The block fuse lays down for one layer: the first half of a row that
+    pairs it first."""
+    partner = 2 if layer == 1 else 1
+    row = fuse(stack, LayerPairing(((layer, partner),)), [1.0]).data[0]
+    return row[:2 * stack.hidden]
+
+
 class TestPoolLayer:
+    """fuse pools each layer over its tokens: the mean block, then the max block."""
+
     def test_two_token_example(self):
-        stack = LayerStack(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        npt.assert_array_equal(pool_layer(stack, 1), [2.0, 3.0, 3.0, 4.0])
+        stack = LayerStack(np.array([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]]]))
+        npt.assert_array_equal(pooled_block(stack, 1), [2.0, 3.0, 3.0, 4.0])
 
     def test_single_token_avg_equals_max(self):
         rng = np.random.default_rng(0)
         stack = random_stack(rng, n_layers=2, seq_len=1, hidden=6)
-        pooled = pool_layer(stack, 2)
+        pooled = pooled_block(stack, 2)
         npt.assert_array_equal(pooled[:6], stack.data[1, 0])
         npt.assert_array_equal(pooled[6:], stack.data[1, 0])
 
     def test_zero_layer(self):
-        stack = LayerStack(np.zeros((1, 4, 3)))
-        npt.assert_array_equal(pool_layer(stack, 1), np.zeros(6))
+        stack = LayerStack(np.zeros((2, 4, 3)))
+        npt.assert_array_equal(fuse(stack, adjacent_pairing(2), [1.0]).data, np.zeros((1, 12)))
 
     def test_layer_index_bounds(self):
         stack = LayerStack(np.zeros((2, 2, 2)))
         for bad in (0, 3, -1):
-            with pytest.raises(ValueError):
-                pool_layer(stack, bad)
+            with pytest.raises(ValueError, match="outside|1-based"):
+                fuse(stack, LayerPairing(((bad, 1),)), [1.0])
 
     def test_bounds_invariant(self):
         """AVG within per-dimension [min, max]; MAX dominates AVG."""
@@ -103,7 +111,7 @@ class TestPoolLayer:
             stack = random_stack(rng, n_layers=3, seq_len=int(rng.integers(1, 7)),
                                  hidden=int(rng.integers(1, 9)))
             layer = int(rng.integers(1, 4))
-            pooled = pool_layer(stack, layer)
+            pooled = pooled_block(stack, layer)
             h = stack.hidden
             data = stack.data[layer - 1]
             assert np.all(pooled[:h] >= data.min(axis=0) - 1e-12)
@@ -113,32 +121,33 @@ class TestPoolLayer:
     def test_token_permutation_invariance(self):
         rng = np.random.default_rng(3)
         stack = random_stack(rng, n_layers=2, seq_len=6, hidden=4)
-        perm = rng.permutation(6)
-        shuffled = LayerStack(stack.data[:, perm, :])
-        for layer in (1, 2):
-            base = pool_layer(stack, layer)
-            moved = pool_layer(shuffled, layer)
+        shuffled = LayerStack(stack.data[:, rng.permutation(6), :])
+        base = fuse(stack, adjacent_pairing(2), [1.0]).data[0]
+        moved = fuse(shuffled, adjacent_pairing(2), [1.0]).data[0]
+        for mean_block in (slice(0, 4), slice(8, 12)):
             # the mean block reorders its summation, so allow rounding noise
-            npt.assert_allclose(moved[:4], base[:4], atol=1e-14)
-            npt.assert_array_equal(moved[4:], base[4:])
+            npt.assert_allclose(moved[mean_block], base[mean_block], atol=1e-14)
+        for max_block in (slice(4, 8), slice(12, 16)):
+            npt.assert_array_equal(moved[max_block], base[max_block])
 
 
 class TestPairConcat:
+    """A fused row holds the pooled block of its pair's first layer, then the second's."""
+
     def test_high_block_first(self):
-        out = pair_concat(np.array([2.0, 3, 3, 4]), np.zeros(4))
-        npt.assert_array_equal(out, [2, 3, 3, 4, 0, 0, 0, 0])
+        stack = LayerStack(np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]]]))
+        out = fuse(stack, adjacent_pairing(2), [1.0]).data
+        npt.assert_array_equal(out, [[2, 3, 3, 4, 0, 0, 0, 0]])
 
     def test_identical_inputs(self):
-        v = np.arange(6.0)
-        npt.assert_array_equal(pair_concat(v, v), np.concatenate([v, v]))
+        layer = np.arange(6.0).reshape(2, 3)
+        out = fuse(LayerStack(np.stack([layer, layer])), adjacent_pairing(2), [1.0]).data
+        pooled = np.concatenate([layer.mean(axis=0), layer.max(axis=0)])
+        npt.assert_array_equal(out, [np.concatenate([pooled, pooled])])
 
     def test_hidden_1024_gives_4096(self):
-        pooled = np.ones(2048)
-        assert pair_concat(pooled, pooled).shape == (4096,)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError, match="disagree"):
-            pair_concat(np.ones(4), np.ones(6))
+        stack = LayerStack(np.ones((2, 3, 1024)))
+        assert fuse(stack, adjacent_pairing(2), [1.0]).data.shape == (1, 4096)
 
 
 class TestPairings:
@@ -160,6 +169,10 @@ class TestPairings:
     def test_zero_index_rejected(self):
         with pytest.raises(ValueError, match="1-based"):
             LayerPairing(((1, 0),))
+
+    def test_empty_pairing_rejected(self):
+        with pytest.raises(ValueError, match="at least one pair"):
+            LayerPairing(())
 
     def test_uniform_weights(self):
         assert uniform_weights(3) == [1.0, 1.0, 1.0]

@@ -10,7 +10,9 @@ import pytest
 
 import iben.cli as cli
 import iben.model as model_lib
-from iben.bertfuse import LayerStack, read_hs_file, write_hs_file
+from iben import corpus
+from iben.bertfuse import (LayerStack, adjacent_pairing, fuse, listed_pairing, pseudo_encode,
+                           read_hs_file, select_layers, uniform_weights, write_hs_file)
 from iben.cli import main, validate_runconfig
 from iben.errors import ConfigError
 
@@ -236,6 +238,22 @@ class TestStats:
         assert lines[-1] == "total,4"
         assert sum(int(line.split(",")[1]) for line in lines[1:-1]) == 4
 
+    @pytest.mark.parametrize("width", ["0.0009", "inf", "nan", "-1"])
+    def test_width_not_finite_or_below_a_thousandth_exits_1_naming_it(
+            self, pipeline, capsys, width):
+        """A width of 1e-7 would ask for 3e7 bins, one loop step each."""
+        assert main(["stats", "--data", str(pipeline["data"]), "--bin-width", width]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: bin width {float(width):g} is not a finite number "
+                                f"of at least 0.001\n")
+
+    def test_width_of_a_thousandth_gives_3000_bins(self, pipeline, capsys):
+        assert main(["stats", "--data", str(pipeline["data"]), "--bin-width", "0.001"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 3000 + 1
+        assert lines[-2] == "2.999,0" and lines[-1] == "total,4"
+
 
 class TestPseudoEncode:
     def test_container_contents(self, pipeline):
@@ -299,6 +317,21 @@ class TestPseudoEncode:
                      "--hidden", "2", "--out", str(tmp_path / "rows.hs")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "rows.tsv line 2: row 'b' has no token" in err
+
+    @pytest.mark.parametrize("jsonl", [False, True], ids=["tsv", "jsonl"])
+    def test_every_token_but_the_pad_token_reaches_the_stack(self, tmp_path, jsonl):
+        rows = [("a", ["cat", "<pad>", "fish"]), ("b", ["<pad>", "dog"])]
+        tokens = tmp_path / ("rows.jsonl" if jsonl else "rows.tsv")
+        tokens.write_text("".join(json.dumps({"id": i, "tokens": t}) + "\n" if jsonl
+                                  else f"{i}\t{' '.join(t)}\n" for i, t in rows))
+        out = tmp_path / "rows.hs"
+        argv = ["pseudo-encode", "--tokens", str(tokens), "--layers", "2", "--hidden", "3",
+                "--seed", "4", "--out", str(out)]
+        assert main(argv + (["--jsonl"] if jsonl else [])) == 0
+        a, b = read_hs_file(out)
+        assert (a.seq_len, b.seq_len) == (2, 1)
+        real = pseudo_encode(corpus.TokenSequence(("cat", "fish")), 2, 3, 4)
+        np.testing.assert_array_equal(a.data, real.data)
 
     @pytest.mark.parametrize("jsonl", [False, True], ids=["tsv", "jsonl"])
     def test_repeated_id_exits_2_naming_both_lines(self, tmp_path, capsys, jsonl):
@@ -412,6 +445,29 @@ class TestTrain:
         assert f"{literal} is not a JSON number" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("member, argv, path, shown", [
+        ('"train": {"eps": 1e999}', [], "train/eps", "inf"),
+        ('"train": {"learning_rate": 1e999}', [], "train/learning_rate", "inf"),
+        ('"oov": {"low": -1e999}', [], "oov/low", "-inf"),
+        ('"layer_weights": [1.0, 1e999]', [], "layer_weights/1", "inf"),
+        ('"seed": 1', ["--learning-rate", "nan"], "train/learning_rate", "nan"),
+        ('"seed": 1', ["--learning-rate", "inf"], "train/learning_rate", "inf"),
+    ], ids=["overflowing_eps", "overflowing_learning_rate", "overflowing_negative",
+            "overflowing_list_item", "nan_flag", "inf_flag"])
+    def test_non_finite_number_exits_1_naming_its_path_before_reading_data(
+            self, pipeline, tmp_path, capsys, member, argv, path, shown):
+        """An overflowing JSON literal reads as inf, and argparse's float takes
+        nan and inf; neither is a constant the JSON reader can refuse."""
+        out_dir = tmp_path / "never"
+        cfg = make_config(pipeline, out_dir, train_data=str(tmp_path / "absent.csv"))
+        del cfg["train"], cfg["seed"]
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps(cfg)[:-1] + ", " + member + "}")
+        assert main(["train", "--config", str(config)] + argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: run config rejected: {path}: {shown} is not a finite number\n"
+        assert not out_dir.exists()
+
     def test_integer_past_the_digit_limit_exits_2(self, pipeline, tmp_path, capsys):
         config = tmp_path / "digits.json"
         config.write_text(json.dumps(make_config(pipeline, tmp_path / "never"))
@@ -488,6 +544,50 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == (f"error: {features}: record index 0 ('1'): file ends inside the "
                        f"dimensions (12 bytes declared, 5 left)\n")
+
+
+FUSION_CONFIGS = {
+    "defaults": ({}, 4),
+    "listed": ({"layers": [7, 2, 3, 8], "pairing": "listed"}, 2),
+    "summed": ({"fusion_mode": "summed", "layer_weights": [0.5, 2.0, -1.0, 3.0]}, 1),
+    "learned": ({"learn_layer_weights": True}, 4),
+}
+
+
+class TestFusionConfigs:
+    """Each fusion key through `iben train`, on eight layers of width 4."""
+
+    @pytest.fixture(scope="class")
+    def features8(self, pipeline, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fusion") / "features8.hs"
+        assert main(["pseudo-encode", "--tokens", str(pipeline["tokens"]), "--layers", "8",
+                     "--hidden", "4", "--seed", "1", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("name", list(FUSION_CONFIGS))
+    def test_train_fuses_each_record_as_configured(self, pipeline, features8, tmp_path, name):
+        overrides, n_rows = FUSION_CONFIGS[name]
+        out_dir = tmp_path / name
+        config = write_config(pipeline, out_dir, features=str(features8), **overrides)
+        assert main(["train", "--config", str(config)]) == 0
+        resolved = json.loads((out_dir / "config.resolved.json").read_text())
+        net = model_lib.load_checkpoint(out_dir / "model.ckpt")
+        assert (net.config.n_pairs, net.config.fused_width) == (n_rows, 16)
+        assert (net.layer_weights is not None) == (name == "learned")
+
+        layers = resolved["layers"] or range(1, 9)
+        pairing = (listed_pairing if resolved["pairing"] == "listed"
+                   else adjacent_pairing)(len(layers))
+        weights = resolved["layer_weights"] or uniform_weights(len(pairing))
+        stacks = {s.id: s for s in read_hs_file(features8)}
+        samples, _ = cli._assemble_samples(corpus.parse_dataset(pipeline["data"]), resolved,
+                                           str(features8))
+        assert [record_id for record_id, _, _ in samples] == ["1", "2", "3", "4"]
+        for record_id, (fused, _), _ in samples:
+            want = fuse(select_layers(stacks[record_id], layers), pairing, weights,
+                        resolved["fusion_mode"])
+            assert fused.data.shape == (n_rows, 16)
+            assert np.array_equal(fused.data, want.data)
 
 
 @pytest.fixture(scope="module")
@@ -717,6 +817,18 @@ class TestBaseline:
                      "--eval", str(eval_csv)]) == 0
         printed = capsys.readouterr().out.strip()
         assert printed == f"rmse {math.sqrt(2.0):.10f}"
+
+    @pytest.mark.parametrize("empty_split, what", [("--train", "training"),
+                                                   ("--eval", "evaluation")])
+    def test_empty_split_exits_1_naming_the_file(self, pipeline, tmp_path, capsys,
+                                                 empty_split, what):
+        empty = write_dataset(tmp_path / "empty.csv", rows=[])
+        argv = {"--train": str(pipeline["data"]), "--eval": str(pipeline["data"])}
+        argv[empty_split] = str(empty)
+        assert main(["baseline", *(item for pair in argv.items() for item in pair)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {empty}: {what} set is empty\n"
 
 
 class TestGradcheck:

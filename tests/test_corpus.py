@@ -15,7 +15,6 @@ from iben.corpus import (
     PAD_TOKEN,
     HeadlineRecord,
     StopList,
-    TokenSequence,
     apply_edit,
     default_stoplist,
     grade_histogram,
@@ -248,20 +247,20 @@ class TestPadTruncate:
     def test_short_input_padded(self):
         seq = pad_truncate(["a"] * 7)
         assert len(seq.tokens) == DEFAULT_MAX_LEN
-        assert seq.effective_len == 7
+        assert sum(t != PAD_TOKEN for t in seq.tokens) == 7
         assert seq.tokens[7:] == (PAD_TOKEN,) * 33
 
     def test_exact_length_unchanged(self):
         tokens = [f"t{i}" for i in range(40)]
         seq = pad_truncate(tokens)
         assert seq.tokens == tuple(tokens)
-        assert seq.effective_len == 40
+        assert sum(t != PAD_TOKEN for t in seq.tokens) == 40
 
     def test_long_input_keeps_the_head(self):
         tokens = [f"t{i}" for i in range(45)]
         seq = pad_truncate(tokens)
         assert seq.tokens == tuple(tokens[:40])
-        assert seq.effective_len == 40
+        assert sum(t != PAD_TOKEN for t in seq.tokens) == 40
 
     def test_max_len_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -272,10 +271,11 @@ class TestPadTruncate:
     @settings(max_examples=120, deadline=None)
     def test_output_length_always_max_len(self, tokens, max_len):
         seq = pad_truncate(tokens, max_len)
+        real = sum(t != PAD_TOKEN for t in seq.tokens)
         assert len(seq.tokens) == max_len
-        assert seq.effective_len == min(len(tokens), max_len)
-        assert seq.tokens[:seq.effective_len] == tuple(tokens[:max_len])
-        assert all(t == PAD_TOKEN for t in seq.tokens[seq.effective_len:])
+        assert real == min(len(tokens), max_len)
+        assert seq.tokens[:real] == tuple(tokens[:max_len])
+        assert all(t == PAD_TOKEN for t in seq.tokens[real:])
 
 
 class TestPrepare:
@@ -353,9 +353,3 @@ class TestPipelineInvariants:
                 for tok in tokenize(apply_edit(r, variant)):
                     assert tok == tok.lower()
                     assert "<" not in tok and ">" not in tok
-
-    def test_token_sequence_validates_lengths(self):
-        with pytest.raises(ValueError):
-            TokenSequence(("a", "b"), 2, 3)
-        with pytest.raises(ValueError):
-            TokenSequence(("a", "b"), 3, 2)
