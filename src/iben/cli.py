@@ -160,6 +160,22 @@ def _fuse_stack(stack: bertfuse.LayerStack, resolved) -> bertfuse.FusedSequence:
     return bertfuse.fuse(stack, pairing, weights, mode=resolved["fusion_mode"])
 
 
+def _fuse_records(records, resolved, features_path) -> dict:
+    """Fuse every record's layer stack, keyed by record id.
+
+    The container's stacks are freed on return, before any vector table
+    is read, so the two never hold memory at once.
+    """
+    stacks = bertfuse.stacks_by_id(bertfuse.read_hs_file(features_path), features_path)
+    fused_map = {}
+    for r in records:
+        stack = stacks.get(r.id)
+        if stack is None:
+            raise ConfigError(f"{features_path}: no hidden states for record {r.id!r}")
+        fused_map[r.id] = _fuse_stack(stack, resolved)
+    return fused_map
+
+
 def _assemble_samples(records, resolved, features_path):
     """Per-record model inputs: (id, (fused, emb), target) triples.
 
@@ -167,14 +183,7 @@ def _assemble_samples(records, resolved, features_path):
     """
     use_bert = resolved["branches"] in ("bert", "both")
     use_emb = resolved["branches"] in ("emb", "both")
-    fused_map = {}
-    if use_bert:
-        stacks = bertfuse.stacks_by_id(bertfuse.read_hs_file(features_path), features_path)
-        for r in records:
-            stack = stacks.get(r.id)
-            if stack is None:
-                raise ConfigError(f"{features_path}: no hidden states for record {r.id!r}")
-            fused_map[r.id] = _fuse_stack(stack, resolved)
+    fused_map = _fuse_records(records, resolved, features_path) if use_bert else {}
     embedder = _embedder_from(resolved) if use_emb else None
     stop = _stoplist_from(resolved) if use_emb else None
 

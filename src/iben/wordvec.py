@@ -8,6 +8,7 @@ lookups, so the matrix width is the sum of the table dimensions.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -38,66 +39,119 @@ class WordVectorTable:
         return self.entries.get(word)
 
 
+_LOADTXT = dict(delimiter=" ", comments=None, quotechar=None, ndmin=2, dtype=np.float64)
+
+
 def load_text_vectors(path, format: str = "glove_text", name: str = "") -> WordVectorTable:
-    """Parse a text vector file.
+    """Parse a text vector file with one ``np.loadtxt`` pass over its components.
 
     ``glove_text`` is one ``word v1 .. vD`` line per entry; ``w2v_text``
     is the same preceded by a ``count dim`` header line, whose count must
-    equal the number of vector lines, duplicates included.  Duplicate words
-    keep their first occurrence.
+    equal the number of vector lines, duplicates included.  Blank lines are
+    skipped and duplicate words keep their first occurrence.  Each entry is
+    a row of one N x D matrix.
+
+    Fields are separated by single spaces.  A component is an ASCII decimal
+    number as C's ``strtod`` reads it (``-0.5``, ``1e-3``, ``.5``), which
+    may have whitespace other than the space around it; ``inf`` and ``nan``
+    parse but are refused as non-finite.  ``1_0``, non-ASCII digits such as
+    ``１`` and ``1#x`` are refused as non-numeric.  Every line is checked,
+    and an error names the first line that breaks a rule.
     """
     if format not in ("glove_text", "w2v_text"):
         raise ValueError(f"unknown vector format {format!r}")
-    entries: dict[str, np.ndarray] = {}
-    dim = None
-    duplicates = 0
+    words: list[str] = []
+
+    def components(lines):
+        for _, word, rest in lines:
+            words.append(word)
+            yield rest
+
     with open_text(path) as fh:
-        lineno = 0
-        if format == "w2v_text":
-            header = fh.readline()
-            lineno = 1
-            parts = header.split()
-            if len(parts) != 2:
-                raise DataFormatError(f"{path} line 1: expected 'count dim' header")
-            try:
-                count, dim = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataFormatError(f"{path} line 1: bad header {header.strip()!r}, "
-                                      f"expected two integers") from None
-            if dim < 1:
-                raise DataFormatError(f"{path} line 1: dim must be positive")
-        for line in fh:
-            lineno += 1
-            parts = line.rstrip("\n").split(" ")
-            if parts == [""]:
-                continue
-            word, rest = parts[0], parts[1:]
-            if dim is None:
-                dim = len(rest)
-                if dim == 0:
-                    raise DataFormatError(f"{path} line {lineno}: no vector components")
-            if len(rest) != dim:
-                raise DataFormatError(
-                    f"{path} line {lineno}: expected {dim} components, found {len(rest)}"
-                )
-            try:
-                vec = np.array([float(v) for v in rest], dtype=np.float64)
-            except ValueError:
-                raise DataFormatError(f"{path} line {lineno}: non-numeric component") from None
-            if not np.isfinite(vec).all():
-                raise DataFormatError(f"{path} line {lineno}: non-finite component")
-            if word in entries:
-                duplicates += 1
-            else:
-                entries[word] = vec
-    if not entries:
+        count, dim, lineno = _read_header(fh, path, format)
+        rows = components(_vector_lines(fh, path, dim, lineno))
+        try:
+            first = next(rows, None)  # loadtxt warns on no rows
+            if first is not None:
+                matrix = np.loadtxt(itertools.chain([first], rows), **_LOADTXT)
+        except (ValueError, DataFormatError):
+            # a bad line, bad UTF-8 or a non-finite row before either: the
+            # first failure seen need not be the first bad line
+            _raise_first_bad_line(path, format)
+    if first is None:
         raise DataFormatError(f"{path}: no vector entries")
-    if format == "w2v_text" and count != len(entries) + duplicates:
+    if len(matrix) != len(words) or not np.isfinite(matrix).all():
+        _raise_first_bad_line(path, format)
+    entries: dict[str, np.ndarray] = {}
+    for word, row in zip(words, matrix):
+        entries.setdefault(word, row)
+    duplicates = len(words) - len(entries)
+    if count is not None and count != len(words):
         raise DataFormatError(f"{path}: header declares {count} vectors, "
-                              f"the file holds {len(entries) + duplicates}")
+                              f"the file holds {len(words)}")
     if duplicates:
         log.warning("%s: %d duplicate entries ignored (first occurrence kept)", path, duplicates)
-    return WordVectorTable(dim, entries, name=name or str(path), duplicates=duplicates)
+    return WordVectorTable(matrix.shape[1], entries, name=name or str(path),
+                           duplicates=duplicates)
+
+
+def _read_header(fh, path, format):
+    """The w2v header's ``(count, dim)`` and the number of lines it takes:
+    ``(None, None, 0)`` for ``glove_text``."""
+    if format != "w2v_text":
+        return None, None, 0
+    header = fh.readline()
+    parts = header.split()
+    if len(parts) != 2:
+        raise DataFormatError(f"{path} line 1: expected 'count dim' header")
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise DataFormatError(f"{path} line 1: bad header {header.strip()!r}, "
+                              f"expected two integers") from None
+    if dim < 1:
+        raise DataFormatError(f"{path} line 1: dim must be positive")
+    return count, dim, 1
+
+
+def _vector_lines(fh, path, dim, lineno):
+    """Yield ``(lineno, word, components)`` for each non-blank line after
+    line ``lineno``, checking its component count against ``dim`` (or the
+    first line's count) and refusing an empty component."""
+    for line in fh:
+        lineno += 1
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        word, space, rest = line.partition(" ")
+        found = rest.count(" ") + 1 if space else 0
+        if dim is None:
+            dim = found
+            if dim == 0:
+                raise DataFormatError(f"{path} line {lineno}: no vector components")
+        if found != dim:
+            raise DataFormatError(
+                f"{path} line {lineno}: expected {dim} components, found {found}")
+        if "  " in f" {rest} ":
+            raise DataFormatError(f"{path} line {lineno}: non-numeric component")
+        yield lineno, word, rest
+
+
+def _raise_first_bad_line(path, format):
+    """Check the file line by line, in order, and raise for the first line
+    that does not hold ``dim`` finite numbers."""
+    with open_text(path) as fh:
+        _, dim, lineno = _read_header(fh, path, format)
+        for lineno, _, rest in _vector_lines(fh, path, dim, lineno):
+            try:
+                row = np.loadtxt([rest], **_LOADTXT)
+            except ValueError:
+                row = None
+            if row is None or len(row) != 1:
+                raise DataFormatError(f"{path} line {lineno}: non-numeric component")
+            if not np.isfinite(row).all():
+                raise DataFormatError(f"{path} line {lineno}: non-finite component")
+    raise AssertionError(f"{path}: parse failed, but every line checks")
 
 
 @dataclass(frozen=True)

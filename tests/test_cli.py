@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -588,6 +589,60 @@ class TestFusionConfigs:
                         resolved["fusion_mode"])
             assert fused.data.shape == (n_rows, 16)
             assert np.array_equal(fused.data, want.data)
+
+
+class TestAssembleSamples:
+    def test_the_container_is_freed_before_any_table_loads(self, pipeline, tmp_path,
+                                                          monkeypatch):
+        """The float64 stacks and the vector tables never hold memory at once."""
+        read, load = cli.bertfuse.read_hs_file, cli.wordvec.load_text_vectors
+        alive = []
+
+        def read_and_watch(path):
+            stacks = read(path)
+            alive.extend(weakref.ref(s.data) for s in stacks)
+            return stacks
+
+        def load_after_the_stacks_are_gone(*args, **kwargs):
+            assert alive and all(ref() is None for ref in alive)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(cli.bertfuse, "read_hs_file", read_and_watch)
+        monkeypatch.setattr(cli.wordvec, "load_text_vectors", load_after_the_stacks_are_gone)
+        resolved = validate_runconfig(make_config(pipeline, tmp_path / "out"))
+        samples, _ = cli._assemble_samples(corpus.parse_dataset(pipeline["data"]), resolved,
+                                           resolved["features"])
+        assert len(samples) == 4
+
+    def test_no_records_give_no_samples(self, pipeline, tmp_path):
+        resolved = validate_runconfig(make_config(pipeline, tmp_path / "out"))
+        samples, dims = cli._assemble_samples([], resolved, resolved["features"])
+        assert samples == [] and dims["fused_width"] is None
+
+
+class TestVectorTableTraps:
+    """A malformed vector table exits 2 with one line naming its file and line."""
+
+    CASES = {
+        "empty_component_at_dim_1": (b"a 1\nb \n", "line 2: non-numeric component"),
+        "a_space_alone_at_dim_1": (b"a 1\n \n", "line 2: non-numeric component"),
+        "comment_sign": (b"a 1\nb 1#x\n", "line 2: non-numeric component"),
+        "tab_separated": (b"a 1 2\nb 1\t2\n", "line 2: expected 2 components, found 1"),
+        "digit_group_separator": (b"a 1 2\nb 1_0 2\n", "line 2: non-numeric component"),
+        "non_ascii_digit": ("a 1 2\nb \uff11 2\n".encode(), "line 2: non-numeric component"),
+        "infinity_before_a_count_error": (b"a 1 2\nb inf 2\nc 1\n",
+                                         "line 2: non-finite component"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, name):
+        raw, message = self.CASES[name]
+        vectors = tmp_path / "bad.txt"
+        vectors.write_bytes(raw)
+        config = write_config(pipeline, tmp_path / "run",
+                              embedding_tables=[{"path": str(vectors)}])
+        assert main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {vectors} {message}\n"
 
 
 @pytest.fixture(scope="module")
