@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import importlib.resources
 import json
 import math
@@ -176,15 +177,19 @@ def _fuse_records(records, resolved, features_path) -> dict:
     return fused_map
 
 
-def _assemble_samples(records, resolved, features_path):
+def _assemble_samples(records, resolved, features_path, load_embedder=None):
     """Per-record model inputs: (id, (fused, emb), target) triples.
 
     Also returns the input widths the model must be built with.
+    ``load_embedder`` returns the ``UnifiedEmbedder`` to use, so that two
+    splits can share one load of the vector tables; it defaults to loading
+    them here.  It is called after the records are fused.
     """
     use_bert = resolved["branches"] in ("bert", "both")
     use_emb = resolved["branches"] in ("emb", "both")
     fused_map = _fuse_records(records, resolved, features_path) if use_bert else {}
-    embedder = _embedder_from(resolved) if use_emb else None
+    load_embedder = load_embedder or functools.partial(_embedder_from, resolved)
+    embedder = load_embedder() if use_emb else None
     stop = _stoplist_from(resolved) if use_emb else None
 
     samples = []
@@ -375,7 +380,9 @@ def cmd_train(args) -> int:
     resolved = validate_runconfig(raw)
 
     records = _parse_split(resolved["train_data"], "training")
-    samples, dims = _assemble_samples(records, resolved, resolved["features"])
+    # both splits share one load of the vector tables, made on first use
+    load_embedder = functools.cache(functools.partial(_embedder_from, resolved))
+    samples, dims = _assemble_samples(records, resolved, resolved["features"], load_embedder)
     dataset = [(inputs, target) for _, inputs, target in samples]
 
     net = model_lib.IbenModel(_model_config_from(resolved, dims))
@@ -388,12 +395,14 @@ def cmd_train(args) -> int:
             raise ConfigError("dev_data needs dev_features when the encoder branch is on")
         dev_records = _parse_split(resolved["dev_data"], "dev")
         dev_samples, dev_dims = _assemble_samples(dev_records, resolved,
-                                                  resolved["dev_features"])
+                                                  resolved["dev_features"], load_embedder)
         _check_dims(dev_dims, net.config, resolved, resolved["dev_features"])
 
         def callback(epoch, current):
             report = train_lib.evaluate_model(current, dev_samples, clamp=resolved["clamp"])
             dev_rmse.append(report.rmse)
+
+    load_embedder.cache_clear()  # training needs no vector table
 
     history = train_lib.train(net, dataset, train_config, epoch_callback=callback)
 

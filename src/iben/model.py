@@ -309,12 +309,14 @@ class IbenModel:
         joined = feats[0] if len(feats) == 1 else ad.concat(feats, axis=-1)
         return ad.reshape(self.head(joined), joined.shape[:-1])
 
-    def predict(self, fused=None, emb=None, clamp: bool = False) -> float:
-        """Forward pass outside any tape, as a plain float."""
-        value = self.forward(fused=fused, emb=emb).item()
+    def predict(self, fused=None, emb=None, clamp: bool = False) -> float | np.ndarray:
+        """Forward pass outside any tape: a plain float for one sample's
+        matrices, a length-B array for a batch of B, in its row order.
+        ``clamp`` bounds each prediction to [0, 3]."""
+        values = self.forward(fused=fused, emb=emb).values
         if clamp:
-            value = min(max(value, 0.0), 3.0)
-        return value
+            values = np.clip(values, 0.0, 3.0)
+        return float(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------

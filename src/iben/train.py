@@ -114,18 +114,21 @@ def _clip_gradients(params, cap: float) -> None:
             p.grad *= factor
 
 
-def _stack_batch(dataset, batch):
-    """The batch's fused and embedding inputs, each stacked along a new first
-    axis (None where the samples have none), and its targets."""
-    samples = [dataset[i] for i in batch]
+def _stack_batch(samples, names):
+    """The samples' fused and embedding inputs, each stacked along a new first
+    axis (None where the samples have none), and their targets.
+
+    ``samples`` are ``((fused, emb), target)`` pairs; ``names`` label them in
+    the error raised when an input's shape differs from the first sample's.
+    """
     stacked = []
     for slot, what in enumerate(("fused", "embedding")):
         arrays = [getattr(inputs[slot], "data", inputs[slot]) for inputs, _ in samples]
         shapes = [None if a is None else np.shape(a) for a in arrays]
-        for i, shape in zip(batch, shapes):
+        for name, shape in zip(names, shapes):
             if shape != shapes[0]:
-                raise ad.ShapeError(f"sample {i} has {what} input shape {shape}, sample "
-                                    f"{batch[0]} has {shapes[0]}; a batch needs one shape")
+                raise ad.ShapeError(f"{name} has {what} input shape {shape}, {names[0]} "
+                                    f"has {shapes[0]}; a batch needs one shape")
         stacked.append(None if shapes[0] is None else np.stack(arrays))
     return stacked, Tensor([float(target) for _, target in samples])
 
@@ -134,7 +137,8 @@ def _backward_batch(model, dataset, batch, loss: str) -> float:
     """Accumulate the batch loss's gradient, from one tape, into the model's
     parameters; return the sum of the per-sample losses.  The tape and the
     stacked inputs are freed on return."""
-    (fused, emb), goal = _stack_batch(dataset, batch)
+    (fused, emb), goal = _stack_batch([dataset[i] for i in batch],
+                                      [f"sample {i}" for i in batch])
     with ad.Tape() as tape:
         pred = model.forward(fused=fused, emb=emb)
         total = (ad.mse_loss if loss == "mse" else ad.mae_sum_loss)(pred, goal)
@@ -204,12 +208,29 @@ def evaluate_rmse(predictions, targets) -> float:
     return float(np.sqrt(np.mean((preds - goals) ** 2)))
 
 
+EVAL_CHUNK = 16  # samples stacked per evaluation forward pass, the paper's batch size
+
+
+def _predict_chunk(model, chunk, clamp: bool) -> list[float]:
+    """One stacked prediction of the chunk's samples; its inputs are freed on return."""
+    (fused, emb), _ = _stack_batch([(inputs, target) for _, inputs, target in chunk],
+                                   [f"record {sample_id!r}" for sample_id, _, _ in chunk])
+    return model.predict(fused=fused, emb=emb, clamp=clamp).tolist()
+
+
 def evaluate_model(model, samples, clamp: bool = False) -> EvalReport:
-    """Predict every sample; samples are (id, (fused, emb), target) triples."""
+    """Predict every sample; samples are (id, (fused, emb), target) triples.
+
+    The samples run in order, in chunks of ``EVAL_CHUNK`` stacked into one
+    ``model.predict`` call each, so memory holds one chunk's inputs at a time.
+    The samples of a chunk must share each input's shape; a shape error names
+    the record by its id.  Rows keep the input order.
+    """
     rows = []
-    for sample_id, (fused, emb), target in samples:
-        pred = model.predict(fused=fused, emb=emb, clamp=clamp)
-        rows.append((sample_id, float(target), pred))
+    for start in range(0, len(samples), EVAL_CHUNK):
+        chunk = samples[start:start + EVAL_CHUNK]
+        rows += [(sample_id, float(target), pred) for (sample_id, _, target), pred
+                 in zip(chunk, _predict_chunk(model, chunk, clamp))]
     rmse = evaluate_rmse([r[2] for r in rows], [r[1] for r in rows])
     return EvalReport(rmse=rmse, n=len(rows), rows=tuple(rows))
 

@@ -614,6 +614,47 @@ class TestAssembleSamples:
                                            resolved["features"])
         assert len(samples) == 4
 
+    def test_train_loads_each_table_once_after_the_container_is_freed(self, pipeline,
+                                                                      tmp_path, monkeypatch):
+        """The training and dev splits share one load of every vector table, made
+        after the training container's stacks are gone."""
+        second = write_vectors(tmp_path / "second.txt", dim=3)
+        read, load = cli.bertfuse.read_hs_file, cli.wordvec.load_text_vectors
+        alive, loads = [], []
+
+        def read_and_watch(path):
+            stacks = read(path)
+            if not loads:
+                alive.extend(weakref.ref(s.data) for s in stacks)
+            return stacks
+
+        def load_and_count(path, *args, **kwargs):
+            assert alive and all(ref() is None for ref in alive)
+            loads.append(str(path))
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli.bertfuse, "read_hs_file", read_and_watch)
+        monkeypatch.setattr(cli.wordvec, "load_text_vectors", load_and_count)
+        config = write_config(pipeline, tmp_path / "run", dev_data=str(pipeline["data"]),
+                              dev_features=str(pipeline["features"]),
+                              embedding_tables=[{"path": str(pipeline["vectors"])},
+                                                {"path": str(second)}])
+        assert main(["train", "--config", str(config)]) == 0
+        assert loads == [str(pipeline["vectors"]), str(second)]
+
+    def test_a_shared_embedder_gives_the_same_samples(self, pipeline, tmp_path):
+        resolved = validate_runconfig(make_config(pipeline, tmp_path / "out",
+                                                  oov={"kind": "seeded_uniform"}))
+        records = corpus.parse_dataset(pipeline["data"])
+        embedder = cli._embedder_from(resolved)
+        # another split uses the embedder first, as the training split does in `train`
+        cli._assemble_samples(records[2:], resolved, resolved["features"], lambda: embedder)
+        shared, _ = cli._assemble_samples(records, resolved, resolved["features"],
+                                          lambda: embedder)
+        fresh, _ = cli._assemble_samples(records, resolved, resolved["features"])
+        for (_, (_, a), _), (_, (_, b), _) in zip(shared, fresh):
+            assert a.data.tobytes() == b.data.tobytes()
+
     def test_no_records_give_no_samples(self, pipeline, tmp_path):
         resolved = validate_runconfig(make_config(pipeline, tmp_path / "out"))
         samples, dims = cli._assemble_samples([], resolved, resolved["features"])

@@ -1,6 +1,7 @@
 """Optimizer updates, the training loop, RMSE evaluation, the baseline."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from iben.autodiff import Parameter, ShapeError
 from iben.errors import TrainingError
 from iben.model import IbenModel, ModelConfig
 from iben.train import (
+    EVAL_CHUNK,
     AdamState,
     EvalReport,
     TrainConfig,
@@ -310,6 +312,27 @@ class TestEvaluateRmse:
             evaluate_rmse([], [])
 
 
+def per_sample_rows(model, samples, clamp):
+    """The one-predict-per-sample loop, kept as the oracle of evaluate_model."""
+    return [(sample_id, float(target), model.predict(fused=fused, emb=emb, clamp=clamp))
+            for sample_id, (fused, emb), target in samples]
+
+
+def spread_model(**overrides):
+    """A tiny model whose predictions spread past both clamp bounds."""
+    model = tiny_model(seed=23, **overrides)
+    model.head.W.values[...] *= 40.0
+    model.head.b.values[...] = 1.5
+    return model
+
+
+def eval_samples(n, seed=0, branches="both"):
+    """(id, (fused, emb), target) triples, None for a disabled branch's input."""
+    return [(f"h{i}", (fused if branches != "emb" else None,
+                       emb if branches != "bert" else None), target)
+            for i, ((fused, emb), target) in enumerate(tiny_dataset(n, seed=seed))]
+
+
 class TestEvaluateModel:
     def test_report_contents(self):
         model = tiny_model(seed=19)
@@ -329,6 +352,82 @@ class TestEvaluateModel:
                    for i, (inputs, y) in enumerate(tiny_dataset(2, seed=22))]
         report = evaluate_model(model, samples, clamp=True)
         assert all(0.0 <= r[2] <= 3.0 for r in report.rows)
+
+    BRANCHES = {"bert": dict(use_emb_branch=False), "emb": dict(use_bert_branch=False),
+                "both": {}}
+
+    @pytest.mark.parametrize("branches", list(BRANCHES))
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+    def test_matches_the_per_sample_oracle(self, n, clamp, branches):
+        model = spread_model(**self.BRANCHES[branches])
+        samples = eval_samples(n, seed=n, branches=branches)
+        want = per_sample_rows(model, samples, clamp)
+        report = evaluate_model(model, samples, clamp=clamp)
+        assert report.n == n
+        assert [r[:2] for r in report.rows] == [r[:2] for r in want]
+        assert all(type(r[2]) is float for r in report.rows)
+        npt.assert_allclose([r[2] for r in report.rows], [r[2] for r in want],
+                            rtol=0, atol=1e-12)
+        rmse = evaluate_rmse([r[2] for r in want], [r[1] for r in want])
+        assert abs(report.rmse - rmse) <= 1e-12
+        if clamp:
+            assert all(0.0 <= r[2] <= 3.0 for r in report.rows)
+
+    def test_the_clamp_case_reaches_both_bounds(self):
+        preds = [r[2] for r in evaluate_model(spread_model(), eval_samples(33, seed=33)).rows]
+        assert min(preds) < 0.0 and max(preds) > 3.0
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_model(tiny_model(), [])
+
+    def test_ragged_embedding_names_the_record(self):
+        samples = eval_samples(40, seed=24)
+        sample_id, (fused, emb), target = samples[20]
+        samples[20] = (sample_id, (fused, emb[:3]), target)
+        with pytest.raises(ShapeError, match=r"record 'h20' has embedding input shape "
+                                             r"\(3, 3\), record 'h16' has \(4, 3\)"):
+            evaluate_model(tiny_model(), samples)
+
+    def test_missing_fused_input_names_the_record(self):
+        samples = eval_samples(40, seed=25)
+        sample_id, (_, emb), target = samples[37]
+        samples[37] = (sample_id, (None, emb), target)
+        with pytest.raises(ShapeError, match="record 'h37' has fused input shape None, "
+                                             "record 'h32' has"):
+            evaluate_model(tiny_model(), samples)
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 33, 48])
+    def test_one_predict_call_per_chunk(self, n, monkeypatch):
+        """The benchmark times model.predict by wrapping it on the class."""
+        calls = []
+        predict = IbenModel.predict
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs["emb"].shape[0])
+            return predict(self, *args, **kwargs)
+
+        monkeypatch.setattr(IbenModel, "predict", counted)
+        evaluate_model(tiny_model(), eval_samples(n, seed=26))
+        assert len(calls) == math.ceil(n / EVAL_CHUNK) and sum(calls) == n
+        assert max(calls) <= EVAL_CHUNK
+
+    def test_memory_holds_one_chunk(self):
+        """The peak for 64 samples stays within 25% of the peak for 16: the
+        samples are never stacked as one split."""
+        model = tiny_model(seed=27, fused_width=64, n_pairs=6, emb_dim=48)
+        rng = np.random.default_rng(28)
+        samples = [(f"h{i}", (rng.normal(size=(6, 64)), rng.normal(size=(20, 48))), 1.0)
+                   for i in range(64)]
+        evaluate_model(model, samples[:EVAL_CHUNK])  # warm up
+        peaks = []
+        for n in (EVAL_CHUNK, 64):
+            tracemalloc.start()
+            evaluate_model(model, samples[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def fake_records(*means):
