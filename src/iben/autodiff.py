@@ -9,15 +9,24 @@ on the tape being swept or is a :class:`Parameter`; every other operand is
 a constant, which the backward function is told so that it can skip that
 gradient, and only parameters carry a ``.grad``.  The open tapes are
 process-wide and not thread-safe: an op run on any thread is recorded on
-the innermost open tape.  A tape knows the tensors it recorded, and a
-tensor does not refer to its tape, so a finished graph is freed by
-reference counting alone.
+the innermost open tape.  An op may hand part of its numpy work to the
+module's one worker thread (:func:`run_both`); that work records nothing,
+and the op's tape entry is made on the caller's thread.  A tape knows the
+tensors it recorded, and a tensor does not refer to its tape, so a
+finished graph is freed by reference counting alone.
 
-Every op verifies its output is finite and raises :class:`NonFiniteError`
-otherwise; overflow never propagates silently.
+The sequence ops leave input rows that are all zero (word-vector padding)
+out of their products with the input's weights, which are exactly zero
+there; an input's gradient still covers every row.  Every op verifies its
+output is finite and raises :class:`NonFiniteError` otherwise; overflow
+never propagates silently.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -39,12 +48,14 @@ __all__ = [
     "reshape",
     "total",
     "gru_sequence",
+    "bi_gru_sequence",
     "conv1d",
     "max_over_time",
     "avg_over_time",
     "mse_loss",
     "mae_sum_loss",
     "grad_check",
+    "run_both",
 ]
 
 
@@ -181,6 +192,53 @@ def _apply(values: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the second core
+
+# Multiply-adds per time step and direction, B * 3H * (I + H), from which
+# bi_gru_sequence runs its two directions concurrently.  On a 2-vCPU VM with one
+# BLAS thread (T 12 and 40, B 1-16, H 32-128, I 64-4096), every shape at or above
+# it ran 7-38% faster concurrently; below it, shapes whose per-step arrays are
+# small ran up to 2.5x slower, as both threads take turns with the interpreter lock.
+_PAIR_MIN_STEP_WORK = 1 << 21
+
+
+def _new_worker() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="iben-worker")
+
+
+_worker = _new_worker()  # its one thread starts at the first concurrent call
+if hasattr(os, "register_at_fork"):  # a forked child lacks the parent's worker thread
+    os.register_at_fork(after_in_child=lambda: globals().update(_worker=_new_worker()))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_both(first, second, concurrent: bool) -> tuple:
+    """``(first(), second())``.
+
+    When ``concurrent`` is true and the process may use at least two CPUs,
+    ``second`` runs on the module's one worker thread, under a copy of the
+    caller's context (so the caller's ``np.errstate`` holds there), while
+    ``first`` runs on the caller's thread.  An exception from either is
+    raised only after both have finished, ``first``'s in preference.  Both
+    must be plain numpy work: they must not record on a tape or call
+    ``run_both``.
+    """
+    if not (concurrent and _usable_cpus() >= 2):
+        return first(), second()
+    future = _worker.submit(contextvars.copy_context().run, second)
+    try:
+        result = first()
+    finally:
+        wait((future,))
+    return result, future.result()
+
+
 _BLOCK_COLUMNS = 512
 
 
@@ -188,6 +246,48 @@ def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """``out += a @ b``, a block of columns at a time, with no temporary as large as ``out``."""
     for lo in range(0, b.shape[1], _BLOCK_COLUMNS):
         out[:, lo:lo + _BLOCK_COLUMNS] += a @ b[:, lo:lo + _BLOCK_COLUMNS]
+
+
+# ---------------------------------------------------------------------------
+# all-zero input rows
+
+# Input values (rows x width) from which gru_sequence and conv1d look for all-zero
+# input rows.  On a 2-vCPU VM with one BLAS thread, with 80% of the rows zero,
+# the scan, gather and scatter cost 20-46 us more than they saved per op at
+# 640 x 8 to 640 x 32 inputs and 36-48 product columns, broke even at 256 x 64,
+# and saved 100-130 us at 640 x 64 and 1.7-2.4 ms at 640 x 900.
+_SKIP_MIN_VALUES = 1 << 15
+
+
+def _nonzero_rows(rows: np.ndarray) -> np.ndarray | None:
+    """The indices of the rows of a 2-D array that hold a nonzero value, or
+    None when every row does or the array has fewer than ``_SKIP_MIN_VALUES``
+    values.
+
+    An all-zero row's product with a weight matrix is exactly zero, and so is
+    its share of that weight's gradient, so :func:`_times` and :func:`_live`
+    leave it out.  The word-vector matrix's padding rows are all-zero, and so
+    is an OOV token's row under ``oov: zeros``.
+    """
+    if rows.size < _SKIP_MIN_VALUES:
+        return None
+    keep = np.flatnonzero(rows.any(axis=1))
+    return None if keep.size == rows.shape[0] else keep
+
+
+def _times(rows: np.ndarray, keep: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+    """``rows @ m``, multiplied out for the rows ``keep`` only (all rows when None)."""
+    if keep is None:
+        return rows @ m
+    out = np.zeros((rows.shape[0], m.shape[1]))
+    out[keep] = rows[keep] @ m
+    return out
+
+
+def _live(d_rows: np.ndarray, rows: np.ndarray, keep: np.ndarray | None) -> tuple:
+    """``(d_rows, rows)`` cut to the rows ``keep``: the operands of the weight
+    gradient ``d_rows.T @ rows``."""
+    return (d_rows, rows) if keep is None else (d_rows[keep], rows[keep])
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -310,50 +410,38 @@ def total(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # sequence ops
 
-def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
-                 reverse: bool = False) -> Tensor:
-    """GRU states over the rows of a T x I sequence, as one T x H tensor.
-
-    A B x T x I batch of sequences gives B x T x H states; a 2-D input is the
-    batch of one without the axis.  ``weights`` is (W, U) or (W, U, b): W is
-    3H x I, U is 3H x H and b has length 3H, each stacked as the z, r and h
-    gate blocks in that order.  With W_z the first H rows of W, and so on,
-    one step is
-
-        z = sigmoid(W_z x + U_z h + b_z)     r = sigmoid(W_r x + U_r h + b_r)
-        c = tanh(W_h x + r * (U_h h) + b_h)  h' = z * h + (1 - z) * c
-
-    from ``h0`` (H, or B x H for a batch; zeros when None).  With ``reverse``
-    the rows are consumed last to first; row t of the output is always the
-    state after input row t.  The input projection of every sample, step and
-    gate is one GEMM outside the recurrence, and each step's recurrence is
-    one B x H by H x 3H GEMM (Appleyard et al., arXiv:1604.01946).  The
-    backward pass is hand-written BPTT that forms each weight gradient once
-    per batch, a parameter W's by adding into its buffer in place; one pass
-    gives every operand's gradient, and the input's is skipped when the
-    input is a constant.
-    """
-    weights = tuple(weights)
+def _check_gru(x: Tensor, weights: tuple, h0: Tensor | None, op: str) -> int:
+    """The hidden size H that ``weights`` stack for ``x``; raise on any shape mismatch."""
     if len(weights) not in (2, 3):
-        raise ShapeError(f"gru_sequence needs (W, U) or (W, U, b), got {len(weights)} tensors")
+        raise ShapeError(f"{op} needs (W, U) or (W, U, b), got {len(weights)} tensors")
     xv = x.values
     if xv.ndim not in (2, 3) or 0 in xv.shape[:-1]:
-        raise ShapeError(f"gru_sequence needs a non-empty T x I or B x T x I input, "
-                         f"got shape {x.shape}")
+        raise ShapeError(f"{op} needs a non-empty T x I or B x T x I input, got shape {x.shape}")
     W, U = weights[0].values, weights[1].values
     H = W.shape[0] // 3 if W.ndim == 2 else 0
     if (H == 0 or W.shape != (3 * H, xv.shape[-1]) or U.shape != (3 * H, H)
             or any(b.shape != (3 * H,) for b in weights[2:])):
-        raise ShapeError(f"gru_sequence weight shapes {[w.shape for w in weights]} do not "
+        raise ShapeError(f"{op} weight shapes {[w.shape for w in weights]} do not "
                          f"stack three gates over an input of width {xv.shape[-1]}")
     h_shape = xv.shape[:-2] + (H,)
     if h0 is not None and h0.shape != h_shape:
-        raise ShapeError(f"gru_sequence initial state has shape {h0.shape}, expected {h_shape}")
+        raise ShapeError(f"{op} initial state has shape {h0.shape}, expected {h_shape}")
+    return H
 
+
+def _gru(x: Tensor, weights: tuple, h0: Tensor | None, reverse: bool,
+         keep: np.ndarray | None):
+    """One GRU direction over checked operands (see :func:`gru_sequence`):
+    its states and its BPTT function.  ``keep`` is ``_nonzero_rows`` of the
+    input's rows.  Plain numpy; nothing is recorded."""
+    xv = x.values
     *_, T, I = xv.shape
+    W, U = weights[0].values, weights[1].values
+    H = U.shape[1]
+    h_shape = xv.shape[:-2] + (H,)
     rows = xv.reshape(-1, I)  # row b * T + t is input row t of sample b
     B = rows.shape[0] // T
-    pre = rows @ W.T
+    pre = _times(rows, keep, W.T)
     if len(weights) == 3:
         pre += weights[2].values
     pre = pre.reshape(B, T, 3 * H)
@@ -393,18 +481,89 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
         d_rows = d_pre.reshape(B * T, 3 * H)  # in the row order of ``rows``
         dx = (d_rows @ W).reshape(xv.shape) if wanted[0] else None
         dW = None
-        if isinstance(weights[0], Parameter):  # in place: W is 12.6 MB at paper dims
-            _add_product(weights[0].grad, d_rows.T, rows)
-        elif wanted[1]:
-            dW = d_rows.T @ rows
+        if wanted[1]:
+            d_live, x_live = _live(d_rows, rows, keep)
+            if isinstance(weights[0], Parameter):  # in place: W is 12.6 MB at paper dims
+                _add_product(weights[0].grad, d_live.T, x_live)
+            else:
+                dW = d_live.T @ x_live
         db = d_rows.sum(axis=0)
         d_pre[..., 2 * H:] *= zr[..., H:]  # now the gradient of U @ h_prev
         dU = d_rows.T @ states[:, 1 - new:1 - new + T].reshape(B * T, H)
         return ([dx, dW, dU] + ([db] if len(weights) == 3 else [])
                 + ([dh.reshape(h_shape)] if h0 is not None else []))
 
+    return out, bptt
+
+
+def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
+                 reverse: bool = False) -> Tensor:
+    """GRU states over the rows of a T x I sequence, as one T x H tensor.
+
+    A B x T x I batch of sequences gives B x T x H states; a 2-D input is the
+    batch of one without the axis.  ``weights`` is (W, U) or (W, U, b): W is
+    3H x I, U is 3H x H and b has length 3H, each stacked as the z, r and h
+    gate blocks in that order.  With W_z the first H rows of W, and so on,
+    one step is
+
+        z = sigmoid(W_z x + U_z h + b_z)     r = sigmoid(W_r x + U_r h + b_r)
+        c = tanh(W_h x + r * (U_h h) + b_h)  h' = z * h + (1 - z) * c
+
+    from ``h0`` (H, or B x H for a batch; zeros when None).  With ``reverse``
+    the rows are consumed last to first; row t of the output is always the
+    state after input row t.  The input projection of every sample, step and
+    gate is one GEMM outside the recurrence, and each step's recurrence is
+    one B x H by H x 3H GEMM (Appleyard et al., arXiv:1604.01946).  Input
+    rows that are all zero are left out of the projection and of W's
+    gradient, whose share of them is exactly zero.  The backward pass is
+    hand-written BPTT that forms each weight gradient once per batch, a
+    parameter W's by adding into its buffer in place; one pass gives every
+    operand's gradient, and the input's, over every row, is skipped when
+    the input is a constant.
+    """
+    weights = tuple(weights)
+    _check_gru(x, weights, h0, "gru_sequence")
+    out, bptt = _gru(x, weights, h0, reverse, _nonzero_rows(x.values.reshape(-1, x.shape[-1])))
     parents = (x,) + weights + (() if h0 is None else (h0,))
     return _apply(out, "gru_sequence", parents, bptt)
+
+
+def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
+    """``concat([gru_sequence(x, fwd_weights), gru_sequence(x, bwd_weights,
+    reverse=True)], axis=-1)`` as one op, with the same bits.
+
+    A T x I sequence gives T x 2H states, a B x T x I batch B x T x 2H.  The
+    two directions are independent, so from ``_PAIR_MIN_STEP_WORK``
+    multiply-adds per step and direction (see :func:`run_both`) the backward
+    direction's forward and BPTT run on the worker thread while the forward
+    direction's run on the caller's.  Both directions share one scan of the
+    input for all-zero rows.  The input's gradient, when wanted, is the sum
+    of the two directions' gradients.
+    """
+    fwd_weights, bwd_weights = tuple(fwd_weights), tuple(bwd_weights)
+    H = _check_gru(x, fwd_weights, None, "bi_gru_sequence")
+    if _check_gru(x, bwd_weights, None, "bi_gru_sequence") != H:
+        raise ShapeError(f"bi_gru_sequence directions have hidden sizes {H} and "
+                         f"{bwd_weights[1].shape[1]}")
+    B = x.values.size // (x.shape[-2] * x.shape[-1])
+    # a weight shared by both directions takes both BPTTs' in-place adds, so they take turns
+    concurrent = (B * 3 * H * (x.shape[-1] + H) >= _PAIR_MIN_STEP_WORK
+                  and not {id(w) for w in fwd_weights} & {id(w) for w in bwd_weights})
+    keep = _nonzero_rows(x.values.reshape(-1, x.shape[-1]))
+    (out_f, bptt_f), (out_b, bptt_b) = run_both(
+        lambda: _gru(x, fwd_weights, None, False, keep),
+        lambda: _gru(x, bwd_weights, None, True, keep), concurrent)
+    n = 1 + len(fwd_weights)
+
+    def backward(g, wanted):
+        grads_f, grads_b = run_both(lambda: bptt_f(g[..., :H], wanted[:n]),
+                                    lambda: bptt_b(g[..., H:], wanted[:1] + wanted[n:]),
+                                    concurrent)
+        dx = grads_f[0] + grads_b[0] if wanted[0] else None
+        return [dx] + grads_f[1:] + grads_b[1:]
+
+    return _apply(np.concatenate((out_f, out_b), axis=-1), "bi_gru_sequence",
+                  (x,) + fwd_weights + bwd_weights, backward)
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -417,6 +576,8 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     ``prod[..., s, f, j] = x[..., s, :] . kernels[f, j, :]``, and output row t
     sums ``prod[..., t+j, f, j]`` over j.  The input and kernel gradients are
     one GEMM each over the same (row, f, j) layout, so no window is copied.
+    Input rows that are all zero are left out of the product and of the
+    kernel gradient, whose share of them is exactly zero.
     """
     xv, kv, bv = x.values, kernels.values, bias.values
     if xv.ndim not in (2, 3) or kv.ndim != 3 or bv.ndim != 1:
@@ -432,7 +593,8 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     n = L - k + 1
     rows = xv.reshape(-1, D)
     slices = kv.reshape(F * k, D)
-    prod = (rows @ slices.T).reshape(xv.shape[:-1] + (F, k))
+    keep = _nonzero_rows(rows)
+    prod = _times(rows, keep, slices.T).reshape(xv.shape[:-1] + (F, k))
     out = prod[..., :n, :, 0].copy()
     for j in range(1, k):
         out += prod[..., j:j + n, :, j]
@@ -448,8 +610,9 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g, wanted):
         full = spread(g)
+        d_live, x_live = _live(full, rows, keep)
         return ((full @ slices).reshape(xv.shape) if wanted[0] else None,
-                (full.T @ rows).reshape(kv.shape),
+                (d_live.T @ x_live).reshape(kv.shape),
                 g.reshape(-1, F).sum(axis=0))
 
     return _apply(out, "conv1d", (x, kernels, bias), backward)

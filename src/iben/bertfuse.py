@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PAD_TOKEN, TokenSequence
-from .errors import DataFormatError
+from .errors import DataFormatError, open_replacing
 
 HS_MAGIC = b"IBENHS1\x00"
 _U32_MAX = 0xFFFFFFFF
@@ -183,7 +183,11 @@ def select_layers(stack: LayerStack, indices) -> LayerStack:
 # hidden-state container
 
 def write_hs_file(stacks, path) -> None:
-    """Write stacks to the binary container (little-endian, float32 payload)."""
+    """Write stacks to the binary container (little-endian, float32 payload).
+
+    The file replaces ``path`` only once every record is written
+    (:func:`~iben.errors.open_replacing`), so an error leaves ``path`` as it was.
+    """
     stacks = list(stacks)
     if len(stacks) > _U32_MAX:
         raise DimensionOverflowError("record count exceeds u32")
@@ -192,7 +196,7 @@ def write_hs_file(stacks, path) -> None:
         for s in stacks:
             if s.n_layers != n_layers or s.hidden != hidden:
                 raise ValueError("all stacks in one file must share n_layers and hidden")
-    with open(path, "wb") as fh:
+    with open_replacing(path) as fh:
         fh.write(HS_MAGIC)
         fh.write(struct.pack("<I", len(stacks)))
         for s in stacks:

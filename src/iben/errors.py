@@ -1,11 +1,13 @@
-"""Exception taxonomy shared across the package, the UTF-8 text opener and
-the strict-JSON constant hook.
+"""Exception taxonomy shared across the package, the UTF-8 text opener,
+the all-or-nothing binary writer and the strict-JSON constant hook.
 
 The CLI maps these onto its exit-code contract: validation and check
 failures exit 1, file-format and I/O problems exit 2.
 """
 
 import contextlib
+import os
+import secrets
 
 
 class IbenError(Exception):
@@ -53,3 +55,26 @@ def _first_bad_line(path) -> str:
             except UnicodeDecodeError:
                 return f" line {lineno}"
     return ""
+
+
+@contextlib.contextmanager
+def open_replacing(path):
+    """A binary file to write that takes ``path``'s place only once it is
+    complete.
+
+    The bytes go to a new file beside ``path``, which ``os.replace`` moves
+    onto ``path`` when the ``with`` block ends normally.  When the block
+    raises, the new file is removed and ``path`` keeps its old bytes, so a
+    writer that fails halfway never leaves a truncated file behind.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(temp, "xb") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+        raise

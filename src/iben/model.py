@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import DataFormatError, refuse_json_constant
+from .errors import DataFormatError, open_replacing, refuse_json_constant
 
 CHECKPOINT_SCHEMA = 2
 _HEADER_KEYS = {"schema", "config", "seed", "params", "blob_bytes", "manifest"}
@@ -140,12 +140,10 @@ def bi_gru(seq: Tensor, params: BiGru) -> Tensor:
     """Row t is the forward state at t joined with the backward state at t.
 
     The backward half comes from running the backward cell over the
-    reversed sequence and re-reversing its states.  A B x T x I batch gives
-    B x T x 2H states.
+    sequence last row first.  A B x T x I batch gives B x T x 2H states.
+    One ``bi_gru_sequence`` op computes both halves.
     """
-    return ad.concat([ad.gru_sequence(seq, params.fwd.parameters()),
-                      ad.gru_sequence(seq, params.bwd.parameters(), reverse=True)],
-                     axis=-1)
+    return ad.bi_gru_sequence(seq, params.fwd.parameters(), params.bwd.parameters())
 
 
 def pool_states(states: Tensor) -> Tensor:
@@ -356,7 +354,9 @@ def save_checkpoint(model: IbenModel, path, manifest: dict | None = None) -> Non
     """Write the model to ``path``; ``manifest`` rides along in the header.
 
     The manifest is free-form JSON (e.g. the resolved run configuration)
-    so a checkpoint records how its input features were produced.
+    so a checkpoint records how its input features were produced.  The
+    file replaces ``path`` only once it is complete
+    (:func:`~iben.errors.open_replacing`).
     """
     params = model.parameters()
     header = {
@@ -368,7 +368,7 @@ def save_checkpoint(model: IbenModel, path, manifest: dict | None = None) -> Non
     }
     if manifest is not None:
         header["manifest"] = manifest
-    with open(path, "wb") as fh:
+    with open_replacing(path) as fh:
         fh.write(_canonical(header).encode("utf-8") + b"\n")
         for p in params:
             fh.write(p.values.astype("<f8").tobytes())

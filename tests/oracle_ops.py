@@ -7,14 +7,18 @@ none of them.  The op tests use :func:`scale` as a simple linear op.
 
 :func:`gru_sequence` (one T x I sequence) and :func:`conv1d` (one L x D
 matrix, by ``einsum``) are the single-sample ops the batched ones in
-``iben.autodiff`` replaced, kept as their oracles.
+``iben.autodiff`` replaced, kept as their oracles.  :func:`batched_gru_sequence`
+and :func:`batched_conv1d` are the batched ops as they were before all-zero
+input rows were left out of their products, kept as the oracles of that skip.
 """
 
 import numpy as np
 
 from iben.autodiff import (
+    Parameter,
     ShapeError,
     Tensor,
+    _add_product,
     _apply,
     _logistic,
     _require_same_shape,
@@ -172,3 +176,119 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
                            np.einsum("tf,tdj->fjd", g, windows),
                            g.sum(axis=0)),
     )
+
+
+def batched_gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
+                         reverse: bool = False) -> Tensor:
+    """``iben.autodiff.gru_sequence`` with every input row in its products."""
+    weights = tuple(weights)
+    if len(weights) not in (2, 3):
+        raise ShapeError(f"gru_sequence needs (W, U) or (W, U, b), got {len(weights)} tensors")
+    xv = x.values
+    if xv.ndim not in (2, 3) or 0 in xv.shape[:-1]:
+        raise ShapeError(f"gru_sequence needs a non-empty T x I or B x T x I input, "
+                         f"got shape {x.shape}")
+    W, U = weights[0].values, weights[1].values
+    H = W.shape[0] // 3 if W.ndim == 2 else 0
+    if (H == 0 or W.shape != (3 * H, xv.shape[-1]) or U.shape != (3 * H, H)
+            or any(b.shape != (3 * H,) for b in weights[2:])):
+        raise ShapeError(f"gru_sequence weight shapes {[w.shape for w in weights]} do not "
+                         f"stack three gates over an input of width {xv.shape[-1]}")
+    h_shape = xv.shape[:-2] + (H,)
+    if h0 is not None and h0.shape != h_shape:
+        raise ShapeError(f"gru_sequence initial state has shape {h0.shape}, expected {h_shape}")
+
+    *_, T, I = xv.shape
+    rows = xv.reshape(-1, I)  # row b * T + t is input row t of sample b
+    B = rows.shape[0] // T
+    pre = rows @ W.T
+    if len(weights) == 3:
+        pre += weights[2].values
+    pre = pre.reshape(B, T, 3 * H)
+    # the state after input row t is states[:, t + new], the one before it states[:, t + 1 - new]
+    new = 0 if reverse else 1
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    states = np.empty((B, T + 1, H))
+    h = states[:, T * (1 - new)]
+    h[...] = 0.0 if h0 is None else h0.values.reshape(B, H)
+    zr = np.empty((B, T, 2 * H))
+    recur_c = np.empty((B, T, H))  # U_h h_prev
+    cand = np.empty((B, T, H))
+    UT = U.T
+    for t in steps:
+        g = h @ UT
+        zr[:, t] = _logistic(pre[:, t, :2 * H] + g[:, :2 * H])
+        z, r = zr[:, t, :H], zr[:, t, H:]
+        recur_c[:, t] = g[:, 2 * H:]
+        cand[:, t] = np.tanh(pre[:, t, 2 * H:] + r * recur_c[:, t])
+        h = z * h + (1.0 - z) * cand[:, t]
+        states[:, t + new] = h
+    out = states[:, new:new + T].reshape(h_shape[:-1] + (T, H))
+
+    def bptt(g, wanted):
+        gs = g.reshape(B, T, H)
+        d_pre = np.empty((B, T, 3 * H))  # z, r and candidate pre-activations
+        dh = np.zeros((B, H))
+        for t in reversed(steps):
+            dh = dh + gs[:, t]
+            z, r, c = zr[:, t, :H], zr[:, t, H:], cand[:, t]
+            dc = dh * (1.0 - z) * (1.0 - c * c)
+            d = d_pre[:, t]
+            d[:, :H] = dh * (states[:, t + 1 - new] - c) * z * (1.0 - z)
+            d[:, H:2 * H] = dc * recur_c[:, t] * r * (1.0 - r)
+            d[:, 2 * H:] = dc
+            dh = dh * z + np.concatenate((d[:, :2 * H], dc * r), axis=1) @ U
+        d_rows = d_pre.reshape(B * T, 3 * H)  # in the row order of ``rows``
+        dx = (d_rows @ W).reshape(xv.shape) if wanted[0] else None
+        dW = None
+        if isinstance(weights[0], Parameter):  # in place: W is 12.6 MB at paper dims
+            _add_product(weights[0].grad, d_rows.T, rows)
+        elif wanted[1]:
+            dW = d_rows.T @ rows
+        db = d_rows.sum(axis=0)
+        d_pre[..., 2 * H:] *= zr[..., H:]  # now the gradient of U @ h_prev
+        dU = d_rows.T @ states[:, 1 - new:1 - new + T].reshape(B * T, H)
+        return ([dx, dW, dU] + ([db] if len(weights) == 3 else [])
+                + ([dh.reshape(h_shape)] if h0 is not None else []))
+
+    parents = (x,) + weights + (() if h0 is None else (h0,))
+    return _apply(out, "gru_sequence", parents, bptt)
+
+
+def batched_conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """``iben.autodiff.conv1d`` with every input row in its products."""
+    xv, kv, bv = x.values, kernels.values, bias.values
+    if xv.ndim not in (2, 3) or kv.ndim != 3 or bv.ndim != 1:
+        raise ShapeError("conv1d needs input L x D or B x L x D, kernels F x k x D, bias F")
+    L, D = xv.shape[-2:]
+    F, k, Dk = kv.shape
+    if Dk != D:
+        raise ShapeError(f"kernel feature width {Dk} != input width {D}")
+    if bv.shape[0] != F:
+        raise ShapeError(f"bias length {bv.shape[0]} != filter count {F}")
+    if k > L:
+        raise ShapeError(f"kernel size {k} exceeds sequence length {L}")
+    n = L - k + 1
+    rows = xv.reshape(-1, D)
+    slices = kv.reshape(F * k, D)
+    prod = (rows @ slices.T).reshape(xv.shape[:-1] + (F, k))
+    out = prod[..., :n, :, 0].copy()
+    for j in range(1, k):
+        out += prod[..., j:j + n, :, j]
+    out += bv
+    prod_shape = prod.shape  # the backward keeps the shape, not the products
+
+    def spread(g):
+        """The output gradient at the (row, f, j) product each output term used."""
+        full = np.zeros(prod_shape)
+        for j in range(k):
+            full[..., j:j + n, :, j] = g
+        return full.reshape(-1, F * k)
+
+    def backward(g, wanted):
+        full = spread(g)
+        return ((full @ slices).reshape(xv.shape) if wanted[0] else None,
+                (full.T @ rows).reshape(kv.shape),
+                g.reshape(-1, F).sum(axis=0))
+
+    return _apply(out, "conv1d", (x, kernels, bias), backward)

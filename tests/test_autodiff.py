@@ -4,7 +4,9 @@ Derived gradient values are checked against central finite differences;
 simple values against hand arithmetic.
 """
 
+import os
 import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -373,6 +375,126 @@ class TestConv1d:
                     npt.assert_array_equal(single, got[0])
 
 
+class TestZeroRows:
+    """gru_sequence, bi_gru_sequence and conv1d leave all-zero input rows out
+    of their input-weight products; the ops from before that skip, kept in
+    ``oracle_ops``, are the oracles."""
+
+    CASES = ["zero rows at random positions", "an all-zero sample", "an all-zero batch",
+             "no zero rows"]
+    B, T, I, H, F, K = 4, 6, 5, 3, 2, 3
+
+    @pytest.fixture
+    def skip_at_any_size(self, monkeypatch):
+        monkeypatch.setattr(ad, "_SKIP_MIN_VALUES", 0)
+
+    def batch(self, case, rng):
+        x = rng.normal(size=(self.B, self.T, self.I))
+        if case == "zero rows at random positions":
+            zero = rng.random((self.B, self.T)) < 0.4
+            zero[0, :3] = [False, True, False]  # at least one interior zero row
+            zero[1, 2] = False
+            x[zero] = 0.0
+            x[1, 2, :-1] = 0.0  # a row that is zero but for its last value is kept
+        elif case == "an all-zero sample":
+            x[2] = 0.0
+        elif case == "an all-zero batch":
+            x[...] = 0.0
+        return x
+
+    @staticmethod
+    def weights(rng, shapes, recorded: bool):
+        """Parameters, or (for ``recorded``) tape outputs of parameters, so that
+        the gradient of a weight is returned instead of added in place."""
+        params = [Parameter(rng.normal(size=s), f"w{i}") for i, s in enumerate(shapes)]
+        return params, [ad.reshape(p, p.shape) if recorded else p for p in params]
+
+    def sweep(self, xv, input_wanted, params, op, out_shape, rng):
+        x = Parameter(xv.copy(), "x") if input_wanted else Tensor(xv)
+        cotangent = Tensor(np.random.default_rng(5).normal(size=out_shape))
+        for p in params:
+            p.zero_grad()
+        with Tape() as tape:
+            out = op(x)
+            loss = ad.total(ad.hadamard(out, cotangent))
+        tape.backward(loss)
+        return [out.values] + [p.grad.copy() for p in params] + ([x.grad] if input_wanted else [])
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("input_wanted", [False, True])
+    @pytest.mark.parametrize("recorded", [False, True])
+    @pytest.mark.parametrize("op", ["gru", "gru reversed", "bi_gru", "conv"])
+    @pytest.mark.usefixtures("skip_at_any_size")
+    def test_matches_the_batched_oracle(self, case, input_wanted, recorded, op):
+        rng = np.random.default_rng(131)
+        xv = self.batch(case, rng)
+        B, T, I, H = self.B, self.T, self.I, self.H
+        zero_rows = int((~xv.reshape(-1, I).any(axis=1)).sum())
+        keep = ad._nonzero_rows(xv.reshape(-1, I))
+        assert (keep is None) == (zero_rows == 0)
+        assert keep is None or keep.size == B * T - zero_rows
+        if op == "conv":
+            params, (kern, bias) = self.weights(rng, [(self.F, self.K, I), (self.F,)], recorded)
+            out_shape = (B, T - self.K + 1, self.F)
+            new = lambda x: ad.conv1d(x, kern, bias)  # noqa: E731
+            old = lambda x: oracle_ops.batched_conv1d(x, kern, bias)  # noqa: E731
+        else:
+            shapes = [(3 * H, I), (3 * H, H), (3 * H,)]
+            params, fwd = self.weights(rng, shapes, recorded)
+            more, bwd = self.weights(rng, shapes, recorded)
+            params += more
+            out_shape = (B, T, 2 * H if op == "bi_gru" else H)
+            reverse = op == "gru reversed"
+            if op == "bi_gru":
+                new = lambda x: ad.bi_gru_sequence(x, fwd, bwd)  # noqa: E731
+                old = lambda x: ad.concat([oracle_ops.batched_gru_sequence(x, fwd),  # noqa: E731
+                                           oracle_ops.batched_gru_sequence(x, bwd, reverse=True)],
+                                          axis=-1)
+            else:
+                new = lambda x: ad.gru_sequence(x, fwd, reverse=reverse)  # noqa: E731
+                old = lambda x: oracle_ops.batched_gru_sequence(x, fwd, reverse=reverse)  # noqa: E731
+        got = self.sweep(xv, input_wanted, params, new, out_shape, rng)
+        want = self.sweep(xv, input_wanted, params, old, out_shape, rng)
+        for g, w in zip(got, want, strict=True):
+            assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
+        if input_wanted and zero_rows:  # the input's gradient covers the zero rows too
+            dx = got[-1].reshape(-1, I)[~xv.reshape(-1, I).any(axis=1)]
+            assert np.abs(dx).max() > 0
+
+    @pytest.mark.parametrize("op", ["gru", "bi_gru", "conv"])
+    @pytest.mark.usefixtures("skip_at_any_size")
+    def test_gradcheck_with_zero_rows(self, op):
+        rng = np.random.default_rng(132)
+        xv = rng.normal(size=(2, 5, 3))
+        xv[0, 1] = xv[0, 3:] = xv[1, 0] = 0.0
+        x = Parameter(xv, "x")
+        if op == "conv":
+            params = [Parameter(rng.normal(size=(2, 2, 3)), "k"), Parameter(rng.normal(size=2), "b")]
+            out = lambda: ad.conv1d(x, *params)  # noqa: E731
+        else:
+            params = [Parameter(rng.normal(size=s), f"w{i}")
+                      for i, s in enumerate([(6, 3), (6, 2), (6,)] * 2)]
+            out = ((lambda: ad.gru_sequence(x, params[:3])) if op == "gru"
+                   else (lambda: ad.bi_gru_sequence(x, params[:3], params[3:])))
+        weights = Tensor(rng.normal(size=out().shape))
+        assert ad.grad_check(lambda: ad.total(ad.hadamard(ad.tanh(out()), weights)),
+                             params + [x]) <= 1e-6
+
+    def test_the_scan_starts_at_the_gate(self, monkeypatch):
+        """Below ``_SKIP_MIN_VALUES`` values no row is left out."""
+        rows = np.zeros((8, 4))
+        rows[3] = 1.0
+        monkeypatch.setattr(ad, "_SKIP_MIN_VALUES", rows.size)
+        npt.assert_array_equal(ad._nonzero_rows(rows), [3])
+        monkeypatch.setattr(ad, "_SKIP_MIN_VALUES", rows.size + 1)
+        assert ad._nonzero_rows(rows) is None
+
+    def test_the_overfit_inputs_are_below_the_gate(self):
+        """16 samples of criterion 4's 8 x 8 word-vector matrix: the scan would
+        cost more than it saves."""
+        assert 16 * 8 * 8 < ad._SKIP_MIN_VALUES <= 16 * 40 * 900
+
+
 class TestPooling:
     def test_batch_pools_each_sample(self):
         rng = np.random.default_rng(52)
@@ -605,6 +727,76 @@ class TestTapeSemantics:
         assert len(calls) == 2
         for n, p in params.items():
             npt.assert_array_equal(p.grad, 2 * first[n])
+
+
+class TestRunBoth:
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+
+    def test_second_runs_on_the_worker_under_the_callers_errstate(self, two_cpus):
+        def where():
+            return threading.current_thread(), np.geterr()["over"]
+
+        with np.errstate(over="raise"):
+            (first_thread, first_over), (second_thread, second_over) = ad.run_both(
+                where, where, True)
+        assert first_thread is threading.current_thread()
+        assert second_thread is not first_thread
+        assert first_over == second_over == "raise"
+
+    @pytest.mark.parametrize("cpus", [{0}, None])
+    def test_one_cpu_runs_both_here(self, monkeypatch, cpus):
+        """One CPU in the affinity set, or no affinity call and one CPU counted."""
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        here = threading.current_thread()
+        assert ad.run_both(threading.current_thread, threading.current_thread, True) == (here,
+                                                                                          here)
+
+    def test_not_concurrent_runs_both_here_in_order(self, two_cpus):
+        calls = []
+        assert ad.run_both(lambda: calls.append(threading.current_thread()) or 1,
+                           lambda: calls.append(threading.current_thread()) or 2,
+                           False) == (1, 2)
+        assert calls == [threading.current_thread()] * 2
+
+    def test_an_exception_is_raised_once_both_have_finished(self, two_cpus):
+        finished = []
+
+        def slow():
+            time.sleep(0.05)
+            finished.append("second")
+
+        def fail(which):
+            raise ValueError(which)
+
+        with pytest.raises(ValueError, match="first"):
+            ad.run_both(lambda: fail("first"), slow, True)
+        assert finished == ["second"]
+        with pytest.raises(ValueError, match="second"):
+            ad.run_both(lambda: finished.append("first"), lambda: fail("second"), True)
+        assert finished == ["second", "first"]
+
+    def test_a_forked_child_gets_its_own_worker(self, two_cpus):
+        ad.run_both(int, int, True)  # the worker thread now exists, and a child lacks it
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if its worker answers
+            code = 1
+            try:
+                code = 0 if ad.run_both(lambda: 1, lambda: 2, True) == (1, 2) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 10
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestGradCheckUtility:

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from iben import bertfuse
 from iben.bertfuse import (
     BadMagicError,
     DimensionOverflowError,
@@ -403,6 +404,29 @@ class TestHsFile:
             warnings.simplefilter("error")
             with pytest.raises(HsFileError, match=r"nan\.hs: record index 0 \('q'\) .*non-finite"):
                 read_hs_file(path)
+
+    def test_an_error_inside_the_record_loop_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """The second record's dimension overflows after the first is written:
+        the old file stays byte-identical and no temporary is left."""
+        rng = np.random.default_rng(33)
+        path = tmp_path / "a.hs"
+        write_hs_file([self.float32_stack(rng, id="old")], path)
+        old = path.read_bytes()
+        monkeypatch.setattr(bertfuse, "_U32_MAX", 3)
+        stacks = [self.float32_stack(rng, n_layers=2, seq_len=2, hidden=3, id="a"),
+                  self.float32_stack(rng, n_layers=2, seq_len=5, hidden=3, id="b")]
+        with pytest.raises(DimensionOverflowError, match="'b'"):
+            write_hs_file(stacks, path)
+        assert path.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["a.hs"]
+
+    def test_a_finished_write_replaces_the_old_file(self, tmp_path):
+        rng = np.random.default_rng(34)
+        path = tmp_path / "a.hs"
+        write_hs_file([self.float32_stack(rng, id="old")], path)
+        write_hs_file([self.float32_stack(rng, id="new")], path)
+        assert [s.id for s in read_hs_file(path)] == ["new"]
+        assert [f.name for f in tmp_path.iterdir()] == ["a.hs"]
 
     def test_mixed_shapes_rejected_on_write(self, tmp_path):
         a = LayerStack(np.zeros((2, 1, 3)))

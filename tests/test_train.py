@@ -8,6 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import iben.autodiff as ad
+import iben.train as train_lib
 from iben.autodiff import Parameter, ShapeError
 from iben.errors import TrainingError
 from iben.model import IbenModel, ModelConfig
@@ -120,13 +122,26 @@ class TestAdamStep:
         expected = scalar_adam(0.7, -0.3, steps=2)
         assert abs(float(p.values) - expected) <= 1e-15
 
-    def test_matches_the_reference_update_bit_for_bit(self):
+    def test_matches_the_reference_update_bit_for_bit(self, monkeypatch):
+        """Serially and as two halves at the same time, with the same bits as
+        each other.  The folded scalars round differently from the reference's
+        ``lr * m_hat / (sqrt(v_hat) + eps)``, so the reference is met within
+        1e-12 (criterion 7's tolerance), not bit for bit."""
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+
+        def adam_with_halves_from(min_weights):
+            def step(params, state, cfg):
+                monkeypatch.setattr(train_lib, "_ADAM_MIN_WEIGHTS", min_weights)
+                adam_step(params, state, cfg)
+            return step
+
         rng = np.random.default_rng(7)
         shapes = [(), (5,), (3, 4), (2, 3, 2), (1,), (7, 10_001)]  # the last spans two blocks
         cfg = TrainConfig(learning_rate=0.01)
         init = [rng.normal(size=s) for s in shapes]
         sides = []
-        for step in (adam_step, reference_adam_step):
+        for step in (adam_with_halves_from(1 << 62), adam_with_halves_from(0),
+                     reference_adam_step):
             params = [Parameter(v.copy(), f"p{i}") for i, v in enumerate(init)]
             sides.append((step, params, AdamState.for_params(params)))
         for _ in range(3):
@@ -135,17 +150,44 @@ class TestAdamStep:
                 for p, g in zip(params, grads):
                     p.grad[...] = g
                 step(params, state, cfg)
-        (_, got, got_state), (_, want, want_state) = sides
-        for p, w in zip(got, want):
-            npt.assert_array_equal(p.values, w.values)
-            npt.assert_array_equal(got_state.m[p.name], want_state.m[w.name])
-            npt.assert_array_equal(got_state.v[p.name], want_state.v[w.name])
+        (_, serial, serial_state), (_, halves, halves_state), (_, want, want_state) = sides
+        for p, q, w in zip(serial, halves, want, strict=True):
+            for got, ref in ((p.values, q.values), (serial_state.m[p.name], halves_state.m[q.name]),
+                             (serial_state.v[p.name], halves_state.v[q.name])):
+                npt.assert_array_equal(got, ref)
+            npt.assert_allclose(p.values, w.values, rtol=0, atol=1e-12)
+            npt.assert_allclose(serial_state.m[p.name], want_state.m[w.name], rtol=0, atol=1e-12)
+            npt.assert_allclose(serial_state.v[p.name], want_state.v[w.name], rtol=0, atol=1e-12)
 
     def test_non_finite_gradient_names_the_parameter(self):
         p = Parameter(np.zeros(2), "branch_a.fwd.W_z")
         p.grad[0] = np.nan
         with pytest.raises(TrainingError, match="branch_a.fwd.W_z"):
             adam_step([p], AdamState.for_params([p]), TrainConfig())
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_a_refused_step_changes_nothing(self, monkeypatch, concurrent):
+        """Every gradient is checked first; the error names the first bad one in list order."""
+        monkeypatch.setattr(train_lib, "_ADAM_MIN_WEIGHTS", 0 if concurrent else 1 << 62)
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(8)
+        params = [Parameter(rng.normal(size=(3, 4)), f"p{i}") for i in range(4)]
+        state = AdamState.for_params(params)
+        for _ in range(2):
+            for p in params:
+                p.grad[...] = rng.normal(size=p.shape)
+            adam_step(params, state, TrainConfig())
+        params[1].grad[0, 0] = np.inf
+        params[2].grad[2, 1] = np.nan  # in the other half from p1
+        before = [(p.values.copy(), state.m[p.name].copy(), state.v[p.name].copy())
+                  for p in params]
+        with pytest.raises(TrainingError, match="parameter p1$"):
+            adam_step(params, state, TrainConfig())
+        assert state.t == 2
+        for p, (values, m, v) in zip(params, before):
+            npt.assert_array_equal(p.values, values)
+            npt.assert_array_equal(state.m[p.name], m)
+            npt.assert_array_equal(state.v[p.name], v)
 
 
 class TestSgdStep:
@@ -161,6 +203,16 @@ class TestSgdStep:
         with pytest.raises(TrainingError, match="w"):
             sgd_step([p], TrainConfig())
 
+    def test_a_refused_step_changes_nothing(self):
+        params = [Parameter(np.full(2, float(i)), f"p{i}") for i in range(3)]
+        for p in params:
+            p.grad[...] = 1.0
+        params[2].grad[1] = np.nan
+        with pytest.raises(TrainingError, match="parameter p2$"):
+            sgd_step(params, TrainConfig(optimizer="sgd"))
+        for i, p in enumerate(params):
+            npt.assert_array_equal(p.values, [float(i)] * 2)
+
 
 class TestClipGradients:
     def test_large_norm_rescaled_to_cap(self):
@@ -174,6 +226,36 @@ class TestClipGradients:
         p.grad[...] = [0.3, 0.4]
         _clip_gradients([p], 1.0)
         npt.assert_array_equal(p.grad, [0.3, 0.4])
+
+    def test_norm_matches_the_sum_of_squares(self):
+        """The dot-product norm is within 1e-12 of ``sqrt(sum(g * g))``, so
+        the rescaled gradients are too."""
+        rng = np.random.default_rng(12)
+        params = [Parameter(np.zeros(s), f"p{i}") for i, s in enumerate([(384, 900), (7,), ()])]
+        grads = [rng.normal(size=p.shape) * 10.0 ** i for i, p in enumerate(params)]
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        _clip_gradients(params, 1.0)
+        for p, g in zip(params, grads):
+            npt.assert_allclose(p.grad, g / norm, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("reader", ["norm", "finiteness check"])
+    def test_a_large_gradient_is_not_copied(self, reader):
+        """Branch A's W gradient (384 x 4096, 12.6 MB): the clipping norm and
+        the optimizers' finiteness check each allocate under 1 MB."""
+        p = Parameter(np.zeros((384, 4096)), "branch_a.fwd.W")
+        p.grad[...] = 1e-3
+        tracemalloc.start()
+        try:
+            if reader == "norm":
+                _clip_gradients([p], 1e9)
+            else:
+                assert train_lib._non_finite([p]) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestTrain:
