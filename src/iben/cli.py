@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import importlib.resources
 import json
 import math
@@ -20,7 +19,7 @@ import jsonschema
 import numpy as np
 
 from . import autodiff as ad
-from . import bertfuse, corpus, wordvec
+from . import bertfuse, corpus, pipeline
 from . import model as model_lib
 from . import train as train_lib
 from .autodiff import Parameter, Tensor
@@ -103,6 +102,8 @@ def validate_runconfig(raw) -> dict:
     use_emb = resolved["branches"] in ("emb", "both")
     if use_bert and not resolved["features"]:
         raise ConfigError("encoder branch enabled but no 'features' file given")
+    if use_bert and resolved["dev_data"] and not resolved["dev_features"]:
+        raise ConfigError("dev_data needs dev_features when the encoder branch is on")
     if use_emb and not resolved["embedding_tables"]:
         raise ConfigError("word-vector branch enabled but 'embedding_tables' is empty")
     if resolved["learn_layer_weights"]:
@@ -124,130 +125,16 @@ def _load_json(path):
 
 
 # ---------------------------------------------------------------------------
-# pipeline assembly from a resolved config
+# set-up names bench/run.py calls; deleted once it imports iben.pipeline (ROADMAP item 2)
 
-def _stoplist_from(resolved) -> corpus.StopList | None:
-    if not resolved["remove_stopwords"]:
-        return None
-    if resolved["stopwords"]:
-        return corpus.StopList.from_file(resolved["stopwords"])
-    return corpus.default_stoplist()
+_stoplist_from = pipeline.stoplist_from
+_embedder_from = pipeline.embedder_from
+_model_config_from = pipeline.model_config_from
 
 
-def _embedder_from(resolved) -> wordvec.UnifiedEmbedder:
-    tables = []
-    for entry in resolved["embedding_tables"]:
-        tables.append(wordvec.load_text_vectors(
-            entry["path"], format=entry["format"], name=entry["name"] or ""))
-    o = resolved["oov"]
-    policy = wordvec.OovPolicy(kind=o["kind"], low=o["low"], high=o["high"], seed=o["seed"])
-    return wordvec.UnifiedEmbedder(tables, policy)
-
-
-def _fuse_stack(stack: bertfuse.LayerStack, resolved) -> bertfuse.FusedSequence:
-    if resolved["layers"]:
-        stack = bertfuse.select_layers(stack, resolved["layers"])
-    if resolved["pairing"] == "adjacent":
-        pairing = bertfuse.adjacent_pairing(stack.n_layers)
-    else:
-        pairing = bertfuse.listed_pairing(stack.n_layers)
-    if resolved["layer_weights"] is not None:
-        weights = resolved["layer_weights"]
-        if len(weights) != len(pairing):
-            raise ConfigError(
-                f"{len(weights)} layer_weights for {len(pairing)} layer pairs")
-    else:
-        weights = bertfuse.uniform_weights(len(pairing))
-    return bertfuse.fuse(stack, pairing, weights, mode=resolved["fusion_mode"])
-
-
-def _fuse_records(records, resolved, features_path) -> dict:
-    """Fuse every record's layer stack, keyed by record id.
-
-    The container's stacks are freed on return, before any vector table
-    is read, so the two never hold memory at once.
-    """
-    stacks = bertfuse.stacks_by_id(bertfuse.read_hs_file(features_path), features_path)
-    fused_map = {}
-    for r in records:
-        stack = stacks.get(r.id)
-        if stack is None:
-            raise ConfigError(f"{features_path}: no hidden states for record {r.id!r}")
-        fused_map[r.id] = _fuse_stack(stack, resolved)
-    return fused_map
-
-
-def _assemble_samples(records, resolved, features_path, load_embedder=None):
-    """Per-record model inputs: (id, (fused, emb), target) triples.
-
-    Also returns the input widths the model must be built with.
-    ``load_embedder`` returns the ``UnifiedEmbedder`` to use, so that two
-    splits can share one load of the vector tables; it defaults to loading
-    them here.  It is called after the records are fused.
-    """
-    use_bert = resolved["branches"] in ("bert", "both")
-    use_emb = resolved["branches"] in ("emb", "both")
-    fused_map = _fuse_records(records, resolved, features_path) if use_bert else {}
-    load_embedder = load_embedder or functools.partial(_embedder_from, resolved)
-    embedder = load_embedder() if use_emb else None
-    stop = _stoplist_from(resolved) if use_emb else None
-
-    samples = []
-    dims = {"fused_width": None, "n_pairs": None, "emb_dim": None}
-    for r in records:
-        fused = emb = None
-        if use_bert:
-            fused = fused_map[r.id]
-            if dims["fused_width"] is None:
-                dims["fused_width"], dims["n_pairs"] = fused.cols, fused.rows
-            elif (fused.cols, fused.rows) != (dims["fused_width"], dims["n_pairs"]):
-                raise ConfigError(
-                    f"{features_path}: record {r.id!r} fuses to "
-                    f"{fused.rows}x{fused.cols}, expected "
-                    f"{dims['n_pairs']}x{dims['fused_width']}")
-        if use_emb:
-            seq = corpus.prepare(r, resolved["variant"], stop, resolved["max_len"])
-            emb = embedder.build_matrix(seq)
-            dims["emb_dim"] = embedder.total_dim
-        samples.append((r.id, (fused, emb), r.mean_grade))
+def _assemble_samples(records, resolved, features_path):
+    (samples,), dims = pipeline.assemble(resolved, [(records, features_path)])
     return samples, dims
-
-
-def _check_dims(dims, config: model_lib.ModelConfig, resolved, features_path) -> None:
-    """Refuse assembled inputs whose widths differ from the model's, naming their files."""
-    if config.use_bert_branch and (dims["n_pairs"], dims["fused_width"]) != (
-            config.n_pairs, config.fused_width):
-        raise ConfigError(f"{features_path}: records fuse to {dims['n_pairs']}x"
-                          f"{dims['fused_width']}, the model takes "
-                          f"{config.n_pairs}x{config.fused_width}")
-    if config.use_emb_branch and dims["emb_dim"] != config.emb_dim:
-        tables = ", ".join(entry["path"] for entry in resolved["embedding_tables"])
-        raise ConfigError(f"embedding tables {tables}: {dims['emb_dim']} columns, "
-                          f"the model takes {config.emb_dim}")
-
-
-def _model_config_from(resolved, dims) -> model_lib.ModelConfig:
-    use_bert = resolved["branches"] in ("bert", "both")
-    use_emb = resolved["branches"] in ("emb", "both")
-    kwargs = dict(
-        use_bert_branch=use_bert,
-        use_emb_branch=use_emb,
-        emb_submodel=resolved["emb_submodel"],
-        hidden_size=resolved["hidden_size"],
-        dense_size=resolved["dense_size"],
-        kernel_sizes=tuple(resolved["kernel_sizes"]),
-        filters_per_kernel=resolved["filters_per_kernel"],
-        dense_activation=resolved["dense_activation"],
-        use_bias=resolved["use_bias"],
-        learn_layer_weights=resolved["learn_layer_weights"],
-        seed=resolved["seed"],
-    )
-    if use_bert:
-        kwargs["fused_width"] = dims["fused_width"]
-        kwargs["n_pairs"] = dims["n_pairs"]
-    if use_emb:
-        kwargs["emb_dim"] = dims["emb_dim"]
-    return model_lib.ModelConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -379,32 +266,23 @@ def cmd_train(args) -> int:
             raw["train"] = section
     resolved = validate_runconfig(raw)
 
-    records = _parse_split(resolved["train_data"], "training")
-    # both splits share one load of the vector tables, made on first use
-    load_embedder = functools.cache(functools.partial(_embedder_from, resolved))
-    samples, dims = _assemble_samples(records, resolved, resolved["features"], load_embedder)
-    dataset = [(inputs, target) for _, inputs, target in samples]
+    splits = [(_parse_split(resolved["train_data"], "training"), resolved["features"])]
+    if resolved["dev_data"]:
+        splits.append((_parse_split(resolved["dev_data"], "dev"), resolved["dev_features"]))
+    assembled, dims = pipeline.assemble(resolved, splits)
+    dataset = [(inputs, target) for _, inputs, target in assembled[0]]
 
-    net = model_lib.IbenModel(_model_config_from(resolved, dims))
+    net = model_lib.IbenModel(pipeline.model_config_from(resolved, dims))
     train_config = train_lib.TrainConfig(seed=resolved["seed"], **resolved["train"])
 
     dev_rmse: list[float] = []
-    callback = None
-    if resolved["dev_data"]:
-        if resolved["branches"] in ("bert", "both") and not resolved["dev_features"]:
-            raise ConfigError("dev_data needs dev_features when the encoder branch is on")
-        dev_records = _parse_split(resolved["dev_data"], "dev")
-        dev_samples, dev_dims = _assemble_samples(dev_records, resolved,
-                                                  resolved["dev_features"], load_embedder)
-        _check_dims(dev_dims, net.config, resolved, resolved["dev_features"])
 
-        def callback(epoch, current):
-            report = train_lib.evaluate_model(current, dev_samples, clamp=resolved["clamp"])
-            dev_rmse.append(report.rmse)
+    def callback(epoch, current):
+        report = train_lib.evaluate_model(current, assembled[1], clamp=resolved["clamp"])
+        dev_rmse.append(report.rmse)
 
-    load_embedder.cache_clear()  # training needs no vector table
-
-    history = train_lib.train(net, dataset, train_config, epoch_callback=callback)
+    history = train_lib.train(net, dataset, train_config,
+                              epoch_callback=callback if resolved["dev_data"] else None)
 
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -441,8 +319,8 @@ def cmd_evaluate(args) -> int:
     features = args.features if args.features else resolved["features"]
 
     records = _parse_split(args.data, "evaluation")
-    samples, dims = _assemble_samples(records, resolved, features)
-    _check_dims(dims, net.config, resolved, features)
+    (samples,), dims = pipeline.assemble(resolved, [(records, features)])
+    pipeline.check_dims(dims, net.config, resolved, features)
     report = train_lib.evaluate_model(net, samples, clamp=args.clamp)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,0 +1,105 @@
+"""Every iben name the benchmark reaches must exist.
+
+``bench/run.py`` and ``bench/tracing.py`` call into the package by attribute
+(``cli._assemble_samples``, ``self.model_lib.IbenModel``) and wrap
+attributes named by string (``tracer.wrap(wordvec, "load_text_vectors")``).
+A change to ``src`` that renames one of them breaks the benchmark only when
+it runs; these tests find it from the source.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from iben import autodiff, bertfuse, cli, corpus, model, pipeline, train, wordvec
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# the names bench/run.py's import_iben gives the modules, as locals and as
+# attributes of its Bench object; "pipeline" is not among them yet
+MODULES = {"ad": autodiff, "bertfuse": bertfuse, "cli": cli, "corpus": corpus,
+           "model_lib": model, "pipeline": pipeline, "train_lib": train, "wordvec": wordvec}
+
+
+def _aliases(scope) -> dict:
+    """MODULES, plus each local bound to ``self.<module>`` in ``scope``."""
+    names = dict(MODULES)
+    for node in ast.walk(scope):
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        target, value = node.targets[0], node.value
+        pairs = (zip(target.elts, value.elts)
+                 if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                 else [(target, value)])
+        for name, source in pairs:
+            if (isinstance(name, ast.Name) and isinstance(source, ast.Attribute)
+                    and isinstance(source.value, ast.Name) and source.value.id == "self"
+                    and source.attr in MODULES):
+                names[name.id] = MODULES[source.attr]
+    return names
+
+
+def _owner(node, names):
+    """The module or class that expression ``node`` names, or None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        if isinstance(node.value, ast.Name) and node.value.id == "self":
+            return MODULES.get(node.attr)
+        base = _owner(node.value, names)
+        if base is not None:
+            found = getattr(base, node.attr, None)
+            return found if isinstance(found, type) else None
+    return None
+
+
+def reached(path: Path) -> list[tuple[str, object, str]]:
+    """(where, owner, attribute) for every iben attribute the file reaches."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    scopes += [m for n in tree.body if isinstance(n, ast.ClassDef)
+               for m in n.body if isinstance(m, ast.FunctionDef)]
+    out = []
+    for scope in scopes:
+        names = _aliases(scope)
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute):
+                owner = _owner(node.value, names)
+                if owner is not None:
+                    out.append((f"{path.name}:{node.lineno}", owner, node.attr))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("wrap", "hook") and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                owner = _owner(node.args[0], names)
+                if owner is not None:
+                    out.append((f"{path.name}:{node.lineno}", owner, node.args[1].value))
+    return out
+
+
+@pytest.mark.parametrize("name", ["run.py", "tracing.py"])
+def test_every_iben_attribute_the_benchmark_reaches_exists(name):
+    found = reached(BENCH / name)
+    missing = [f"{where}: {getattr(owner, '__name__', owner)}.{attr}"
+               for where, owner, attr in found if not hasattr(owner, attr)]
+    assert not missing, "the benchmark reaches names src no longer has: " + ", ".join(missing)
+
+
+def test_the_scan_sees_the_set_up_calls_and_the_wrapped_layers():
+    seen = {(owner.__name__, attr) for name in ("run.py", "tracing.py")
+            for _, owner, attr in reached(BENCH / name)}
+    assert {("iben.cli", "_assemble_samples"), ("iben.cli", "_model_config_from"),
+            ("iben.cli", "_stoplist_from"), ("iben.cli", "_embedder_from"),
+            ("iben.cli", "validate_runconfig"), ("iben.cli", "_load_json"),
+            ("iben.model", "bi_gru"), ("iben.wordvec", "load_text_vectors"),
+            ("UnifiedEmbedder", "build_matrix"), ("Tape", "backward"),
+            ("IbenModel", "predict")} <= seen
+
+
+def test_the_benchmark_imports_only_modules_that_exist():
+    for name in ("run.py", "tracing.py"):
+        for node in ast.walk(ast.parse((BENCH / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "iben":
+                for alias in node.names:
+                    importlib.import_module(f"iben.{alias.name}")

@@ -11,7 +11,9 @@ import pytest
 
 import iben.cli as cli
 import iben.model as model_lib
-from iben import corpus
+import iben.pipeline as pipeline_lib
+import iben.train as train_lib
+from iben import bertfuse, corpus, wordvec
 from iben.bertfuse import (LayerStack, adjacent_pairing, fuse, listed_pairing, pseudo_encode,
                            read_hs_file, select_layers, uniform_weights, write_hs_file)
 from iben.cli import main, validate_runconfig
@@ -127,6 +129,14 @@ class TestValidateRunconfig:
         cfg = self.minimal()
         cfg["branches"] = "both"
         with pytest.raises(ConfigError, match="features"):
+            validate_runconfig(cfg)
+
+    def test_dev_data_needs_dev_features_only_with_the_encoder_branch(self):
+        cfg = self.minimal()
+        cfg["dev_data"] = "dev.csv"
+        assert validate_runconfig(cfg)["dev_features"] is None
+        cfg.update(branches="both", features="f.hs")
+        with pytest.raises(ConfigError, match="dev_data needs dev_features"):
             validate_runconfig(cfg)
 
     def test_emb_branch_needs_tables(self):
@@ -521,6 +531,40 @@ class TestTrain:
         assert err == f"error: {dev}: dev set is empty\n"
         assert not out_dir.exists()
 
+    def test_dev_data_without_dev_features_exits_1_before_reading_an_input(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input file was read before the config was refused")
+
+        monkeypatch.setattr(bertfuse, "read_hs_file", refuse)
+        monkeypatch.setattr(wordvec, "load_text_vectors", refuse)
+        out_dir = tmp_path / "no_dev_features_run"
+        config = write_config(pipeline, out_dir, dev_data=str(pipeline["data"]))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: dev_data needs dev_features when the encoder branch is on\n"
+        assert not out_dir.exists()
+
+    def test_records_of_two_shapes_exit_1_naming_the_record_before_any_table_loads(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        # write_hs_file refuses stacks of two shapes, so splice two containers' records
+        stacks = read_hs_file(pipeline["features"])
+        wide = [LayerStack(np.concatenate([s.data] * 2, axis=2), id=s.id) for s in stacks[2:]]
+        write_hs_file(stacks[:2], tmp_path / "narrow.hs")
+        write_hs_file(wide, tmp_path / "wide.hs")
+        narrow, wide = (tmp_path / "narrow.hs").read_bytes(), (tmp_path / "wide.hs").read_bytes()
+        features = tmp_path / "two_shapes.hs"
+        features.write_bytes(narrow[:8] + struct.pack("<I", 4) + narrow[12:] + wide[12:])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table loaded before the container was refused")
+
+        monkeypatch.setattr(wordvec, "load_text_vectors", refuse)
+        config = write_config(pipeline, tmp_path / "two_shapes_run", features=str(features))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {features}: record '3' fuses to 2x32, expected 2x16\n"
+
     def test_dev_container_of_another_width_names_it(self, pipeline, tmp_path, capsys):
         wide = tmp_path / "wide.hs"
         assert main(["pseudo-encode", "--tokens", str(pipeline["tokens"]), "--layers", "4",
@@ -581,8 +625,8 @@ class TestFusionConfigs:
                    else adjacent_pairing)(len(layers))
         weights = resolved["layer_weights"] or uniform_weights(len(pairing))
         stacks = {s.id: s for s in read_hs_file(features8)}
-        samples, _ = cli._assemble_samples(corpus.parse_dataset(pipeline["data"]), resolved,
-                                           str(features8))
+        (samples,), _ = pipeline_lib.assemble(
+            resolved, [(corpus.parse_dataset(pipeline["data"]), str(features8))])
         assert [record_id for record_id, _, _ in samples] == ["1", "2", "3", "4"]
         for record_id, (fused, _), _ in samples:
             want = fuse(select_layers(stacks[record_id], layers), pairing, weights,
@@ -595,7 +639,7 @@ class TestAssembleSamples:
     def test_the_container_is_freed_before_any_table_loads(self, pipeline, tmp_path,
                                                           monkeypatch):
         """The float64 stacks and the vector tables never hold memory at once."""
-        read, load = cli.bertfuse.read_hs_file, cli.wordvec.load_text_vectors
+        read, load = bertfuse.read_hs_file, wordvec.load_text_vectors
         alive = []
 
         def read_and_watch(path):
@@ -607,25 +651,25 @@ class TestAssembleSamples:
             assert alive and all(ref() is None for ref in alive)
             return load(*args, **kwargs)
 
-        monkeypatch.setattr(cli.bertfuse, "read_hs_file", read_and_watch)
-        monkeypatch.setattr(cli.wordvec, "load_text_vectors", load_after_the_stacks_are_gone)
+        monkeypatch.setattr(bertfuse, "read_hs_file", read_and_watch)
+        monkeypatch.setattr(wordvec, "load_text_vectors", load_after_the_stacks_are_gone)
         resolved = validate_runconfig(make_config(pipeline, tmp_path / "out"))
-        samples, _ = cli._assemble_samples(corpus.parse_dataset(pipeline["data"]), resolved,
-                                           resolved["features"])
+        (samples,), _ = pipeline_lib.assemble(
+            resolved, [(corpus.parse_dataset(pipeline["data"]), resolved["features"])])
         assert len(samples) == 4
 
     def test_train_loads_each_table_once_after_the_container_is_freed(self, pipeline,
                                                                       tmp_path, monkeypatch):
         """The training and dev splits share one load of every vector table, made
-        after the training container's stacks are gone."""
+        after both splits' containers are read and their stacks are gone."""
         second = write_vectors(tmp_path / "second.txt", dim=3)
-        read, load = cli.bertfuse.read_hs_file, cli.wordvec.load_text_vectors
+        read, load = bertfuse.read_hs_file, wordvec.load_text_vectors
         alive, loads = [], []
 
         def read_and_watch(path):
+            assert not loads, f"{path} was read after a table loaded"
             stacks = read(path)
-            if not loads:
-                alive.extend(weakref.ref(s.data) for s in stacks)
+            alive.extend(weakref.ref(s.data) for s in stacks)
             return stacks
 
         def load_and_count(path, *args, **kwargs):
@@ -633,8 +677,8 @@ class TestAssembleSamples:
             loads.append(str(path))
             return load(path, *args, **kwargs)
 
-        monkeypatch.setattr(cli.bertfuse, "read_hs_file", read_and_watch)
-        monkeypatch.setattr(cli.wordvec, "load_text_vectors", load_and_count)
+        monkeypatch.setattr(bertfuse, "read_hs_file", read_and_watch)
+        monkeypatch.setattr(wordvec, "load_text_vectors", load_and_count)
         config = write_config(pipeline, tmp_path / "run", dev_data=str(pipeline["data"]),
                               dev_features=str(pipeline["features"]),
                               embedding_tables=[{"path": str(pipeline["vectors"])},
@@ -642,22 +686,47 @@ class TestAssembleSamples:
         assert main(["train", "--config", str(config)]) == 0
         assert loads == [str(pipeline["vectors"]), str(second)]
 
+    def test_no_table_survives_to_training(self, pipeline, tmp_path, monkeypatch):
+        load, train = wordvec.load_text_vectors, train_lib.train
+        tables = []
+
+        def load_and_watch(*args, **kwargs):
+            table = load(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        def train_after_the_tables_are_gone(*args, **kwargs):
+            assert tables and all(ref() is None for ref in tables)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(wordvec, "load_text_vectors", load_and_watch)
+        monkeypatch.setattr(train_lib, "train", train_after_the_tables_are_gone)
+        config = write_config(pipeline, tmp_path / "run", dev_data=str(pipeline["data"]),
+                              dev_features=str(pipeline["features"]))
+        assert main(["train", "--config", str(config)]) == 0
+
     def test_a_shared_embedder_gives_the_same_samples(self, pipeline, tmp_path):
+        """A split embeds to the same bytes alone and after another split that
+        used the same table load first, as the dev split follows the training split."""
+        vectors = tmp_path / "half.txt"  # every other word is out of vocabulary
+        vectors.write_text("\n".join(pipeline["vectors"].read_text().splitlines()[::2]) + "\n")
         resolved = validate_runconfig(make_config(pipeline, tmp_path / "out",
+                                                  embedding_tables=[{"path": str(vectors)}],
                                                   oov={"kind": "seeded_uniform"}))
         records = corpus.parse_dataset(pipeline["data"])
-        embedder = cli._embedder_from(resolved)
-        # another split uses the embedder first, as the training split does in `train`
-        cli._assemble_samples(records[2:], resolved, resolved["features"], lambda: embedder)
-        shared, _ = cli._assemble_samples(records, resolved, resolved["features"],
-                                          lambda: embedder)
-        fresh, _ = cli._assemble_samples(records, resolved, resolved["features"])
-        for (_, (_, a), _), (_, (_, b), _) in zip(shared, fresh):
+        split = (records, resolved["features"])
+        (alone,), _ = pipeline_lib.assemble(resolved, [split])
+        (_, after), _ = pipeline_lib.assemble(resolved, [(records[2:], resolved["features"]),
+                                                         split])
+        stop = pipeline_lib.stoplist_from(resolved)
+        assert any(t in VOCAB[1::2] for r in records
+                   for t in corpus.prepare(r, "edited", stop, resolved["max_len"]).tokens)
+        for (_, (_, a), _), (_, (_, b), _) in zip(alone, after, strict=True):
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_no_records_give_no_samples(self, pipeline, tmp_path):
         resolved = validate_runconfig(make_config(pipeline, tmp_path / "out"))
-        samples, dims = cli._assemble_samples([], resolved, resolved["features"])
+        (samples,), dims = pipeline_lib.assemble(resolved, [([], resolved["features"])])
         assert samples == [] and dims["fused_width"] is None
 
 
