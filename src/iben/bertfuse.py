@@ -143,8 +143,8 @@ def fuse(stack: LayerStack, pairing: LayerPairing, weights,
          mode: str = "layer_sequence") -> FusedSequence:
     """Build the weighted paired-layer matrix consumed by branch A.
 
-    Every layer is pooled over its tokens, mean block then max block; row
-    ``i`` holds the blocks of ``pairs[i]`` in order, times ``weights[i]``.
+    Each layer the pairing names is pooled over its tokens, mean block then
+    max block; row ``i`` holds the blocks of ``pairs[i]``, times ``weights[i]``.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(pairing),):
@@ -154,8 +154,11 @@ def fuse(stack: LayerStack, pairing: LayerPairing, weights,
     beyond = [pair for pair in pairing.pairs if max(pair) > stack.n_layers]
     if beyond:
         raise ValueError(f"pair {beyond[0]} outside stack with {stack.n_layers} layers")
-    pooled = np.concatenate([stack.data.mean(axis=1), stack.data.max(axis=1)], axis=1)
     index = np.array(pairing.pairs) - 1
+    data = stack.data
+    if index.size < stack.n_layers:  # pool only the layers the pairing names
+        data, index = data[index.ravel()], np.arange(index.size).reshape(index.shape)
+    pooled = np.concatenate([data.mean(axis=1), data.max(axis=1)], axis=1)
     matrix = pooled[index].reshape(len(pairing), -1) * weights[:, None]
     if mode == "summed":
         matrix = matrix.sum(axis=0, keepdims=True)

@@ -19,7 +19,7 @@ import jsonschema
 import numpy as np
 
 from . import autodiff as ad
-from . import bertfuse, corpus, pipeline
+from . import bertfuse, corpus, pipeline, wordvec
 from . import model as model_lib
 from . import train as train_lib
 from .autodiff import Parameter, Tensor
@@ -111,6 +111,25 @@ def validate_runconfig(raw) -> dict:
             raise ConfigError("'layer_weights' and 'learn_layer_weights' are mutually exclusive")
         if resolved["fusion_mode"] != "layer_sequence":
             raise ConfigError("learnable layer weights need fusion_mode 'layer_sequence'")
+    layers, weights = resolved["layers"], resolved["layer_weights"]
+    if use_bert and layers:
+        if len(layers) % 2:
+            raise ConfigError(f"layers: {len(layers)} indices do not pair; fusion needs an "
+                              f"even count")
+        if len(set(layers)) != len(layers):
+            raise ConfigError(f"layers: an index repeats in {layers}")
+        if weights is not None and 2 * len(weights) != len(layers):
+            raise ConfigError(f"layer_weights: {len(weights)} weights for the "
+                              f"{len(layers) // 2} pairs of layers")
+    if use_emb:
+        try:
+            wordvec.OovPolicy(**resolved["oov"])
+        except ValueError as exc:
+            raise ConfigError(f"oov: {exc}") from None
+        if resolved["emb_submodel"] != "bigru" and resolved["max_len"] < max(
+                resolved["kernel_sizes"]):
+            raise ConfigError(f"max_len: {resolved['max_len']} is below the largest "
+                              f"kernel_sizes entry, {max(resolved['kernel_sizes'])}")
     return resolved
 
 
@@ -257,13 +276,12 @@ def cmd_train(args) -> int:
             raw["seed"] = args.seed
         if args.out_dir is not None:
             raw["out_dir"] = args.out_dir
-        if args.epochs is not None or args.learning_rate is not None:
-            section = dict(raw.get("train", {}) or {})
+        section = raw.setdefault("train", {})
+        if isinstance(section, dict):  # any other value is the schema's to refuse
             if args.epochs is not None:
                 section["epochs"] = args.epochs
             if args.learning_rate is not None:
                 section["learning_rate"] = args.learning_rate
-            raw["train"] = section
     resolved = validate_runconfig(raw)
 
     splits = [(_parse_split(resolved["train_data"], "training"), resolved["features"])]
@@ -319,8 +337,8 @@ def cmd_evaluate(args) -> int:
     features = args.features if args.features else resolved["features"]
 
     records = _parse_split(args.data, "evaluation")
-    (samples,), dims = pipeline.assemble(resolved, [(records, features)])
-    pipeline.check_dims(dims, net.config, resolved, features)
+    widths = {f: getattr(net.config, f) for f in ("n_pairs", "fused_width", "emb_dim")}
+    (samples,), _ = pipeline.assemble(resolved, [(records, features)], widths)
     report = train_lib.evaluate_model(net, samples, clamp=args.clamp)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -24,89 +24,83 @@ def stoplist_from(resolved) -> corpus.StopList | None:
 def embedder_from(resolved) -> wordvec.UnifiedEmbedder:
     tables = [wordvec.load_text_vectors(e["path"], format=e["format"], name=e["name"] or "")
               for e in resolved["embedding_tables"]]
-    o = resolved["oov"]
-    policy = wordvec.OovPolicy(kind=o["kind"], low=o["low"], high=o["high"], seed=o["seed"])
-    return wordvec.UnifiedEmbedder(tables, policy)
+    return wordvec.UnifiedEmbedder(tables, wordvec.OovPolicy(**resolved["oov"]))
 
 
-def _fuse_stack(stack: bertfuse.LayerStack, resolved) -> bertfuse.FusedSequence:
-    if resolved["layers"]:
-        stack = bertfuse.select_layers(stack, resolved["layers"])
-    pairing = (bertfuse.adjacent_pairing if resolved["pairing"] == "adjacent"
-               else bertfuse.listed_pairing)(stack.n_layers)
-    weights = resolved["layer_weights"]
-    if weights is None:
-        weights = bertfuse.uniform_weights(len(pairing))
-    elif len(weights) != len(pairing):
-        raise ConfigError(f"{len(weights)} layer_weights for {len(pairing)} layer pairs")
-    return bertfuse.fuse(stack, pairing, weights, mode=resolved["fusion_mode"])
-
-
-def _fuse_records(records, resolved, features_path) -> tuple[list, dict]:
-    """Each record's fused layer stack, in record order, and the shape they all
-    share.  The container's float64 stacks are freed on return."""
+def _fuse_records(records, resolved, features_path) -> list[bertfuse.FusedSequence]:
+    """Each record's fused layer stack, in record order, by one fusion plan that
+    the run config and the first record's layer count give.  The container's
+    float64 stacks are freed on return."""
     stacks = bertfuse.stacks_by_id(bertfuse.read_hs_file(features_path), features_path)
-    fused, dims = [], {"fused_width": None, "n_pairs": None}
+    split = []
     for r in records:
-        if r.id not in stacks:
+        s = stacks.get(r.id)
+        if s is None:
             raise ConfigError(f"{features_path}: no hidden states for record {r.id!r}")
-        f = _fuse_stack(stacks[r.id], resolved)
-        if not fused:
-            dims = {"fused_width": f.cols, "n_pairs": f.rows}
-        elif (f.cols, f.rows) != (dims["fused_width"], dims["n_pairs"]):
-            raise ConfigError(f"{features_path}: record {r.id!r} fuses to {f.rows}x{f.cols}, "
-                              f"expected {dims['n_pairs']}x{dims['fused_width']}")
-        fused.append(f)
-    return fused, dims
+        if split and (s.n_layers, s.hidden) != (split[0].n_layers, split[0].hidden):
+            raise ConfigError(f"{features_path}: record {r.id!r} holds {s.n_layers}x{s.hidden} "
+                              f"layers x width, expected {split[0].n_layers}x{split[0].hidden}")
+        split.append(s)
+    if not split:
+        return []
+    n_layers = split[0].n_layers
+    layers = resolved["layers"] or range(1, n_layers + 1)
+    if max(layers) > n_layers:
+        raise ConfigError(f"{features_path}: layers names layer {max(layers)}, "
+                          f"its records hold {n_layers}")
+    if len(layers) % 2:
+        raise ConfigError(f"{features_path}: its records hold {n_layers} layers, an odd "
+                          f"count; set layers to an even count of them")
+    positions = (bertfuse.adjacent_pairing if resolved["pairing"] == "adjacent"
+                 else bertfuse.listed_pairing)(len(layers)).pairs
+    pairing = bertfuse.LayerPairing(tuple((layers[a - 1], layers[b - 1]) for a, b in positions))
+    weights = resolved["layer_weights"]
+    if weights is not None and len(weights) != len(pairing):
+        raise ConfigError(f"{features_path}: {len(weights)} layer_weights for the "
+                          f"{len(pairing)} layer pairs of its records")
+    weights = weights or bertfuse.uniform_weights(len(pairing))
+    return [bertfuse.fuse(s, pairing, weights, mode=resolved["fusion_mode"]) for s in split]
 
 
-def assemble(resolved, splits):
+def assemble(resolved, splits, widths=None):
     """Model inputs for every ``(records, features_path)`` split of a run.
 
     Returns a list of ``(id, (fused, emb), target)`` triples per split and
-    the first split's input widths, keyed as ``ModelConfig`` fields.  Every
-    container is read, fused and freed before any vector table loads; each
-    table then loads once, embeds every split and is freed on return.  A
-    split of other widths than the first is refused, naming its container
-    or the tables.
+    the input widths, keyed as ``ModelConfig`` fields: ``widths``, the
+    model's, if given, else the first split's.  Each container is read,
+    fused and freed in turn, and refused, by name, as soon as it fuses to
+    other widths.  Then each table loads once, is checked for width before
+    any record is embedded, embeds every split and is freed on return.
     """
     use_bert = resolved["branches"] in ("bert", "both")
     use_emb = resolved["branches"] in ("emb", "both")
-    fused = [_fuse_records(records, resolved, path) if use_bert else ([None] * len(records), {})
-             for records, path in splits]
-    embedder = embedder_from(resolved) if use_emb else None
-    stop = stoplist_from(resolved) if use_emb else None
+    widths = dict(widths or {})
+    fused = []
+    for records, features_path in splits:
+        if not use_bert:
+            fused.append([None] * len(records))
+            continue
+        split = _fuse_records(records, resolved, features_path)
+        got = (split[0].rows, split[0].cols) if split else (None, None)
+        want = (widths.setdefault("n_pairs", got[0]), widths.setdefault("fused_width", got[1]))
+        if got != want:
+            raise ConfigError(f"{features_path}: records fuse to {got[0]}x{got[1]}, "
+                              f"the model takes {want[0]}x{want[1]}")
+        fused.append(split)
+    embed = None
+    if use_emb:
+        embedder, stop = embedder_from(resolved), stoplist_from(resolved)
+        if widths.setdefault("emb_dim", embedder.total_dim) != embedder.total_dim:
+            tables = ", ".join(entry["path"] for entry in resolved["embedding_tables"])
+            raise ConfigError(f"embedding tables {tables}: {embedder.total_dim} columns, "
+                              f"the model takes {widths['emb_dim']}")
 
-    assembled, widths = [], None
-    for (records, features_path), (split_fused, dims) in zip(splits, fused):
-        if use_emb:
-            dims["emb_dim"] = embedder.total_dim
-        if widths is None:
-            widths = dims
-        else:  # the model is built with the first split's widths
-            check_dims(dims, model_config_from(resolved, widths), resolved, features_path)
-        samples = []
-        for r, f in zip(records, split_fused):
-            emb = None
-            if use_emb:
-                seq = corpus.prepare(r, resolved["variant"], stop, resolved["max_len"])
-                emb = embedder.build_matrix(seq)
-            samples.append((r.id, (f, emb), r.mean_grade))
-        assembled.append(samples)
-    return assembled, widths
+        def embed(r):
+            seq = corpus.prepare(r, resolved["variant"], stop, resolved["max_len"])
+            return embedder.build_matrix(seq)
 
-
-def check_dims(dims, config: model_lib.ModelConfig, resolved, features_path) -> None:
-    """Refuse assembled inputs whose widths differ from the model's, naming their files."""
-    if config.use_bert_branch and (dims.get("n_pairs"), dims.get("fused_width")) != (
-            config.n_pairs, config.fused_width):
-        raise ConfigError(f"{features_path}: records fuse to {dims.get('n_pairs')}x"
-                          f"{dims.get('fused_width')}, the model takes "
-                          f"{config.n_pairs}x{config.fused_width}")
-    if config.use_emb_branch and dims.get("emb_dim") != config.emb_dim:
-        tables = ", ".join(entry["path"] for entry in resolved["embedding_tables"])
-        raise ConfigError(f"embedding tables {tables}: {dims.get('emb_dim')} columns, "
-                          f"the model takes {config.emb_dim}")
+    return [[(r.id, (f, embed(r) if embed else None), r.mean_grade)
+             for r, f in zip(records, split)] for (records, _), split in zip(splits, fused)], widths
 
 
 def model_config_from(resolved, dims) -> model_lib.ModelConfig:

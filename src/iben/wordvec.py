@@ -167,7 +167,7 @@ class OovPolicy:
         if self.kind not in ("zeros", "seeded_uniform"):
             raise ValueError(f"unknown OOV policy {self.kind!r}")
         if self.high < self.low:
-            raise ValueError("OOV range is empty")
+            raise ValueError(f"OOV range is empty: high {self.high} is below low {self.low}")
 
 
 def _oov_fill(policy: OovPolicy, table_index: int, token: str, dim: int) -> np.ndarray:

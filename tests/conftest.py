@@ -1,11 +1,15 @@
-"""Shared test plumbing: collects acceptance-criterion result lines.
+"""Shared test plumbing: acceptance-criterion result lines and set-up call logs.
 
 Each acceptance test reports one PASS/FAIL line through the
 ``criterion_report`` fixture; the lines are echoed both immediately
 (visible on failure) and in a summary section at the end of the run.
+``setup_calls`` logs the calls run set-up makes into the input readers and
+per-record builders.
 """
 
 import pytest
+
+from iben import bertfuse, wordvec
 
 _criterion_lines: list[str] = []
 
@@ -22,6 +26,24 @@ def criterion_report():
         return ok
 
     return _report
+
+
+@pytest.fixture
+def setup_calls(monkeypatch):
+    """The names of the calls to ``bertfuse.read_hs_file``, ``bertfuse.fuse``,
+    ``wordvec.load_text_vectors`` and ``UnifiedEmbedder.build_matrix``, in the
+    order they are made; each call still runs."""
+    calls: list[str] = []
+    for owner, attr, name in ((bertfuse, "read_hs_file", "read_hs_file"),
+                              (bertfuse, "fuse", "fuse"),
+                              (wordvec, "load_text_vectors", "load_text_vectors"),
+                              (wordvec.UnifiedEmbedder, "build_matrix", "build_matrix")):
+        def logged(*args, _call=getattr(owner, attr), _name=name, **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, logged)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus):

@@ -159,6 +159,14 @@ class TestValidateRunconfig:
         with pytest.raises(ConfigError, match="layer_sequence"):
             validate_runconfig(cfg)
 
+    def test_a_rule_holds_only_where_its_key_is_used(self):
+        bert_only = {"train_data": "x.csv", "out_dir": "out", "branches": "bert",
+                     "features": "f.hs", "max_len": 1,
+                     "oov": {"kind": "seeded_uniform", "low": 1, "high": 0}}
+        assert validate_runconfig(bert_only)["max_len"] == 1
+        no_conv = {**self.minimal(), "emb_submodel": "bigru", "max_len": 1, "layers": [1]}
+        assert validate_runconfig(no_conv)["layers"] == [1]
+
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
             validate_runconfig(["not", "a", "config"])
@@ -405,6 +413,39 @@ class TestTrain:
         assert resolved["train"]["epochs"] == 1
         assert len(read_history(out_dir)) == 1
 
+    @pytest.mark.parametrize("section", [5, [["epochs", 3], ["batch_size", 2]], None],
+                             ids=["number", "list_of_pairs", "null"])
+    def test_an_override_leaves_a_train_section_that_is_no_object_to_the_schema(
+            self, pipeline, tmp_path, capsys, section):
+        config = write_config(pipeline, tmp_path / "never", train=section)
+        assert main(["train", "--config", str(config), "--epochs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: run config rejected: train: ")
+        assert "is not of type 'object'" in err
+
+    CONFIG_ONLY_RULES = {
+        "odd_layers": ({"layers": [1, 2, 3]},
+                       "layers: 3 indices do not pair; fusion needs an even count"),
+        "repeated_layer": ({"layers": [1, 2, 2, 3]}, "layers: an index repeats in [1, 2, 2, 3]"),
+        "weights_for_the_listed_layers": ({"layers": [1, 2, 3, 4], "layer_weights": [1.0] * 3},
+                                          "layer_weights: 3 weights for the 2 pairs of layers"),
+        "empty_oov_range": ({"oov": {"kind": "seeded_uniform", "low": 0.5, "high": -0.5}},
+                            "oov: OOV range is empty: high -0.5 is below low 0.5"),
+        "max_len_below_a_kernel": ({"max_len": 1},
+                                   "max_len: 1 is below the largest kernel_sizes entry, 2"),
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIG_ONLY_RULES))
+    def test_a_rule_of_the_config_alone_exits_1_naming_the_key_before_any_input_is_read(
+            self, pipeline, tmp_path, capsys, setup_calls, name):
+        overrides, message = self.CONFIG_ONLY_RULES[name]
+        out_dir = tmp_path / "never"
+        config = write_config(pipeline, out_dir, **overrides)
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert setup_calls == [] and not out_dir.exists()
+
     def test_dev_data_adds_a_history_column(self, pipeline, tmp_path, capsys):
         out_dir = tmp_path / "dev"
         config = write_config(pipeline, out_dir,
@@ -563,9 +604,10 @@ class TestTrain:
         config = write_config(pipeline, tmp_path / "two_shapes_run", features=str(features))
         assert main(["train", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {features}: record '3' fuses to 2x32, expected 2x16\n"
+        assert err == f"error: {features}: record '3' holds 4x8 layers x width, expected 4x4\n"
 
-    def test_dev_container_of_another_width_names_it(self, pipeline, tmp_path, capsys):
+    def test_dev_container_of_another_width_names_it(self, pipeline, tmp_path, capsys,
+                                                     setup_calls):
         wide = tmp_path / "wide.hs"
         assert main(["pseudo-encode", "--tokens", str(pipeline["tokens"]), "--layers", "4",
                      "--hidden", "8", "--seed", "1", "--out", str(wide)]) == 0
@@ -577,6 +619,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == f"error: {wide}: records fuse to 2x32, the model takes 2x16\n"
         assert not out_dir.exists()
+        # refused before any table loads: both containers fused, nothing embedded
+        assert setup_calls == ["read_hs_file"] + ["fuse"] * 4 + ["read_hs_file"] + ["fuse"] * 4
+
+    @pytest.mark.parametrize("overrides, layers, message", [
+        ({"layer_weights": [1.0] * 3}, 4, "3 layer_weights for the 2 layer pairs of its records"),
+        ({"layers": [1, 9]}, 4, "layers names layer 9, its records hold 4"),
+        ({}, 3, "its records hold 3 layers, an odd count; set layers to an even count of them"),
+    ], ids=["layer_weights", "layer_beyond", "odd_layer_count"])
+    def test_a_config_the_container_does_not_fit_is_refused_before_any_fusion(
+            self, pipeline, tmp_path, capsys, setup_calls, overrides, layers, message):
+        """The fusion plan comes from the config and the first record: a misfit
+        is refused once, naming the container and the key, before any record fuses."""
+        features = tmp_path / "features.hs"
+        assert main(["pseudo-encode", "--tokens", str(pipeline["tokens"]), "--layers",
+                     str(layers), "--hidden", "4", "--seed", "1", "--out", str(features)]) == 0
+        capsys.readouterr()
+        config = write_config(pipeline, tmp_path / "misfit_run", features=str(features),
+                              **overrides)
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {features}: {message}\n"
+        assert setup_calls == ["read_hs_file"]
 
     def test_container_cut_inside_a_record_names_the_file_and_record(self, pipeline,
                                                                       tmp_path, capsys):
@@ -594,6 +657,7 @@ class TestTrain:
 FUSION_CONFIGS = {
     "defaults": ({}, 4),
     "listed": ({"layers": [7, 2, 3, 8], "pairing": "listed"}, 2),
+    "adjacent_over_layers": ({"layers": [7, 2, 3, 8]}, 2),
     "summed": ({"fusion_mode": "summed", "layer_weights": [0.5, 2.0, -1.0, 3.0]}, 1),
     "learned": ({"learn_layer_weights": True}, 4),
 }
@@ -876,7 +940,7 @@ class TestEvaluate:
         assert err.count("\n") == 1 and message in err and "bad.ckpt" in err
 
     def test_features_of_another_width_name_the_container(self, pipeline, trained, tmp_path,
-                                                          capsys):
+                                                          capsys, setup_calls):
         wide = tmp_path / "wide.hs"
         assert main(["pseudo-encode", "--tokens", str(pipeline["tokens"]), "--layers", "4",
                      "--hidden", "8", "--seed", "1", "--out", str(wide)]) == 0
@@ -885,18 +949,21 @@ class TestEvaluate:
                      "--features", str(wide), "--out", str(tmp_path / "p.csv")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {wide}: records fuse to 2x32, the model takes 2x16\n"
+        assert "load_text_vectors" not in setup_calls
 
-    def test_tables_of_another_width_are_named(self, pipeline, tmp_path, capsys):
+    def test_tables_of_another_width_are_named(self, pipeline, tmp_path, capsys, setup_calls):
         vectors = write_vectors(tmp_path / "vectors.txt")
         out_dir = tmp_path / "run"
         config = write_config(pipeline, out_dir, embedding_tables=[{"path": str(vectors)}])
         assert main(["train", "--config", str(config)]) == 0
         write_vectors(vectors, dim=5)
         capsys.readouterr()
+        setup_calls.clear()
         assert main(["evaluate", "--checkpoint", str(out_dir / "model.ckpt"),
                      "--data", str(pipeline["data"]), "--out", str(tmp_path / "p.csv")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: embedding tables {vectors}: 5 columns, the model takes 4\n"
+        assert setup_calls[-1] == "load_text_vectors" and "build_matrix" not in setup_calls
 
     def test_container_payload_beyond_the_file_exits_2(self, pipeline, tmp_path, capsys):
         features = tmp_path / "short.hs"
