@@ -9,11 +9,18 @@ on the tape being swept or is a :class:`Parameter`; every other operand is
 a constant, which the backward function is told so that it can skip that
 gradient, and only parameters carry a ``.grad``.  The open tapes are
 process-wide and not thread-safe: an op run on any thread is recorded on
-the innermost open tape.  An op may hand part of its numpy work to the
-module's one worker thread (:func:`run_both`); that work records nothing,
-and the op's tape entry is made on the caller's thread.  A tape knows the
-tensors it recorded, and a tensor does not refer to its tape, so a
-finished graph is freed by reference counting alone.
+the innermost open tape.  A tape knows the tensors it recorded, and a
+tensor does not refer to its tape, so a finished graph is freed by
+reference counting alone.
+
+The module has one worker thread, which records nothing.  In the forward
+pass, ``bi_gru_sequence`` runs one direction there while the caller runs
+the other (:func:`run_both`).  In the reverse sweep, the caller carries the
+chain of adjoints from op to op, and the worker forms the large weight
+gradient products that ops hand back unmultiplied, in sweep order (see
+:class:`_Contributions`), so the bits do not depend on which thread formed
+them.  A parameter's gradient buffer is written by its first contribution
+after ``zero_grad``, not zero-filled first.
 
 The sequence ops leave input rows that are all zero (word-vector padding)
 out of their products with the input's weights, which are exactly zero
@@ -101,17 +108,54 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a stable name and an accumulated gradient."""
+    """Trainable tensor with a stable name and an accumulated gradient.
+
+    The gradient lives in one buffer for the parameter's life: ``p.grad`` is
+    always the same array, and ``p.grad *= f`` or ``p.grad[...] = v`` write
+    into it.
+    """
 
     def __init__(self, values, name: str):
         # C order, so that a flat reshape of the values or the gradient is a view
         super().__init__(np.asarray(values, dtype=np.float64, order="C"),
                          _op=f"parameter {name}")
         self.name = name
-        self.grad = np.zeros_like(self.values)
+        self._grad = np.zeros_like(self.values)
+        self._grad_empty = False  # True: the buffer's values are stale and read as zeros
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad_empty:
+            self._grad[...] = 0.0
+            self._grad_empty = False
+        return self._grad
+
+    @grad.setter
+    def grad(self, values) -> None:
+        if values is not self._grad:  # ``p.grad *= f`` assigns the buffer to itself
+            self._grad[...] = values
+        self._grad_empty = False
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        """Mark the gradient empty without writing it: the next contribution a
+        reverse sweep makes is written into the buffer instead of added, and
+        reading ``grad`` before any contribution fills the buffer with zeros."""
+        self._grad_empty = True
+
+    def _accumulate(self, contrib) -> None:
+        """Add ``contrib``, an array or a :class:`_Product`, to the gradient;
+        the first contribution after :meth:`zero_grad` is written, not added."""
+        if isinstance(contrib, _Product):
+            out = self._grad.reshape(contrib.a.shape[0], contrib.b.shape[1])
+            if self._grad_empty:
+                np.matmul(contrib.a, contrib.b, out=out)
+            else:
+                _add_product(out, contrib.a, contrib.b)
+        elif self._grad_empty:
+            self._grad[...] = contrib
+        else:
+            self._grad += contrib
+        self._grad_empty = False
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -124,11 +168,13 @@ class Tape:
     the id stays unique while the tape lives; insertion order is execution
     order.  An entry is ``(out, parents, wanted, backward)``: the op's
     operands, which of them a gradient may reach (see :func:`_apply`), and
-    the op's backward function.  Parameters accumulate in place into the
-    buffer they own, so two backward calls without zeroing double a
-    parameter's gradient.  A backward function may add a parameter's share
-    into that buffer itself and return None in its place, to spare a
-    parameter-sized temporary.
+    the op's backward function.  Parameters accumulate into the buffer they
+    own, the first contribution after ``zero_grad`` written and later ones
+    added, so two backward calls without zeroing double a parameter's
+    gradient.  A backward function may give a weight gradient as a
+    :class:`_Product` instead of an array; the sweep forms it into the
+    parameter's buffer, on the worker thread when it is large (see
+    :class:`_Contributions`), and into an array for any other operand.
     """
 
     def __init__(self):
@@ -147,26 +193,38 @@ class Tape:
         return len(self._entries)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate the gradient of ``loss`` into every reachable parameter."""
+        """Accumulate the gradient of ``loss`` into every reachable parameter.
+
+        Returns once every gradient has landed; an exception from a deferred
+        product is raised only after every other one has finished.
+        """
         if loss.values.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.values.shape}")
         if id(loss) not in self._entries:
             raise ValueError("loss was not recorded on this tape")
         # adjoints of intermediates live in a scratch map so repeated sweeps stay correct
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        for out, parents, wanted, backward in reversed(self._entries.values()):
-            g = adjoint.pop(id(out), None)
-            if g is None or not any(wanted):
-                continue
-            for parent, want, contrib in zip(parents, wanted, backward(g, wanted), strict=True):
-                if not want:
+        contributions = _Contributions()
+        try:
+            for out, parents, wanted, backward in reversed(self._entries.values()):
+                g = adjoint.pop(id(out), None)
+                if g is None or not any(wanted):
                     continue
-                if isinstance(parent, Parameter):
-                    if contrib is not None:  # None: the op added its share in place
-                        parent.grad += contrib
-                else:
+                for parent, want, contrib in zip(parents, wanted, backward(g, wanted),
+                                                 strict=True):
+                    if not want:
+                        continue
+                    if isinstance(parent, Parameter):
+                        contributions.add(parent, contrib)
+                        continue
+                    if isinstance(contrib, _Product):
+                        contrib = contrib.value()
                     key = id(parent)
                     adjoint[key] = adjoint[key] + contrib if key in adjoint else contrib
+        finally:
+            error = contributions.finish()
+        if error is not None:
+            raise error
 
 
 def _receives_grad(t: Tensor, tape: Tape) -> bool:
@@ -248,6 +306,91 @@ def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         out[:, lo:lo + _BLOCK_COLUMNS] += a @ b[:, lo:lo + _BLOCK_COLUMNS]
 
 
+# Multiply-adds from which the reverse sweep hands a parameter's gradient product to
+# the worker thread.  On a 2-vCPU VM with one BLAS thread, the forward pass and sweep
+# of a paper-dims batch (B 16, H 128) took 115-119 ms for any gate from 0 to 2^22,
+# 124 ms at 2^25 and 140 ms with no hand-off.  At the overfit criterion's dims,
+# whose largest product is 98k multiply-adds, gates of 2^16 and 2^14 made the same
+# work 22% and 38% slower than 2^20, as each hand-off cost more than its product.
+_DEFER_MIN_MADDS = 1 << 20
+
+
+class _Product:
+    """The weight gradient ``(a @ b).reshape(shape)``, not yet multiplied out.
+
+    The operands must not change until the reverse sweep has formed it.
+    """
+
+    __slots__ = ("a", "b", "shape")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, shape: tuple | None = None):
+        self.a, self.b = a, b
+        self.shape = (a.shape[0], b.shape[1]) if shape is None else shape
+
+    def madds(self) -> int:
+        return self.a.shape[0] * self.a.shape[1] * self.b.shape[1]
+
+    def value(self) -> np.ndarray:
+        return (self.a @ self.b).reshape(self.shape)
+
+
+def _form(p: Parameter, box: list) -> None:
+    p._accumulate(box.pop())
+
+
+class _Contributions:
+    """One reverse sweep's parameter gradients, each accumulated on the
+    caller's thread or queued on the module's one worker thread.
+
+    A product of at least ``_DEFER_MIN_MADDS`` multiply-adds goes to the
+    worker when the process may use two CPUs, and so does every later
+    contribution to a parameter while an earlier one waits there.  The
+    worker runs its queue in order, so each parameter's contributions land
+    in sweep order, and the bits are those of an all-serial sweep.
+    """
+
+    def __init__(self):
+        self._queued: list[tuple] = []  # (future, parameter, box), in sweep order
+
+    def _waiting(self, p: Parameter, other_than=None) -> bool:
+        """Whether a queued contribution to ``p``, other than ``other_than``, is unfinished."""
+        return any(q is p and f is not other_than and not f.done() for f, q, _ in self._queued)
+
+    def add(self, p: Parameter, contrib) -> None:
+        if not ((isinstance(contrib, _Product) and contrib.madds() >= _DEFER_MIN_MADDS
+                 and _usable_cpus() >= 2) or (self._queued and self._waiting(p))):
+            p._accumulate(contrib)
+            return
+        box = [contrib]  # emptied when formed, so that the operands are freed then
+        future = _worker.submit(contextvars.copy_context().run, _form, p, box)
+        self._queued.append((future, p, box))
+
+    def finish(self) -> BaseException | None:
+        """Wait until every queued contribution has landed; return the first
+        exception one raised, in sweep order, or None.
+
+        Last first, a contribution that the worker has not started is taken
+        back and formed on the caller's thread, unless another unfinished
+        one is for the same parameter.
+        """
+        raised = {}
+        try:
+            for i in range(len(self._queued) - 1, -1, -1):
+                future, p, box = self._queued[i]
+                if not self._waiting(p, other_than=future) and future.cancel():
+                    try:
+                        _form(p, box)
+                    except Exception as exc:  # raised below, in sweep order
+                        raised[i] = exc
+        finally:
+            wait([future for future, _, _ in self._queued])
+        for i, (future, _, _) in enumerate(self._queued):
+            error = raised.get(i) if future.cancelled() else future.exception()
+            if error is not None:
+                return error
+        return None
+
+
 # ---------------------------------------------------------------------------
 # all-zero input rows
 
@@ -325,7 +468,7 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
 def _logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) without overflow for large |x|: exp(x) / (1 + exp(x)) below 0."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, np.sign(x)) / (1.0 + e)  # the numerator is 1 from x = +-0 up
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -381,7 +524,7 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
 
     def backward(g, wanted):
         g_rows = g.reshape(-1, wv.shape[0])
-        return (g @ wv, g_rows.T @ rows, g_rows.sum(axis=0))[:len(parents)]
+        return (g @ wv, _Product(g_rows.T, rows), g_rows.sum(axis=0))[:len(parents)]
 
     return _apply(out, "linear", parents, backward)
 
@@ -483,13 +626,11 @@ def _gru(x: Tensor, weights: tuple, h0: Tensor | None, reverse: bool,
         dW = None
         if wanted[1]:
             d_live, x_live = _live(d_rows, rows, keep)
-            if isinstance(weights[0], Parameter):  # in place: W is 12.6 MB at paper dims
-                _add_product(weights[0].grad, d_live.T, x_live)
-            else:
-                dW = d_live.T @ x_live
+            # d_pre becomes U's operand below, so W's must not be a view of it
+            dW = _Product((d_rows.copy() if d_live is d_rows else d_live).T, x_live)
         db = d_rows.sum(axis=0)
         d_pre[..., 2 * H:] *= zr[..., H:]  # now the gradient of U @ h_prev
-        dU = d_rows.T @ states[:, 1 - new:1 - new + T].reshape(B * T, H)
+        dU = _Product(d_rows.T, states[:, 1 - new:1 - new + T].reshape(B * T, H))
         return ([dx, dW, dU] + ([db] if len(weights) == 3 else [])
                 + ([dh.reshape(h_shape)] if h0 is not None else []))
 
@@ -517,9 +658,9 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
     rows that are all zero are left out of the projection and of W's
     gradient, whose share of them is exactly zero.  The backward pass is
     hand-written BPTT that forms each weight gradient once per batch, a
-    parameter W's by adding into its buffer in place; one pass gives every
-    operand's gradient, and the input's, over every row, is skipped when
-    the input is a constant.
+    parameter's as a product for the sweep to form (see :class:`Tape`); one
+    pass gives every operand's gradient, and the input's, over every row, is
+    skipped when the input is a constant.
     """
     weights = tuple(weights)
     _check_gru(x, weights, h0, "gru_sequence")
@@ -535,10 +676,12 @@ def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
     A T x I sequence gives T x 2H states, a B x T x I batch B x T x 2H.  The
     two directions are independent, so from ``_PAIR_MIN_STEP_WORK``
     multiply-adds per step and direction (see :func:`run_both`) the backward
-    direction's forward and BPTT run on the worker thread while the forward
-    direction's run on the caller's.  Both directions share one scan of the
-    input for all-zero rows.  The input's gradient, when wanted, is the sum
-    of the two directions' gradients.
+    direction's forward pass runs on the worker thread while the forward
+    direction's runs on the caller's.  The two BPTTs run on the caller's
+    thread, one after the other, and hand their weight gradients to the
+    sweep as products.  Both directions share one scan of the input for
+    all-zero rows.  The input's gradient, when wanted, is the sum of the two
+    directions' gradients.
     """
     fwd_weights, bwd_weights = tuple(fwd_weights), tuple(bwd_weights)
     H = _check_gru(x, fwd_weights, None, "bi_gru_sequence")
@@ -546,19 +689,16 @@ def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
         raise ShapeError(f"bi_gru_sequence directions have hidden sizes {H} and "
                          f"{bwd_weights[1].shape[1]}")
     B = x.values.size // (x.shape[-2] * x.shape[-1])
-    # a weight shared by both directions takes both BPTTs' in-place adds, so they take turns
-    concurrent = (B * 3 * H * (x.shape[-1] + H) >= _PAIR_MIN_STEP_WORK
-                  and not {id(w) for w in fwd_weights} & {id(w) for w in bwd_weights})
     keep = _nonzero_rows(x.values.reshape(-1, x.shape[-1]))
     (out_f, bptt_f), (out_b, bptt_b) = run_both(
         lambda: _gru(x, fwd_weights, None, False, keep),
-        lambda: _gru(x, bwd_weights, None, True, keep), concurrent)
+        lambda: _gru(x, bwd_weights, None, True, keep),
+        B * 3 * H * (x.shape[-1] + H) >= _PAIR_MIN_STEP_WORK)
     n = 1 + len(fwd_weights)
 
     def backward(g, wanted):
-        grads_f, grads_b = run_both(lambda: bptt_f(g[..., :H], wanted[:n]),
-                                    lambda: bptt_b(g[..., H:], wanted[:1] + wanted[n:]),
-                                    concurrent)
+        grads_f = bptt_f(g[..., :H], wanted[:n])
+        grads_b = bptt_b(g[..., H:], wanted[:1] + wanted[n:])
         dx = grads_f[0] + grads_b[0] if wanted[0] else None
         return [dx] + grads_f[1:] + grads_b[1:]
 
@@ -612,7 +752,7 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         full = spread(g)
         d_live, x_live = _live(full, rows, keep)
         return ((full @ slices).reshape(xv.shape) if wanted[0] else None,
-                (d_live.T @ x_live).reshape(kv.shape),
+                _Product(d_live.T, x_live, kv.shape),
                 g.reshape(-1, F).sum(axis=0))
 
     return _apply(out, "conv1d", (x, kernels, bias), backward)

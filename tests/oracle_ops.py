@@ -10,21 +10,39 @@ matrix, by ``einsum``) are the single-sample ops the batched ones in
 ``iben.autodiff`` replaced, kept as their oracles.  :func:`batched_gru_sequence`
 and :func:`batched_conv1d` are the batched ops as they were before all-zero
 input rows were left out of their products, kept as the oracles of that skip.
+
+:func:`serial_backward`, :func:`serial_gru_sequence` and
+:func:`serial_bi_gru_sequence` are the reverse sweep and the GRU ops as they
+were before weight-gradient products moved to the worker thread: each
+gradient buffer zero-filled by the caller and added into, W's gradient
+added in place by the BPTT, and the two directions' BPTTs run through
+``run_both``.  They are the oracles of the deferred sweep.
 """
 
 import numpy as np
 
+import iben.autodiff as ad
 from iben.autodiff import (
     Parameter,
     ShapeError,
     Tensor,
     _add_product,
     _apply,
-    _logistic,
+    _check_gru,
+    _live,
+    _nonzero_rows,
+    _Product,
     _require_same_shape,
+    _times,
     concat,
     reshape,
 )
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    """``iben.autodiff._logistic`` as it was before its select became a maximum."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -103,7 +121,7 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
     cand = np.empty((T, H))
     for t in range(T):
         g = U @ h
-        zr[t] = _logistic(pre[t, :2 * H] + g[:2 * H])
+        zr[t] = logistic(pre[t, :2 * H] + g[:2 * H])
         z, r = zr[t, :H], zr[t, H:]
         recur_c[t] = g[2 * H:]
         cand[t] = np.tanh(pre[t, 2 * H:] + r * recur_c[t])
@@ -217,7 +235,7 @@ def batched_gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
     UT = U.T
     for t in steps:
         g = h @ UT
-        zr[:, t] = _logistic(pre[:, t, :2 * H] + g[:, :2 * H])
+        zr[:, t] = logistic(pre[:, t, :2 * H] + g[:, :2 * H])
         z, r = zr[:, t, :H], zr[:, t, H:]
         recur_c[:, t] = g[:, 2 * H:]
         cand[:, t] = np.tanh(pre[:, t, 2 * H:] + r * recur_c[:, t])
@@ -240,11 +258,7 @@ def batched_gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
             dh = dh * z + np.concatenate((d[:, :2 * H], dc * r), axis=1) @ U
         d_rows = d_pre.reshape(B * T, 3 * H)  # in the row order of ``rows``
         dx = (d_rows @ W).reshape(xv.shape) if wanted[0] else None
-        dW = None
-        if isinstance(weights[0], Parameter):  # in place: W is 12.6 MB at paper dims
-            _add_product(weights[0].grad, d_rows.T, rows)
-        elif wanted[1]:
-            dW = d_rows.T @ rows
+        dW = d_rows.T @ rows if wanted[1] else None
         db = d_rows.sum(axis=0)
         d_pre[..., 2 * H:] *= zr[..., H:]  # now the gradient of U @ h_prev
         dU = d_rows.T @ states[:, 1 - new:1 - new + T].reshape(B * T, H)
@@ -292,3 +306,123 @@ def batched_conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
                 g.reshape(-1, F).sum(axis=0))
 
     return _apply(out, "conv1d", (x, kernels, bias), backward)
+
+
+def serial_backward(tape, loss: Tensor) -> None:
+    """``Tape.backward`` with every contribution added on the caller's thread
+    into a buffer that holds the gradient so far; a product is multiplied out
+    first.  The caller zero-fills the buffers (``p.grad[...] = 0.0``)."""
+    adjoint = {id(loss): np.ones((), dtype=np.float64)}
+    for out, parents, wanted, backward in reversed(tape._entries.values()):
+        g = adjoint.pop(id(out), None)
+        if g is None or not any(wanted):
+            continue
+        for parent, want, contrib in zip(parents, wanted, backward(g, wanted), strict=True):
+            if not want:
+                continue
+            if isinstance(contrib, _Product):
+                contrib = contrib.value()
+            if isinstance(parent, Parameter):
+                if contrib is not None:  # None: the op added its share in place
+                    parent.grad += contrib
+            else:
+                key = id(parent)
+                adjoint[key] = adjoint[key] + contrib if key in adjoint else contrib
+
+
+def _serial_gru(x: Tensor, weights: tuple, h0: Tensor | None, reverse: bool,
+                keep: np.ndarray | None):
+    """One GRU direction's states and its BPTT function, which adds a
+    parameter W's gradient into its buffer in place."""
+    xv = x.values
+    *_, T, I = xv.shape
+    W, U = weights[0].values, weights[1].values
+    H = U.shape[1]
+    h_shape = xv.shape[:-2] + (H,)
+    rows = xv.reshape(-1, I)
+    B = rows.shape[0] // T
+    pre = _times(rows, keep, W.T)
+    if len(weights) == 3:
+        pre += weights[2].values
+    pre = pre.reshape(B, T, 3 * H)
+    new = 0 if reverse else 1
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    states = np.empty((B, T + 1, H))
+    h = states[:, T * (1 - new)]
+    h[...] = 0.0 if h0 is None else h0.values.reshape(B, H)
+    zr = np.empty((B, T, 2 * H))
+    recur_c = np.empty((B, T, H))
+    cand = np.empty((B, T, H))
+    UT = U.T
+    for t in steps:
+        g = h @ UT
+        zr[:, t] = logistic(pre[:, t, :2 * H] + g[:, :2 * H])
+        z, r = zr[:, t, :H], zr[:, t, H:]
+        recur_c[:, t] = g[:, 2 * H:]
+        cand[:, t] = np.tanh(pre[:, t, 2 * H:] + r * recur_c[:, t])
+        h = z * h + (1.0 - z) * cand[:, t]
+        states[:, t + new] = h
+    out = states[:, new:new + T].reshape(h_shape[:-1] + (T, H))
+
+    def bptt(g, wanted):
+        gs = g.reshape(B, T, H)
+        d_pre = np.empty((B, T, 3 * H))
+        dh = np.zeros((B, H))
+        for t in reversed(steps):
+            dh = dh + gs[:, t]
+            z, r, c = zr[:, t, :H], zr[:, t, H:], cand[:, t]
+            dc = dh * (1.0 - z) * (1.0 - c * c)
+            d = d_pre[:, t]
+            d[:, :H] = dh * (states[:, t + 1 - new] - c) * z * (1.0 - z)
+            d[:, H:2 * H] = dc * recur_c[:, t] * r * (1.0 - r)
+            d[:, 2 * H:] = dc
+            dh = dh * z + np.concatenate((d[:, :2 * H], dc * r), axis=1) @ U
+        d_rows = d_pre.reshape(B * T, 3 * H)
+        dx = (d_rows @ W).reshape(xv.shape) if wanted[0] else None
+        dW = None
+        if wanted[1]:
+            d_live, x_live = _live(d_rows, rows, keep)
+            if isinstance(weights[0], Parameter):
+                _add_product(weights[0].grad, d_live.T, x_live)
+            else:
+                dW = d_live.T @ x_live
+        db = d_rows.sum(axis=0)
+        d_pre[..., 2 * H:] *= zr[..., H:]
+        dU = d_rows.T @ states[:, 1 - new:1 - new + T].reshape(B * T, H)
+        return ([dx, dW, dU] + ([db] if len(weights) == 3 else [])
+                + ([dh.reshape(h_shape)] if h0 is not None else []))
+
+    return out, bptt
+
+
+def serial_gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
+                        reverse: bool = False) -> Tensor:
+    weights = tuple(weights)
+    _check_gru(x, weights, h0, "gru_sequence")
+    out, bptt = _serial_gru(x, weights, h0, reverse,
+                            _nonzero_rows(x.values.reshape(-1, x.shape[-1])))
+    parents = (x,) + weights + (() if h0 is None else (h0,))
+    return _apply(out, "gru_sequence", parents, bptt)
+
+
+def serial_bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
+    fwd_weights, bwd_weights = tuple(fwd_weights), tuple(bwd_weights)
+    H = _check_gru(x, fwd_weights, None, "bi_gru_sequence")
+    B = x.values.size // (x.shape[-2] * x.shape[-1])
+    concurrent = (B * 3 * H * (x.shape[-1] + H) >= ad._PAIR_MIN_STEP_WORK
+                  and not {id(w) for w in fwd_weights} & {id(w) for w in bwd_weights})
+    keep = _nonzero_rows(x.values.reshape(-1, x.shape[-1]))
+    (out_f, bptt_f), (out_b, bptt_b) = ad.run_both(
+        lambda: _serial_gru(x, fwd_weights, None, False, keep),
+        lambda: _serial_gru(x, bwd_weights, None, True, keep), concurrent)
+    n = 1 + len(fwd_weights)
+
+    def backward(g, wanted):
+        grads_f, grads_b = ad.run_both(lambda: bptt_f(g[..., :H], wanted[:n]),
+                                       lambda: bptt_b(g[..., H:], wanted[:1] + wanted[n:]),
+                                       concurrent)
+        dx = grads_f[0] + grads_b[0] if wanted[0] else None
+        return [dx] + grads_f[1:] + grads_b[1:]
+
+    return _apply(np.concatenate((out_f, out_b), axis=-1), "bi_gru_sequence",
+                  (x,) + fwd_weights + bwd_weights, backward)

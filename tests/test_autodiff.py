@@ -11,6 +11,9 @@ import time
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import iben.autodiff as ad
 from iben.autodiff import NonFiniteError, Parameter, ShapeError, Tape, Tensor
@@ -104,6 +107,19 @@ class TestElementwiseOps:
         s = ad.sigmoid(x).values
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
         assert s[0] == 0.0 and s[-1] == 1.0  # float64 saturation
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+        st.floats(-746.0, -700.0),  # exp(-|x|) is subnormal or zero
+        st.floats(700.0, 746.0))))
+    def test_logistic_has_the_bits_of_the_select_formula(self, x):
+        """The maximum of exp(-|x|) and sign(x) as the numerator, against the
+        select ``where(x >= 0, 1, exp(-|x|))`` it replaced."""
+        got, want = ad._logistic(x), oracle_ops.logistic(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_tanh_range(self):
         x = Tensor(np.linspace(-50, 50, 101))

@@ -492,24 +492,23 @@ class TestBiGruSequence:
             bg.parameters() + [x]) <= 1e-6
 
     def test_the_worker_is_used_from_the_threshold(self, monkeypatch):
-        """B * 3H * (I + H) multiply-adds per step reach the threshold; one more does not."""
+        """B * 3H * (I + H) multiply-adds per step reach the threshold; one more
+        does not.  Only the forward passes pair up: both BPTTs run on the
+        caller's thread, and these products are below the sweep's gate."""
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         bg = BiGru(5, 4, "bg", np.random.default_rng(74))
         x = Tensor(np.random.default_rng(75).normal(size=(3, 6, 5)))
         real = ad._worker
-        for threshold, submits in ((3 * 12 * 9, 2), (3 * 12 * 9 + 1, 0)):
+        for threshold, submits in ((3 * 12 * 9, 1), (3 * 12 * 9 + 1, 0)):
             monkeypatch.setattr(ad, "_PAIR_MIN_STEP_WORK", threshold)
             worker = _CountingWorker(real)
             monkeypatch.setattr(ad, "_worker", worker)
             with Tape() as tape:
                 loss = ad.total(bi_gru(x, bg))
             tape.backward(loss)
-            assert worker.calls == submits  # one forward and one BPTT
+            assert worker.calls == submits  # the backward direction's forward pass
 
-    def test_a_weight_shared_by_both_directions_runs_serially(self, pair_path, monkeypatch):
-        """Both BPTTs add into a shared W in place, so they take turns; the
-        gradients equal the two-op oracle's."""
-        monkeypatch.setattr(ad, "_worker", _NoWorker())
+    def test_a_weight_shared_by_both_directions_gets_the_oracles_gradients(self, pair_path):
         cell = GruCell(3, 2, "c", np.random.default_rng(76))
         shared = BiGru.__new__(BiGru)
         shared.fwd = shared.bwd = cell
@@ -553,18 +552,34 @@ class TestBiGruSequence:
     @pytest.mark.parametrize("failing", ["fwd", "bwd"])
     def test_an_exception_is_raised_after_both_directions_finish(self, monkeypatch, phase,
                                                                   failing):
-        """One direction raises at once while the other, on the other thread,
-        is still running; the caller sees the error only once both are done."""
+        """Forward: one direction raises at once while the other, on the worker,
+        is still running; the caller sees the error only once both are done.
+        BPTT: both directions run on the caller's thread, the forward one
+        first, and an error in either reaches the caller only once the head's
+        gradient product, handed to the worker before them, has landed."""
         monkeypatch.setattr(ad, "_PAIR_MIN_STEP_WORK", 0)
+        monkeypatch.setattr(ad, "_DEFER_MIN_MADDS", 0)
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         finished = []
         gru = ad._gru
+        here = threading.current_thread()
+        head = Parameter(np.random.default_rng(82).normal(size=(1, 4)), "head")
+        accumulate = Parameter._accumulate
+
+        def slow_head(p, contrib):
+            if p is head:
+                time.sleep(0.05)
+                finished.append("head")
+            accumulate(p, contrib)
 
         def run(reverse, work):
             direction = "bwd" if reverse else "fwd"
+            if phase == "bptt":
+                assert threading.current_thread() is here
             if direction == failing:
                 raise ValueError(f"{direction} failed")
-            time.sleep(0.05)
+            if phase == "forward":
+                time.sleep(0.05)
             result = work()
             finished.append(direction)
             return result
@@ -576,12 +591,16 @@ class TestBiGruSequence:
             return out, lambda g, wanted: run(reverse, lambda: bptt(g, wanted))
 
         monkeypatch.setattr(ad, "_gru", failing_gru)
+        monkeypatch.setattr(Parameter, "_accumulate", slow_head)
         bg = BiGru(3, 2, "bg", np.random.default_rng(81))
         with pytest.raises(ValueError, match=f"{failing} failed"):
             with Tape() as tape:
-                loss = ad.total(bi_gru(Tensor(np.ones((2, 4, 3))), bg))
+                loss = ad.total(ad.linear(bi_gru(Tensor(np.ones((4, 3))), bg), head))
             tape.backward(loss)
-        assert finished == [{"fwd": "bwd", "bwd": "fwd"}[failing]]
+        if phase == "forward":
+            assert finished == [{"fwd": "bwd", "bwd": "fwd"}[failing]]
+        else:
+            assert sorted(finished) == (["fwd", "head"] if failing == "bwd" else ["head"])
 
     @pytest.mark.parametrize("direction", ["fwd", "bwd"])
     def test_the_callers_errstate_governs_both_directions(self, monkeypatch, direction):

@@ -351,6 +351,23 @@ class TestTrain:
               epoch_callback=lambda epoch, model: seen.append(epoch))
         assert seen == [0, 1, 2]
 
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_each_batch_zeroes_sweeps_and_steps_once_in_that_order(self, monkeypatch,
+                                                                    optimizer):
+        """The benchmark's batch span opens at ``zero_grad`` and closes after the
+        optimizer step, so each batch must make exactly one of each."""
+        calls = []
+        model = tiny_model()
+        zero_grad, backward = model.zero_grad, ad.Tape.backward
+        step = {"adam": train_lib.adam_step, "sgd": train_lib.sgd_step}[optimizer]
+        monkeypatch.setattr(model, "zero_grad", lambda: calls.append("zero") or zero_grad())
+        monkeypatch.setattr(ad.Tape, "backward",
+                            lambda tape, loss: calls.append("sweep") or backward(tape, loss))
+        monkeypatch.setattr(train_lib, f"{optimizer}_step",
+                            lambda *args: calls.append("step") or step(*args))
+        train(model, tiny_dataset(5), TrainConfig(epochs=2, batch_size=2, optimizer=optimizer))
+        assert calls == ["zero", "sweep", "step"] * 6  # 3 batches per epoch
+
     def test_clip_keeps_training_stable(self):
         model = tiny_model(seed=14)
         history = train(model, tiny_dataset(4, seed=15),
