@@ -150,7 +150,7 @@ class Parameter(Tensor):
             if self._grad_empty:
                 np.matmul(contrib.a, contrib.b, out=out)
             else:
-                _add_product(out, contrib.a, contrib.b)
+                out += contrib.a @ contrib.b
         elif self._grad_empty:
             self._grad[...] = contrib
         else:
@@ -295,15 +295,6 @@ def run_both(first, second, concurrent: bool) -> tuple:
     finally:
         wait((future,))
     return result, future.result()
-
-
-_BLOCK_COLUMNS = 512
-
-
-def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``out += a @ b``, a block of columns at a time, with no temporary as large as ``out``."""
-    for lo in range(0, b.shape[1], _BLOCK_COLUMNS):
-        out[:, lo:lo + _BLOCK_COLUMNS] += a @ b[:, lo:lo + _BLOCK_COLUMNS]
 
 
 # Multiply-adds from which the reverse sweep hands a parameter's gradient product to
@@ -491,21 +482,20 @@ def relu(a: Tensor) -> Tensor:
 # shape ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; also matrix @ vector and vector @ matrix."""
+    """Product of 2-D or 1-D operands: a 1-D left operand is one row and a 1-D
+    right operand one column, and the result drops that row or column."""
     av, bv = a.values, b.values
-    if av.ndim == 2 and bv.ndim == 2:
-        if av.shape[1] != bv.shape[0]:
-            raise ShapeError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
-        return _apply(av @ bv, "matmul", (a, b), lambda g, wanted: (g @ bv.T, av.T @ g))
-    if av.ndim == 2 and bv.ndim == 1:
-        if av.shape[1] != bv.shape[0]:
-            raise ShapeError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
-        return _apply(av @ bv, "matmul", (a, b), lambda g, wanted: (np.outer(g, bv), av.T @ g))
-    if av.ndim == 1 and bv.ndim == 2:
-        if av.shape[0] != bv.shape[0]:
-            raise ShapeError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
-        return _apply(av @ bv, "matmul", (a, b), lambda g, wanted: (bv @ g, np.outer(av, g)))
-    raise ShapeError(f"matmul supports 2-D/1-D operands only, got {av.ndim}-D @ {bv.ndim}-D")
+    if av.ndim not in (1, 2) or bv.ndim not in (1, 2) or av.shape[-1] != bv.shape[0]:
+        raise ShapeError(f"matmul needs 2-D or 1-D operands with equal inner dims, "
+                         f"got {av.shape} @ {bv.shape}")
+
+    def backward(g, wanted):
+        rows = av if av.ndim == 2 else av[None, :]
+        cols = bv if bv.ndim == 2 else bv[:, None]
+        g = g.reshape(rows.shape[0], cols.shape[1])
+        return (g @ cols.T).reshape(av.shape), (rows.T @ g).reshape(bv.shape)
+
+    return _apply(av @ bv, "matmul", (a, b), backward)
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:

@@ -188,17 +188,20 @@ def select_layers(stack: LayerStack, indices) -> LayerStack:
 def write_hs_file(stacks, path) -> None:
     """Write stacks to the binary container (little-endian, float32 payload).
 
-    The file replaces ``path`` only once every record is written
-    (:func:`~iben.errors.open_replacing`), so an error leaves ``path`` as it was.
+    Record ids are unique within a container.  The file replaces ``path``
+    only once every record is written (:func:`~iben.errors.open_replacing`),
+    so an error leaves ``path`` as it was.
     """
     stacks = list(stacks)
     if len(stacks) > _U32_MAX:
         raise DimensionOverflowError("record count exceeds u32")
-    if stacks:
-        n_layers, hidden = stacks[0].n_layers, stacks[0].hidden
-        for s in stacks:
-            if s.n_layers != n_layers or s.hidden != hidden:
-                raise ValueError("all stacks in one file must share n_layers and hidden")
+    seen = set()
+    for index, s in enumerate(stacks):
+        if (s.n_layers, s.hidden) != (stacks[0].n_layers, stacks[0].hidden):
+            raise ValueError("all stacks in one file must share n_layers and hidden")
+        if s.id in seen:
+            raise ValueError(f"stack index {index} repeats the stack id {s.id!r}")
+        seen.add(s.id)
     with open_replacing(path) as fh:
         fh.write(HS_MAGIC)
         fh.write(struct.pack("<I", len(stacks)))
@@ -226,14 +229,15 @@ def _read_exact(fh, n: int, size: int, where: str, what: str) -> bytes:
 
 
 def read_hs_file(path) -> list[LayerStack]:
-    """Read every stack from a container written by :func:`write_hs_file`."""
+    """Read every stack from a container written by :func:`write_hs_file`;
+    a repeated record id is refused as soon as it is read."""
     with open(path, "rb") as fh:
         magic = fh.read(len(HS_MAGIC))
         if magic != HS_MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
         size = os.fstat(fh.fileno()).st_size
         (count,) = struct.unpack("<I", _read_exact(fh, 4, size, str(path), "the record count"))
-        stacks = []
+        stacks, seen = [], set()
         for index in range(count):
             where = f"{path}: record index {index}"
             (id_len,) = struct.unpack("<I", _read_exact(fh, 4, size, where, "the id length"))
@@ -241,6 +245,9 @@ def read_hs_file(path) -> list[LayerStack]:
                 stack_id = _read_exact(fh, id_len, size, where, "the id").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise HsFileError(f"{where} has an id that is not UTF-8 ({exc})") from exc
+            if stack_id in seen:
+                raise HsFileError(f"{where} has duplicate stack id {stack_id!r}")
+            seen.add(stack_id)
             where = f"{where} ({stack_id!r})"
             n_layers, seq_len, hidden = struct.unpack(
                 "<III", _read_exact(fh, 12, size, where, "the dimensions"))
@@ -256,16 +263,6 @@ def read_hs_file(path) -> list[LayerStack]:
             data = data.astype(np.float64).reshape(n_layers, seq_len, hidden)
             stacks.append(LayerStack(data, id=stack_id))
     return stacks
-
-
-def stacks_by_id(stacks, path) -> dict[str, LayerStack]:
-    """The stacks read from container ``path``, keyed by their unique ids."""
-    out = {}
-    for index, s in enumerate(stacks):
-        if s.id in out:
-            raise DataFormatError(f"{path}: record index {index} has duplicate stack id {s.id!r}")
-        out[s.id] = s
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ from . import model as model_lib
 from . import train as train_lib
 from .autodiff import Parameter, Tensor
 from .corpus import PAD_TOKEN, TokenSequence
-from .errors import (ConfigError, DataFormatError, IbenError, TrainingError, open_text,
-                     refuse_json_constant)
+from .errors import ConfigError, DataFormatError, IbenError, open_text, refuse_json_constant
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -112,7 +111,7 @@ def validate_runconfig(raw) -> dict:
         if resolved["fusion_mode"] != "layer_sequence":
             raise ConfigError("learnable layer weights need fusion_mode 'layer_sequence'")
     layers, weights = resolved["layers"], resolved["layer_weights"]
-    if use_bert and layers:
+    if use_bert and layers is not None:
         if len(layers) % 2:
             raise ConfigError(f"layers: {len(layers)} indices do not pair; fusion needs an "
                               f"even count")
@@ -556,21 +555,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataFormatError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IbenError as exc:
+    except (IbenError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

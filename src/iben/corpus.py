@@ -106,23 +106,33 @@ def default_stoplist() -> StopList:
 
 
 def parse_dataset(path) -> list[HeadlineRecord]:
-    """Read a headline CSV with columns id, original, edit, grades, meanGrade."""
+    """Read a headline CSV with columns id, original, edit, grades, meanGrade.
+
+    A row the ``csv`` module cannot split, such as one with a field longer
+    than ``csv.field_size_limit()``, raises :class:`DataFormatError` naming it.
+    """
     required = ("id", "original", "edit", "grades", "meanGrade")
     records = []
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"{path}: empty file, expected a CSV header")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise DataFormatError(f"{path}: header is missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            if any(row.get(c) is None for c in required) or row.get(None):
-                raise DataFormatError(f"{path} row {lineno}: wrong column count")
-            try:
-                records.append(_parse_row(row))
-            except DataFormatError as exc:
-                raise DataFormatError(f"{path} row {lineno}: {exc}") from exc
+        header = None
+        try:
+            header = reader.fieldnames
+            if header is None:
+                raise DataFormatError(f"{path}: empty file, expected a CSV header")
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise DataFormatError(f"{path}: header is missing columns {missing}")
+            for lineno, row in enumerate(reader, start=2):
+                if any(row.get(c) is None for c in required) or row.get(None):
+                    raise DataFormatError(f"{path} row {lineno}: wrong column count")
+                try:
+                    records.append(_parse_row(row))
+                except DataFormatError as exc:
+                    raise DataFormatError(f"{path} row {lineno}: {exc}") from exc
+        except csv.Error as exc:
+            row = 1 if header is None else len(records) + 2
+            raise DataFormatError(f"{path} row {row}: {exc}") from exc
     return records
 
 

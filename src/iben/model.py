@@ -399,7 +399,8 @@ def checkpoint_manifest(path) -> dict | None:
 
 
 def load_checkpoint(path) -> IbenModel:
-    """Rebuild a model from a checkpoint whose parameter table is the model's own."""
+    """Rebuild a model from a checkpoint whose parameter table is the model's own
+    and whose weights are all finite."""
     with open(path, "rb") as fh:
         header = _read_checkpoint_header(fh, path)
         blob = fh.read()
@@ -431,5 +432,8 @@ def load_checkpoint(path) -> IbenModel:
     values = np.frombuffer(blob, dtype="<f8")
     for p, entry in zip(params, table):
         start = entry["offset"] // 8
-        p.values[...] = values[start:start + p.size].reshape(p.shape)
+        weights = values[start:start + p.size]
+        if not np.isfinite(weights).all():
+            raise DataFormatError(f"{path}: parameter {p.name} holds a non-finite weight")
+        p.values[...] = weights.reshape(p.shape)
     return model

@@ -31,7 +31,7 @@ def _fuse_records(records, resolved, features_path) -> list[bertfuse.FusedSequen
     """Each record's fused layer stack, in record order, by one fusion plan that
     the run config and the first record's layer count give.  The container's
     float64 stacks are freed on return."""
-    stacks = bertfuse.stacks_by_id(bertfuse.read_hs_file(features_path), features_path)
+    stacks = {s.id: s for s in bertfuse.read_hs_file(features_path)}
     split = []
     for r in records:
         s = stacks.get(r.id)
@@ -44,7 +44,7 @@ def _fuse_records(records, resolved, features_path) -> list[bertfuse.FusedSequen
     if not split:
         return []
     n_layers = split[0].n_layers
-    layers = resolved["layers"] or range(1, n_layers + 1)
+    layers = range(1, n_layers + 1) if resolved["layers"] is None else resolved["layers"]
     if max(layers) > n_layers:
         raise ConfigError(f"{features_path}: layers names layer {max(layers)}, "
                           f"its records hold {n_layers}")

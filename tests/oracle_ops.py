@@ -16,7 +16,10 @@ input rows were left out of their products, kept as the oracles of that skip.
 were before weight-gradient products moved to the worker thread: each
 gradient buffer zero-filled by the caller and added into, W's gradient
 added in place by the BPTT, and the two directions' BPTTs run through
-``run_both``.  They are the oracles of the deferred sweep.
+``run_both``.  They are the oracles of the deferred sweep.  That BPTT added
+W's gradient a block of columns at a time; the package now adds a product
+into a used buffer whole, so these oracles hold their own blocked add,
+:func:`add_product`.
 """
 
 import numpy as np
@@ -26,7 +29,6 @@ from iben.autodiff import (
     Parameter,
     ShapeError,
     Tensor,
-    _add_product,
     _apply,
     _check_gru,
     _live,
@@ -37,6 +39,15 @@ from iben.autodiff import (
     concat,
     reshape,
 )
+
+
+_BLOCK_COLUMNS = 512
+
+
+def add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``out += a @ b``, a block of columns at a time, with no temporary as large as ``out``."""
+    for lo in range(0, b.shape[1], _BLOCK_COLUMNS):
+        out[:, lo:lo + _BLOCK_COLUMNS] += a @ b[:, lo:lo + _BLOCK_COLUMNS]
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -383,7 +394,7 @@ def _serial_gru(x: Tensor, weights: tuple, h0: Tensor | None, reverse: bool,
         if wanted[1]:
             d_live, x_live = _live(d_rows, rows, keep)
             if isinstance(weights[0], Parameter):
-                _add_product(weights[0].grad, d_live.T, x_live)
+                add_product(weights[0].grad, d_live.T, x_live)
             else:
                 dW = d_live.T @ x_live
         db = d_rows.sum(axis=0)

@@ -233,10 +233,23 @@ class TestMatmul:
         pv = Parameter(v, name="v")
         err = ad.grad_check(lambda: ad.total(ad.matmul(pm, pv)), [pm, pv])
         assert err <= 1e-6
+        pw = Parameter(w, name="w")
+        assert ad.grad_check(lambda: ad.total(ad.matmul(pw, pm)), [pw, pm]) <= 1e-6
 
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    def test_vector_times_vector_is_their_dot_product(self):
+        rng = np.random.default_rng(23)
+        u = Parameter(rng.normal(size=5), name="u")
+        v = Parameter(rng.normal(size=5), name="v")
+        out = ad.matmul(u, v)
+        assert out.shape == () and out.item() == u.values @ v.values
+        assert ad.grad_check(lambda: ad.matmul(u, v), [u, v]) <= 1e-6
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3), (2, 3)), (3, 2), ((), (2,)), ((2, 2, 2), (2, 2)), ((2, 2), (2, 2, 2)),
+    ], ids=["inner_dims", "vector_lengths", "scalar_left", "3d_left", "3d_right"])
+    def test_inner_dim_or_rank_mismatch(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match=r"^matmul needs 2-D or 1-D operands"):
+            ad.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
 class TestConcatAndSlice:

@@ -23,7 +23,6 @@ from iben.bertfuse import (
     pseudo_encode,
     read_hs_file,
     select_layers,
-    stacks_by_id,
     uniform_weights,
     write_hs_file,
 )
@@ -457,13 +456,25 @@ class TestHsFile:
                 assert rt.id == orig.id
                 npt.assert_array_equal(rt.data, orig.data)
 
-    def test_stacks_by_id(self):
-        a = LayerStack(np.zeros((1, 1, 1)), id="a")
-        b = LayerStack(np.zeros((1, 1, 1)), id="b")
-        assert set(stacks_by_id([a, b], "f.hs")) == {"a", "b"}
-        with pytest.raises(DataFormatError,
-                           match=r"^f\.hs: record index 2 has duplicate stack id 'a'$"):
-            stacks_by_id([a, b, a], "f.hs")
+    def test_a_repeated_id_is_refused_as_soon_as_it_is_read(self, tmp_path):
+        """The file ends right after record 2's id, so reading on would fail otherwise."""
+        def record(stack_id):
+            return (struct.pack("<I", len(stack_id)) + stack_id + struct.pack("<III", 1, 1, 1)
+                    + np.zeros(1, dtype="<f4").tobytes())
+
+        path = tmp_path / "f.hs"
+        path.write_bytes(b"IBENHS1\x00" + struct.pack("<I", 4) + record(b"a") + record(b"b")
+                         + struct.pack("<I", 1) + b"a")
+        with pytest.raises(HsFileError, match=rf"^{re.escape(str(path))}: record index 2 has "
+                                              rf"duplicate stack id 'a'$"):
+            read_hs_file(path)
+
+    def test_a_repeated_id_is_refused_on_write(self, tmp_path):
+        rng = np.random.default_rng(35)
+        stacks = [self.float32_stack(rng, id=stack_id) for stack_id in ("a", "b", "a")]
+        with pytest.raises(ValueError, match=r"^stack index 2 repeats the stack id 'a'$"):
+            write_hs_file(stacks, tmp_path / "f.hs")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPseudoEncode:

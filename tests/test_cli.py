@@ -274,6 +274,21 @@ class TestStats:
         assert lines[-2] == "2.999,0" and lines[-1] == "total,4"
 
 
+    @pytest.mark.parametrize("argv", [["stats", "--data", "{data}"],
+                                      ["baseline", "--train", "{data}", "--eval", "{data}"],
+                                      ["preprocess", "--data", "{data}", "--variant", "edited",
+                                       "--out", "{out}"]], ids=lambda argv: argv[0])
+    def test_a_field_over_the_csv_limit_exits_2_naming_the_row(self, tmp_path, capsys, argv):
+        """Python's csv module refuses a field of more than 131,072 characters."""
+        data = write_dataset(tmp_path / "long.csv",
+                             ROWS[:1] + [("2", "x" * 131_073 + " <warn/>", "sing", "1", "1")])
+        out = tmp_path / "tokens.tsv"
+        assert main([a.format(data=data, out=out) for a in argv]) == 2
+        assert capsys.readouterr().err == (f"error: {data} row 3: field larger than field "
+                                           f"limit (131072)\n")
+        assert not out.exists()
+
+
 class TestPseudoEncode:
     def test_container_contents(self, pipeline):
         stacks = read_hs_file(pipeline["features"])
@@ -434,6 +449,7 @@ class TestTrain:
                             "oov: OOV range is empty: high -0.5 is below low 0.5"),
         "max_len_below_a_kernel": ({"max_len": 1},
                                    "max_len: 1 is below the largest kernel_sizes entry, 2"),
+        "empty_layers": ({"layers": []}, "run config rejected: layers: [] should be non-empty"),
     }
 
     @pytest.mark.parametrize("name", list(CONFIG_ONLY_RULES))
@@ -540,14 +556,19 @@ class TestTrain:
 
     def test_duplicate_feature_record_exits_2_naming_the_file(self, pipeline, tmp_path,
                                                                capsys):
-        stacks = read_hs_file(pipeline["features"])
-        stacks[1] = LayerStack(stacks[1].data, id=stacks[0].id)
+        # write_hs_file refuses a repeated id, so copy record 0's id over record 1's
+        first = read_hs_file(pipeline["features"])[0]
+        id_bytes = first.id.encode()
+        raw = bytearray(pipeline["features"].read_bytes())
+        at = 16 + len(id_bytes) + 12 + 4 * first.data.size + 4  # record 1's id
+        assert struct.unpack_from("<I", raw, at - 4)[0] == len(id_bytes)
+        raw[at:at + len(id_bytes)] = id_bytes
         features = tmp_path / "duplicate.hs"
-        write_hs_file(stacks, features)
+        features.write_bytes(bytes(raw))
         config = write_config(pipeline, tmp_path / "duplicate_run", features=str(features))
         assert main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "duplicate.hs: record index 1" in err
+        assert err == f"error: {features}: record index 1 has duplicate stack id {first.id!r}\n"
 
     def test_missing_feature_record_is_a_config_error(self, pipeline, tmp_path, capsys):
         # hidden states built for only half the dataset
@@ -986,6 +1007,23 @@ class TestEvaluate:
         assert main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "record index 0" in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("last", [False, True], ids=["first_parameter", "last_parameter"])
+    def test_a_non_finite_weight_exits_2_naming_the_parameter(self, pipeline, trained,
+                                                               tmp_path, capsys, bad, last):
+        header_line, _, blob = trained.read_bytes().partition(b"\n")
+        name = json.loads(header_line)["params"][-1 if last else 0]["name"]
+        weights = np.frombuffer(blob, dtype="<f8").copy()
+        weights[-1 if last else 0] = bad
+        bad_ckpt = tmp_path / "bad.ckpt"
+        bad_ckpt.write_bytes(header_line + b"\n" + weights.tobytes())
+        preds = tmp_path / "p.csv"
+        assert main(["evaluate", "--checkpoint", str(bad_ckpt), "--data", str(pipeline["data"]),
+                     "--out", str(preds)]) == 2
+        assert capsys.readouterr().err == (f"error: {bad_ckpt}: parameter {name} holds a "
+                                           f"non-finite weight\n")
+        assert not preds.exists()
 
     def test_missing_checkpoint_exits_2(self, pipeline, tmp_path):
         assert main(["evaluate", "--checkpoint", str(tmp_path / "no.ckpt"),

@@ -1,9 +1,10 @@
 """Corrupted input files: the CLI exits 2 with one line, or succeeds.
 
-Bytes of a valid checkpoint, hidden-state container, vector table and
-token file (TSV and JSON lines) are flipped, or the file is cut short.
-`iben evaluate`/`train`/`pseudo-encode` must then either succeed or exit 2
-with a single `error:` line on stderr; nothing may raise out of `main`.  A
+Bytes of a valid checkpoint, hidden-state container, vector table, token
+file (TSV and JSON lines) and dataset CSV are flipped, or the file is cut
+short.  `iben evaluate`/`train`/`pseudo-encode`/`stats` must then either
+succeed or exit 2 with a single `error:` line on stderr; nothing may raise
+out of `main`.  A
 checkpoint's parameter table is also edited entry by entry, and any table
 but the model's own must exit 2.
 """
@@ -112,6 +113,14 @@ def test_corrupted_token_file(files, data, kind):
     assert_exits_2_with_one_line_or_succeeds(
         ["pseudo-encode", "--tokens", str(bad), "--layers", "2", "--hidden", "2",
          "--out", str(files["root"] / "tokens.hs")] + (["--jsonl"] if kind == "jsonl" else []))
+
+
+@FUZZ
+@given(data=st.data())
+def test_corrupted_dataset_csv(files, data):
+    """`iben stats` accepts an empty dataset, so a cut that leaves only the header succeeds."""
+    bad = corrupt(files["data"], files["root"] / "bad.csv", data)
+    assert_exits_2_with_one_line_or_succeeds(["stats", "--data", str(bad)])
 
 
 def edit_param_table(table, data):

@@ -297,9 +297,9 @@ class TestGruSequence:
                 npt.assert_array_equal(single.values, got[0])
 
     def test_weight_that_is_not_a_parameter_gets_the_same_gradient(self):
-        """W's gradient is added into a parameter in column blocks, or handed back whole."""
+        """W's gradient is written into a parameter's buffer, or handed back whole."""
         rng = np.random.default_rng(67)
-        cell = GruCell(1100, 3, "c", rng)  # three column blocks of W
+        cell = GruCell(1100, 3, "c", rng)
         xs = Tensor(rng.normal(size=(2, 4, 1100)))
         grads = []
         for wrap in (lambda w: w, lambda w: scale(w, 1.0)):
