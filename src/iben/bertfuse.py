@@ -188,24 +188,28 @@ def select_layers(stack: LayerStack, indices) -> LayerStack:
 def write_hs_file(stacks, path) -> None:
     """Write stacks to the binary container (little-endian, float32 payload).
 
-    Record ids are unique within a container.  The file replaces ``path``
-    only once every record is written (:func:`~iben.errors.open_replacing`),
-    so an error leaves ``path`` as it was.
+    ``stacks`` is any iterable; each stack is checked and written as it
+    comes, so a generator is held one stack at a time.  Every stack shares
+    the first one's layer count and hidden size, and record ids are unique
+    within a container.  The record count goes in last, and the file
+    replaces ``path`` only once every record is written
+    (:func:`~iben.errors.open_replacing`), so an error leaves ``path`` as it was.
     """
-    stacks = list(stacks)
-    if len(stacks) > _U32_MAX:
-        raise DimensionOverflowError("record count exceeds u32")
-    seen = set()
-    for index, s in enumerate(stacks):
-        if (s.n_layers, s.hidden) != (stacks[0].n_layers, stacks[0].hidden):
-            raise ValueError("all stacks in one file must share n_layers and hidden")
-        if s.id in seen:
-            raise ValueError(f"stack index {index} repeats the stack id {s.id!r}")
-        seen.add(s.id)
+    seen: set[str] = set()
+    dims = None
     with open_replacing(path) as fh:
         fh.write(HS_MAGIC)
-        fh.write(struct.pack("<I", len(stacks)))
+        fh.write(struct.pack("<I", 0))  # the record count, written once known
         for s in stacks:
+            index = len(seen)  # one id per record written
+            if index == _U32_MAX:
+                raise DimensionOverflowError("record count exceeds u32")
+            dims = dims or (s.n_layers, s.hidden)
+            if (s.n_layers, s.hidden) != dims:
+                raise ValueError("all stacks in one file must share n_layers and hidden")
+            if s.id in seen:
+                raise ValueError(f"stack index {index} repeats the stack id {s.id!r}")
+            seen.add(s.id)
             id_bytes = s.id.encode("utf-8")
             if len(id_bytes) > _U32_MAX:
                 raise DimensionOverflowError(f"id of stack {s.id!r} exceeds u32")
@@ -215,6 +219,9 @@ def write_hs_file(stacks, path) -> None:
             fh.write(id_bytes)
             fh.write(struct.pack("<III", s.n_layers, s.seq_len, s.hidden))
             fh.write(s.data.astype("<f4").tobytes())
+            del s  # not held while the next stack is made
+        fh.seek(len(HS_MAGIC))
+        fh.write(struct.pack("<I", len(seen)))
 
 
 def _read_exact(fh, n: int, size: int, where: str, what: str) -> bytes:
@@ -228,41 +235,51 @@ def _read_exact(fh, n: int, size: int, where: str, what: str) -> bytes:
     return buf
 
 
-def read_hs_file(path) -> list[LayerStack]:
-    """Read every stack from a container written by :func:`write_hs_file`;
-    a repeated record id is refused as soon as it is read."""
+def read_hs_file(path, *, each=None) -> list[LayerStack] | None:
+    """Read the stacks of a container written by :func:`write_hs_file`, in
+    file order; a repeated record id is refused as soon as it is read.
+
+    Without ``each``, return every stack.  With it, hand each stack to
+    ``each(stack)`` as soon as it is read and checked, keep none, and return
+    None: a caller that drops the stack holds one float64 stack at a time.
+    """
+    stacks = None if each else []
+    each = each or stacks.append
     with open(path, "rb") as fh:
         magic = fh.read(len(HS_MAGIC))
         if magic != HS_MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
         size = os.fstat(fh.fileno()).st_size
         (count,) = struct.unpack("<I", _read_exact(fh, 4, size, str(path), "the record count"))
-        stacks, seen = [], set()
+        seen: set[str] = set()
         for index in range(count):
-            where = f"{path}: record index {index}"
-            (id_len,) = struct.unpack("<I", _read_exact(fh, 4, size, where, "the id length"))
-            try:
-                stack_id = _read_exact(fh, id_len, size, where, "the id").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise HsFileError(f"{where} has an id that is not UTF-8 ({exc})") from exc
-            if stack_id in seen:
-                raise HsFileError(f"{where} has duplicate stack id {stack_id!r}")
-            seen.add(stack_id)
-            where = f"{where} ({stack_id!r})"
-            n_layers, seq_len, hidden = struct.unpack(
-                "<III", _read_exact(fh, 12, size, where, "the dimensions"))
-            if min(n_layers, seq_len, hidden) < 1:
-                raise DimensionOverflowError(f"{where} declares a zero dimension")
-            n_values = n_layers * seq_len * hidden
-            if n_values > _MAX_RECORD_ELEMENTS:
-                raise DimensionOverflowError(f"{where} declares {n_values} values")
-            data = np.frombuffer(_read_exact(fh, 4 * n_values, size, where, "the payload"),
-                                 dtype="<f4")
-            if not np.isfinite(data).all():
-                raise HsFileError(f"{where} holds non-finite values")
-            data = data.astype(np.float64).reshape(n_layers, seq_len, hidden)
-            stacks.append(LayerStack(data, id=stack_id))
+            each(_read_record(fh, size, f"{path}: record index {index}", seen))
     return stacks
+
+
+def _read_record(fh, size: int, where: str, seen: set) -> LayerStack:
+    """The next record of ``fh`` as a float64 stack; its id joins ``seen``."""
+    (id_len,) = struct.unpack("<I", _read_exact(fh, 4, size, where, "the id length"))
+    try:
+        stack_id = _read_exact(fh, id_len, size, where, "the id").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise HsFileError(f"{where} has an id that is not UTF-8 ({exc})") from exc
+    if stack_id in seen:
+        raise HsFileError(f"{where} has duplicate stack id {stack_id!r}")
+    seen.add(stack_id)
+    where = f"{where} ({stack_id!r})"
+    n_layers, seq_len, hidden = struct.unpack(
+        "<III", _read_exact(fh, 12, size, where, "the dimensions"))
+    if min(n_layers, seq_len, hidden) < 1:
+        raise DimensionOverflowError(f"{where} declares a zero dimension")
+    n_values = n_layers * seq_len * hidden
+    if n_values > _MAX_RECORD_ELEMENTS:
+        raise DimensionOverflowError(f"{where} declares {n_values} values")
+    data = np.frombuffer(_read_exact(fh, 4 * n_values, size, where, "the payload"),
+                         dtype="<f4")
+    if not np.isfinite(data).all():
+        raise HsFileError(f"{where} holds non-finite values")
+    return LayerStack(data.astype(np.float64).reshape(n_layers, seq_len, hidden), id=stack_id)
 
 
 # ---------------------------------------------------------------------------

@@ -257,13 +257,10 @@ def cmd_stats(args) -> int:
 
 def cmd_pseudo_encode(args) -> int:
     rows = _read_token_file(args.tokens, args.jsonl)
-    stacks = []
-    for record_id, tokens in rows:
-        stacks.append(bertfuse.pseudo_encode(
-            TokenSequence(tuple(tokens)), args.layers, args.hidden, args.seed,
-            stack_id=record_id))
-    bertfuse.write_hs_file(stacks, args.out)
-    print(f"stacks {len(stacks)}")
+    bertfuse.write_hs_file((bertfuse.pseudo_encode(TokenSequence(tuple(tokens)), args.layers,
+                                                   args.hidden, args.seed, stack_id=record_id)
+                            for record_id, tokens in rows), args.out)
+    print(f"stacks {len(rows)}")
     return 0
 
 

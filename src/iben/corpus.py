@@ -1,7 +1,8 @@
 """Headline dataset parsing, micro-edit application, and token pipeline.
 
 A dataset row carries a headline with exactly one ``<word/>`` edit span,
-the substitute word, the judge grades as a digit string, and their mean.
+the substitute word, the judge grades as a string of ASCII digits, and
+their mean.
 The pipeline lowercases, splits on whitespace, strips edge punctuation,
 optionally drops stopwords, and pads or truncates to a fixed length.
 """
@@ -138,8 +139,8 @@ def parse_dataset(path) -> list[HeadlineRecord]:
 
 def _parse_row(row) -> HeadlineRecord:
     grades_str = row["grades"].strip()
-    if not grades_str or not grades_str.isdigit():
-        raise DataFormatError(f"grades {row['grades']!r} is not a digit string")
+    if not (grades_str.isascii() and grades_str.isdigit()):  # only 0-9, not ² or ٣
+        raise DataFormatError(f"grades {row['grades']!r} is not a string of the digits 0-9")
     grades = tuple(int(c) for c in grades_str)
     try:
         mean_grade = float(row["meanGrade"])

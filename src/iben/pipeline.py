@@ -27,23 +27,9 @@ def embedder_from(resolved) -> wordvec.UnifiedEmbedder:
     return wordvec.UnifiedEmbedder(tables, wordvec.OovPolicy(**resolved["oov"]))
 
 
-def _fuse_records(records, resolved, features_path) -> list[bertfuse.FusedSequence]:
-    """Each record's fused layer stack, in record order, by one fusion plan that
-    the run config and the first record's layer count give.  The container's
-    float64 stacks are freed on return."""
-    stacks = {s.id: s for s in bertfuse.read_hs_file(features_path)}
-    split = []
-    for r in records:
-        s = stacks.get(r.id)
-        if s is None:
-            raise ConfigError(f"{features_path}: no hidden states for record {r.id!r}")
-        if split and (s.n_layers, s.hidden) != (split[0].n_layers, split[0].hidden):
-            raise ConfigError(f"{features_path}: record {r.id!r} holds {s.n_layers}x{s.hidden} "
-                              f"layers x width, expected {split[0].n_layers}x{split[0].hidden}")
-        split.append(s)
-    if not split:
-        return []
-    n_layers = split[0].n_layers
+def _fusion_plan(resolved, n_layers, features_path):
+    """The pairing, in the container's layer numbers, and the pair weights that
+    the run config gives records of ``n_layers`` layers."""
     layers = range(1, n_layers + 1) if resolved["layers"] is None else resolved["layers"]
     if max(layers) > n_layers:
         raise ConfigError(f"{features_path}: layers names layer {max(layers)}, "
@@ -58,8 +44,42 @@ def _fuse_records(records, resolved, features_path) -> list[bertfuse.FusedSequen
     if weights is not None and len(weights) != len(pairing):
         raise ConfigError(f"{features_path}: {len(weights)} layer_weights for the "
                           f"{len(pairing)} layer pairs of its records")
-    weights = weights or bertfuse.uniform_weights(len(pairing))
-    return [bertfuse.fuse(s, pairing, weights, mode=resolved["fusion_mode"]) for s in split]
+    return pairing, weights or bertfuse.uniform_weights(len(pairing))
+
+
+def _fuse_records(records, resolved, features_path) -> list[bertfuse.FusedSequence]:
+    """Each record's fused layer stack, in record order.
+
+    The container is read one record at a time, and each record the split
+    uses is fused as it is read and then dropped, so one float64 stack is
+    held at a time.  The fusion plan comes from the run config and the
+    container's first record; every later record must hold that record's
+    layer count and width.
+    """
+    slots: dict[str, list[int]] = {}
+    for i, r in enumerate(records):
+        slots.setdefault(r.id, []).append(i)
+    fused: list = [None] * len(records)
+    dims = pairing = weights = None  # the first record's (layers, width) and its plan
+
+    def fuse_record(s):
+        nonlocal dims, pairing, weights
+        if dims is None:
+            dims = (s.n_layers, s.hidden)
+            pairing, weights = _fusion_plan(resolved, s.n_layers, features_path)
+        if (s.n_layers, s.hidden) != dims:
+            raise ConfigError(f"{features_path}: record {s.id!r} holds {s.n_layers}x{s.hidden} "
+                              f"layers x width, expected {dims[0]}x{dims[1]}")
+        if s.id in slots:
+            one = bertfuse.fuse(s, pairing, weights, mode=resolved["fusion_mode"])
+            for i in slots[s.id]:
+                fused[i] = one
+
+    bertfuse.read_hs_file(features_path, each=fuse_record)
+    for r, f in zip(records, fused):
+        if f is None:
+            raise ConfigError(f"{features_path}: no hidden states for record {r.id!r}")
+    return fused
 
 
 def assemble(resolved, splits, widths=None):

@@ -2,7 +2,9 @@
 
 Several tables (e.g. three 300-dimensional models) are stacked side by
 side: a token's unified vector is the concatenation of its per-table
-lookups, so the matrix width is the sum of the table dimensions.
+lookups, so the matrix width is the sum of the table dimensions.  An
+embedder computes each distinct token's unified vector once, into one
+vocabulary store, and a record's matrix is its L row indices into it.
 """
 
 from __future__ import annotations
@@ -179,27 +181,59 @@ def _oov_fill(policy: OovPolicy, table_index: int, token: str, dim: int) -> np.n
     return rng.uniform(policy.low, policy.high, dim)
 
 
-@dataclass(frozen=True)
+class VocabularyStore:
+    """One V x D matrix of unified token vectors, one row per distinct token
+    embedded so far; row 0 is the pad token's, all zeros.  ``rows`` maps each
+    token to its row.  The matrix doubles its row capacity when full.
+    """
+
+    def __init__(self, dim: int):
+        self.matrix = np.zeros((64, dim), dtype=np.float64)
+        self.rows = {PAD_TOKEN: 0}
+
+    def add(self, token: str, vector: np.ndarray) -> None:
+        """Store ``vector`` as ``token``'s row, the next free one."""
+        row = len(self.rows)
+        if row == len(self.matrix):
+            grown = np.zeros((2 * row, self.matrix.shape[1]), dtype=np.float64)
+            grown[:row] = self.matrix
+            self.matrix = grown
+        self.matrix[row] = vector
+        self.rows[token] = row
+
+
 class EmbeddingMatrix:
-    """L x D matrix of stacked token vectors; pad rows are all zero."""
+    """L x D matrix of stacked token vectors, held as L row indices into a
+    :class:`VocabularyStore`; ``data`` gathers the rows, so pad rows are zero."""
 
-    data: np.ndarray
+    __slots__ = ("store", "index")
 
-    def __post_init__(self) -> None:
-        if self.data.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got ndim={self.data.ndim}")
+    def __init__(self, store: VocabularyStore, index: np.ndarray):
+        if index.ndim != 1:
+            raise ValueError(f"expected 1-D row indices, got ndim={index.ndim}")
+        self.store = store
+        self.index = index
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.store.matrix[self.index]
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return len(self.index)
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.store.matrix.shape[1]
 
 
 class UnifiedEmbedder:
-    """Ordered stack of vector tables plus an out-of-vocabulary policy."""
+    """Ordered stack of vector tables plus an out-of-vocabulary policy.
+
+    Every matrix it builds indexes its one :class:`VocabularyStore`, so each
+    distinct token's vector is computed and held once, however many records
+    use it.
+    """
 
     def __init__(self, tables, oov_policy: OovPolicy | None = None):
         self.tables = list(tables)
@@ -207,6 +241,7 @@ class UnifiedEmbedder:
             raise ValueError("embedder needs at least one table")
         self.oov_policy = oov_policy or OovPolicy()
         self.total_dim = sum(t.dim for t in self.tables)
+        self.store = VocabularyStore(self.total_dim)
 
     def embed_token(self, token: str) -> np.ndarray:
         """Unified vector: per-table lookups concatenated in table order."""
@@ -221,9 +256,8 @@ class UnifiedEmbedder:
         return np.concatenate(blocks)
 
     def build_matrix(self, seq: TokenSequence) -> EmbeddingMatrix:
-        data = np.zeros((len(seq.tokens), self.total_dim), dtype=np.float64)
-        for t, token in enumerate(seq.tokens):
-            if token != PAD_TOKEN:
-                data[t] = self.embed_token(token)
-        return EmbeddingMatrix(data)
-
+        rows = self.store.rows
+        for token in seq.tokens:
+            if token not in rows:
+                self.store.add(token, self.embed_token(token))
+        return EmbeddingMatrix(self.store, np.array([rows[t] for t in seq.tokens], dtype=np.intp))

@@ -1,14 +1,17 @@
-"""The per-line word-vector loader that ``iben.wordvec`` replaced, kept as
-the oracle of its one-pass parse.
+"""Code that ``iben.wordvec`` replaced, kept as the oracle of its new form.
 
-It converts each component with Python's ``float``, which also accepts
-``1_0`` and non-ASCII digits such as ``１``; the fast loader refuses both.
+``load_text_vectors`` is the per-line word-vector loader, the oracle of the
+one-pass parse.  It converts each component with Python's ``float``, which
+also accepts ``1_0`` and non-ASCII digits such as ``１``; the fast loader
+refuses both.  ``build_matrix`` is the dense embedding build, the oracle of
+the matrices that index one vocabulary store.
 """
 
 import logging
 
 import numpy as np
 
+from iben.corpus import PAD_TOKEN
 from iben.errors import DataFormatError, open_text
 from iben.wordvec import WordVectorTable
 
@@ -75,3 +78,13 @@ def load_text_vectors(path, format: str = "glove_text", name: str = "") -> WordV
     if duplicates:
         log.warning("%s: %d duplicate entries ignored (first occurrence kept)", path, duplicates)
     return WordVectorTable(dim, entries, name=name or str(path), duplicates=duplicates)
+
+
+def build_matrix(embedder, seq) -> np.ndarray:
+    """The L x D matrix of ``seq``: zeros, then each token's unified vector
+    from ``embedder.embed_token`` in its row, pad rows left zero."""
+    data = np.zeros((len(seq.tokens), embedder.total_dim), dtype=np.float64)
+    for t, token in enumerate(seq.tokens):
+        if token != PAD_TOKEN:
+            data[t] = embedder.embed_token(token)
+    return data

@@ -9,6 +9,9 @@ it runs; these tests find it from the source.
 
 import ast
 import importlib
+import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +106,41 @@ def test_the_benchmark_imports_only_modules_that_exist():
             if isinstance(node, ast.ImportFrom) and node.module == "iben":
                 for alias in node.names:
                     importlib.import_module(f"iben.{alias.name}")
+
+
+def test_set_up_calls_every_function_the_traced_benchmark_times(tmp_path, monkeypatch):
+    """``bench/run.py --trace 1`` takes medians and rates of the set-up spans of
+    ``read_hs_file``, ``fuse``, ``load_text_vectors`` and ``build_matrix``, and
+    fails on a name with no span; ``read_hs_file``'s span counts the file's bytes."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass looks itself up there
+    spec.loader.exec_module(tracing)
+    data = tmp_path / "data.csv"
+    data.write_text("id,original,edit,grades,meanGrade\n1,Officials <warn/> about it,sing,1,1\n"
+                    "2,Senate <votes/> on deals,dances,3,3\n", encoding="utf-8")
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("officials 0.5 -0.25\nsing 0.125 1\n", encoding="utf-8")
+    resolved = cli.validate_runconfig({
+        "train_data": str(data), "out_dir": str(tmp_path / "out"),
+        "features": str(tmp_path / "train.hs"), "embedding_tables": [{"path": str(vectors)}],
+        "max_len": 4, "kernel_sizes": [1, 2]})
+    records = corpus.parse_dataset(data)
+    bertfuse.write_hs_file([bertfuse.pseudo_encode(corpus.prepare(r, "edited", None, 4), 4, 3,
+                                                   seed=1, stack_id=r.id) for r in records],
+                           resolved["features"])
+    tracer = tracing.Tracer()
+    tracing.install_iben_spans(tracer, ad=autodiff, bertfuse=bertfuse, corpus=corpus,
+                               model_lib=model, train_lib=train, wordvec=wordvec)
+    try:
+        with tracer.span("bench.setup"):
+            samples, _ = cli._assemble_samples(records, resolved, resolved["features"])
+    finally:
+        tracer.restore()
+    assert len(samples) == 2
+    names = [s.name for s in tracer.within(tracer.roots("bench.setup")[0])]
+    for name in ("bertfuse.read_hs_file", "bertfuse.fuse", "wordvec.load_text_vectors",
+                 "wordvec.build_matrix"):
+        assert name in names, f"set-up makes no {name} call"
+    (read,) = [s for s in tracer.spans if s.name == "bertfuse.read_hs_file"]
+    assert read.count == os.path.getsize(resolved["features"]) and read.seconds > 0

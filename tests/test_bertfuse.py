@@ -4,6 +4,7 @@ import re
 import struct
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -468,6 +469,59 @@ class TestHsFile:
         with pytest.raises(HsFileError, match=rf"^{re.escape(str(path))}: record index 2 has "
                                               rf"duplicate stack id 'a'$"):
             read_hs_file(path)
+
+    def test_a_generator_is_written_one_stack_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(36)
+        alive = []
+
+        def made(k):
+            stack = self.float32_stack(rng, id=f"s{k}")
+            alive.append(weakref.ref(stack.data))
+            return stack
+
+        def stacks():
+            for k in range(4):
+                assert all(ref() is None for ref in alive), f"a stack before s{k} is alive"
+                yield made(k)
+
+        path = tmp_path / "gen.hs"
+        write_hs_file(stacks(), path)
+        assert [s.id for s in read_hs_file(path)] == ["s0", "s1", "s2", "s3"]
+        assert struct.unpack_from("<I", path.read_bytes(), 8) == (4,)
+
+    def test_a_generator_that_fails_midway_keeps_the_old_file(self, tmp_path):
+        rng = np.random.default_rng(37)
+        path = tmp_path / "a.hs"
+        write_hs_file([self.float32_stack(rng, id="old")], path)
+        old = path.read_bytes()
+
+        def stacks():
+            yield self.float32_stack(rng, id="a")
+            raise RuntimeError("the encoder failed")
+
+        with pytest.raises(RuntimeError, match="the encoder failed"):
+            write_hs_file(stacks(), path)
+        assert path.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["a.hs"]
+
+    def test_each_record_is_handed_over_as_soon_as_it_is_read(self, tmp_path):
+        """With ``each``, nothing is returned and every record reaches ``each``
+        in file order; a record cut short is refused after the ones before it."""
+        rng = np.random.default_rng(38)
+        stacks = [self.float32_stack(rng, id=f"r{k}") for k in range(3)]
+        path = tmp_path / "r.hs"
+        write_hs_file(stacks, path)
+        got = []
+        assert read_hs_file(path, each=got.append) is None
+        assert [s.id for s in got] == ["r0", "r1", "r2"]
+        for orig, back in zip(stacks, got):
+            assert back.data.dtype == np.float64 and np.array_equal(back.data, orig.data)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) - 3])
+        got.clear()
+        with pytest.raises(TruncatedPayloadError, match=r"record index 2 \('r2'\)"):
+            read_hs_file(path, each=got.append)
+        assert [s.id for s in got] == ["r0", "r1"]
 
     def test_a_repeated_id_is_refused_on_write(self, tmp_path):
         rng = np.random.default_rng(35)

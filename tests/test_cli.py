@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -288,6 +289,16 @@ class TestStats:
                                            f"limit (131072)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("grades", ["1²", "1٣"], ids=["superscript_two", "arabic_three"])
+    def test_a_grade_that_is_not_an_ascii_digit_exits_2_naming_the_row(self, tmp_path, capsys,
+                                                                      grades):
+        """``str.isdigit`` holds for both; ``int`` refuses ``²`` and reads ``٣`` as 3."""
+        data = write_dataset(tmp_path / "grades.csv",
+                             ROWS[:1] + [("2", "Officials <warn/> about it", "sing", grades, "2")])
+        assert main(["stats", "--data", str(data)]) == 2
+        assert capsys.readouterr().err == (f"error: {data} row 3: grades {grades!r} is not a "
+                                           f"string of the digits 0-9\n")
+
 
 class TestPseudoEncode:
     def test_container_contents(self, pipeline):
@@ -307,6 +318,21 @@ class TestPseudoEncode:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert outs[0] == pipeline["features"].read_bytes()
+
+    def test_one_stack_is_held_at_a_time(self, pipeline, tmp_path, monkeypatch):
+        encode, alive = bertfuse.pseudo_encode, []
+
+        def encode_and_watch(*args, **kwargs):
+            assert all(ref() is None for ref in alive), "an earlier stack is alive"
+            stack = encode(*args, **kwargs)
+            alive.append(weakref.ref(stack.data))
+            return stack
+
+        monkeypatch.setattr(bertfuse, "pseudo_encode", encode_and_watch)
+        out = tmp_path / "watched.hs"
+        assert main(["pseudo-encode", "--tokens", str(pipeline["tokens"]), "--layers", "4",
+                     "--hidden", "4", "--seed", "1", "--out", str(out)]) == 0
+        assert len(alive) == 4 and out.read_bytes() == pipeline["features"].read_bytes()
 
     def test_seed_changes_the_output(self, pipeline, tmp_path):
         out = tmp_path / "other.hs"
@@ -643,6 +669,25 @@ class TestTrain:
         # refused before any table loads: both containers fused, nothing embedded
         assert setup_calls == ["read_hs_file"] + ["fuse"] * 4 + ["read_hs_file"] + ["fuse"] * 4
 
+    def test_wrong_layer_weights_with_layers_null_are_refused_after_one_record(
+            self, pipeline, tmp_path, capsys, setup_calls):
+        """The pair count comes from the container's first record, so a container
+        cut inside its second record gives the config error, not the cut's."""
+        first = read_hs_file(pipeline["features"])[0]
+        second = 16 + len(first.id.encode()) + 12 + 4 * first.data.size  # record 1's id length
+        features = tmp_path / "cut.hs"
+        features.write_bytes(pipeline["features"].read_bytes()[:second + 10])
+        config = write_config(pipeline, tmp_path / "cut_run", features=str(features))
+        assert main(["train", "--config", str(config)]) == 2
+        assert "record index 1" in capsys.readouterr().err
+        setup_calls.clear()
+        config = write_config(pipeline, tmp_path / "weights_run", features=str(features),
+                              layer_weights=[1.0] * 3)
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (f"error: {features}: 3 layer_weights for the 2 "
+                                           f"layer pairs of its records\n")
+        assert setup_calls == ["read_hs_file"]
+
     @pytest.mark.parametrize("overrides, layers, message", [
         ({"layer_weights": [1.0] * 3}, 4, "3 layer_weights for the 2 layer pairs of its records"),
         ({"layers": [1, 9]}, 4, "layers names layer 9, its records hold 4"),
@@ -721,16 +766,20 @@ class TestFusionConfigs:
 
 
 class TestAssembleSamples:
-    def test_the_container_is_freed_before_any_table_loads(self, pipeline, tmp_path,
-                                                          monkeypatch):
-        """The float64 stacks and the vector tables never hold memory at once."""
+    def test_at_most_one_float64_stack_is_alive_at_any_time(self, pipeline, tmp_path,
+                                                             monkeypatch):
+        """Each record is fused and dropped before the next is read, and no stack
+        is held while a table is."""
         read, load = bertfuse.read_hs_file, wordvec.load_text_vectors
         alive = []
 
-        def read_and_watch(path):
-            stacks = read(path)
-            alive.extend(weakref.ref(s.data) for s in stacks)
-            return stacks
+        def read_and_watch(path, *, each):
+            def watch(stack):
+                assert all(ref() is None for ref in alive), "an earlier stack is alive"
+                alive.append(weakref.ref(stack.data))
+                each(stack)
+
+            return read(path, each=watch)
 
         def load_after_the_stacks_are_gone(*args, **kwargs):
             assert alive and all(ref() is None for ref in alive)
@@ -741,21 +790,26 @@ class TestAssembleSamples:
         resolved = validate_runconfig(make_config(pipeline, tmp_path / "out"))
         (samples,), _ = pipeline_lib.assemble(
             resolved, [(corpus.parse_dataset(pipeline["data"]), resolved["features"])])
-        assert len(samples) == 4
+        assert len(samples) == 4 and len(alive) == 4
 
     def test_train_loads_each_table_once_after_the_container_is_freed(self, pipeline,
                                                                       tmp_path, monkeypatch):
         """The training and dev splits share one load of every vector table, made
-        after both splits' containers are read and their stacks are gone."""
+        after both splits' containers are read, and at most one float64 stack
+        is alive at any time."""
         second = write_vectors(tmp_path / "second.txt", dim=3)
         read, load = bertfuse.read_hs_file, wordvec.load_text_vectors
         alive, loads = [], []
 
-        def read_and_watch(path):
+        def read_and_watch(path, *, each):
             assert not loads, f"{path} was read after a table loaded"
-            stacks = read(path)
-            alive.extend(weakref.ref(s.data) for s in stacks)
-            return stacks
+
+            def watch(stack):
+                assert all(ref() is None for ref in alive), "an earlier stack is alive"
+                alive.append(weakref.ref(stack.data))
+                each(stack)
+
+            return read(path, each=watch)
 
         def load_and_count(path, *args, **kwargs):
             assert alive and all(ref() is None for ref in alive)
@@ -769,7 +823,37 @@ class TestAssembleSamples:
                               embedding_tables=[{"path": str(pipeline["vectors"])},
                                                 {"path": str(second)}])
         assert main(["train", "--config", str(config)]) == 0
-        assert loads == [str(pipeline["vectors"]), str(second)]
+        assert loads == [str(pipeline["vectors"]), str(second)] and len(alive) == 8
+
+    def test_assembling_2n_records_peaks_within_n_fused_matrices_and_one_stack_of_n(
+            self, pipeline, tmp_path):
+        """tracemalloc's peak for 2N records exceeds its peak for N by at most the
+        N more fused matrices plus one float64 stack: the container's stacks are
+        not held together (with all of them held, it would be N stacks more)."""
+        rng = np.random.default_rng(6)
+        layers, seq_len, hidden, n = 24, 8, 64, 16
+        stack_bytes = layers * seq_len * hidden * 8  # 98 KB
+        fused_bytes = layers // 2 * 4 * hidden * 8  # 12 rows of 4 pooled blocks, 24.6 KB
+
+        def peak(count):
+            features = tmp_path / f"{count}.hs"
+            write_hs_file((LayerStack(rng.uniform(-1, 1, (layers, seq_len, hidden))
+                                      .astype(np.float32), id=str(i)) for i in range(count)),
+                          features)
+            records = [corpus.HeadlineRecord(str(i), "a <b/> c", "d", (1,), 1.0)
+                       for i in range(count)]
+            resolved = validate_runconfig(make_config(pipeline, tmp_path / "out",
+                                                      branches="bert", features=str(features)))
+            tracemalloc.start()
+            try:
+                (samples,), _ = pipeline_lib.assemble(resolved, [(records, str(features))])
+                assert len(samples) == count
+                assert samples[0][1][0].data.nbytes == fused_bytes
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2 * n) - peak(n) <= n * fused_bytes + stack_bytes
 
     def test_no_table_survives_to_training(self, pipeline, tmp_path, monkeypatch):
         load, train = wordvec.load_text_vectors, train_lib.train

@@ -15,6 +15,7 @@ from iben.wordvec import (
     EmbeddingMatrix,
     OovPolicy,
     UnifiedEmbedder,
+    VocabularyStore,
     WordVectorTable,
     load_text_vectors,
 )
@@ -373,6 +374,86 @@ class TestBuildMatrix:
         npt.assert_array_equal(builds[0], builds[1])
 
     def test_matrix_validates_pad_rows(self):
-        with pytest.raises(ValueError):
-            EmbeddingMatrix(np.ones(3))  # not 2-D
+        with pytest.raises(ValueError, match="1-D row indices"):
+            EmbeddingMatrix(VocabularyStore(3), np.zeros((2, 2), dtype=np.intp))
+
+
+# a token: text of any kind (the pad token among it), or one of a few short words
+TOKENS = st.one_of(st.text(min_size=1, max_size=6),
+                   st.sampled_from([PAD_TOKEN, "a", "b", "cd", "é", "a b"]))
+
+
+class TestVocabularyStore:
+    @given(words=st.lists(TOKENS, max_size=30),
+           dims=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           seqs=st.lists(st.lists(TOKENS, max_size=45), min_size=1, max_size=12),
+           max_len=st.integers(1, 45),
+           policy=st.one_of(st.just(OovPolicy()),
+                            st.builds(OovPolicy, kind=st.just("seeded_uniform"),
+                                      seed=st.integers(0, 2**32)),
+                            st.builds(OovPolicy, kind=st.just("seeded_uniform"),
+                                      low=st.floats(-1, 0), high=st.floats(0, 1),
+                                      seed=st.integers(0, 9))))
+    @settings(max_examples=200, deadline=None)
+    def test_gathered_matrices_have_the_bytes_of_the_dense_build(self, words, dims, seqs,
+                                                                 max_len, policy):
+        """Every matrix one embedder builds, read again after later builds have
+        grown the store, equals the dense oracle byte for byte."""
+        tables = [table_from(words[i::len(dims)], d, seed=i, name=f"t{i}")
+                  for i, d in enumerate(dims)]
+        emb = UnifiedEmbedder(tables, policy)
+        seqs = [pad_truncate(tokens, max_len=max_len) for tokens in seqs]
+        built = [emb.build_matrix(seq) for seq in seqs]
+        for seq, m in zip(seqs, built):
+            want = oracle_io.build_matrix(emb, seq)
+            assert (m.rows, m.cols) == want.shape
+            assert m.data.dtype == want.dtype and m.data.tobytes() == want.tobytes()
+        distinct = {t for seq in seqs for t in seq.tokens} | {PAD_TOKEN}
+        assert set(emb.store.rows) == distinct
+
+    def test_each_token_is_embedded_once(self, monkeypatch):
+        emb = UnifiedEmbedder([table_from(["a"], 3)], OovPolicy(kind="seeded_uniform"))
+        embedded = []
+        monkeypatch.setattr(emb, "embed_token",
+                            lambda token, _embed=emb.embed_token: embedded.append(token)
+                            or _embed(token))
+        for tokens in (["a", "b", "a"], ["b", "c"], ["c", "a"]):
+            emb.build_matrix(pad_truncate(tokens, max_len=5))
+        assert embedded == ["a", "b", "c"]
+        assert emb.store.rows == {PAD_TOKEN: 0, "a": 1, "b": 2, "c": 3}
+        assert not emb.store.matrix[0].any()
+
+    def test_every_matrix_reads_the_same_rows_after_the_store_grows(self):
+        """300 tokens grow the store from 64 rows to 128, 256 and 512."""
+        emb = UnifiedEmbedder([table_from(["w0", "w5"], 4)], OovPolicy(kind="seeded_uniform"))
+        seqs = [pad_truncate([f"w{j}" for j in range(i, i + 5)], max_len=6)
+                for i in range(0, 300, 5)]
+        built = [emb.build_matrix(seq) for seq in seqs]
+        assert emb.store.matrix.shape == (512, 4) and len(emb.store.rows) == 301
+        for seq, m in zip(seqs, built):
+            assert m.data.tobytes() == oracle_io.build_matrix(emb, seq).tobytes()
+
+    def test_the_store_grows_with_the_vocabulary_not_the_record_count(self):
+        """Paper widths: 40 rows of 3 x 300 columns.  A record keeps its 40 row
+        indices (320 bytes) and two small objects, under 1 KB, where the dense
+        matrix took 288 KB; 60 more distinct tokens take 60 more store rows."""
+        words = [f"w{i}" for i in range(120)]
+        tables = [table_from(words, 300, seed=i, name=f"t{i}") for i in range(3)]
+
+        def retained(n_records, vocab):
+            seqs = [pad_truncate([words[(7 * i + k) % vocab] for k in range(9)], max_len=40)
+                    for i in range(n_records)]
+            emb = UnifiedEmbedder(tables)
+            tracemalloc.start()
+            try:
+                built = [emb.build_matrix(seq) for seq in seqs]
+                current = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(built) == n_records and len(emb.store.rows) == vocab + 1
+            return current
+
+        row_bytes = 900 * 8
+        assert retained(400, 60) - retained(200, 60) < 200 * 1024
+        assert retained(200, 120) - retained(200, 60) >= 60 * row_bytes
 
