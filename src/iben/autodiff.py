@@ -7,20 +7,19 @@ execution order, and calls each entry's one backward function once for
 all of its operands.  A gradient reaches a tensor only if it was recorded
 on the tape being swept or is a :class:`Parameter`; every other operand is
 a constant, which the backward function is told so that it can skip that
-gradient, and only parameters carry a ``.grad``.  The open tapes are
-process-wide and not thread-safe: an op run on any thread is recorded on
-the innermost open tape.  A tape knows the tensors it recorded, and a
-tensor does not refer to its tape, so a finished graph is freed by
-reference counting alone.
+gradient, and only parameters carry a ``.grad``.  The open tape belongs to
+the context (a ``contextvars`` variable): an op is recorded on the
+innermost tape opened in its own thread's context, and a task given to the
+worker thread starts from a copy of its caller's.  A tape knows the
+tensors it recorded, and a tensor does not refer to its tape, so a
+finished graph is freed by reference counting alone.
 
-The module has one worker thread, which records nothing.  In the forward
-pass, ``bi_gru_sequence`` runs one direction there while the caller runs
-the other (:func:`run_both`).  In the reverse sweep, the caller carries the
-chain of adjoints from op to op, and the worker forms the large weight
-gradient products that ops hand back unmultiplied, in sweep order (see
-:class:`_Contributions`), so the bits do not depend on which thread formed
-them.  A parameter's gradient buffer is written by its first contribution
-after ``zero_grad``, not zero-filled first.
+The module has one worker thread.  :func:`fork` runs one branch of a graph
+there, on a tape of its own, while the caller runs the other, and the
+fork's entry on the caller's tape sweeps the two branch tapes the same
+way; :func:`run_both` runs any two pieces of numpy work so.  A task on the
+worker never submits to it.  A parameter's gradient buffer is written by
+its first contribution after ``zero_grad``, not zero-filled first.
 
 The sequence ops leave input rows that are all zero (word-vector padding)
 out of their products with the input's weights, which are exactly zero
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -63,6 +63,7 @@ __all__ = [
     "mae_sum_loss",
     "grad_check",
     "run_both",
+    "fork",
 ]
 
 
@@ -74,11 +75,11 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-_open_tapes: list = []  # innermost last
+_open_tape: contextvars.ContextVar = contextvars.ContextVar("iben_open_tape", default=None)
 
 
 def _active_tape():
-    return _open_tapes[-1] if _open_tapes else None
+    return _open_tape.get()
 
 
 class Tensor:
@@ -161,6 +162,24 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+class _Product:
+    """The weight gradient ``(a @ b).reshape(shape)``, not yet multiplied out,
+    so that a parameter's first contribution is formed in its gradient buffer
+    with no temporary and no copy.
+
+    The operands must not change until the reverse sweep has formed it.
+    """
+
+    __slots__ = ("a", "b", "shape")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, shape: tuple | None = None):
+        self.a, self.b = a, b
+        self.shape = (a.shape[0], b.shape[1]) if shape is None else shape
+
+    def value(self) -> np.ndarray:
+        return (self.a @ self.b).reshape(self.shape)
+
+
 class Tape:
     """Ordered record of executed ops, replayed once in reverse order.
 
@@ -171,60 +190,53 @@ class Tape:
     the op's backward function.  Parameters accumulate into the buffer they
     own, the first contribution after ``zero_grad`` written and later ones
     added, so two backward calls without zeroing double a parameter's
-    gradient.  A backward function may give a weight gradient as a
-    :class:`_Product` instead of an array; the sweep forms it into the
-    parameter's buffer, on the worker thread when it is large (see
-    :class:`_Contributions`), and into an array for any other operand.
+    gradient.  A fork's entry (see :func:`fork`) has no operands; its
+    backward sweeps the fork's two branch tapes, whose entries count in the
+    tape's length.
     """
 
     def __init__(self):
         self._entries: dict[int, tuple[Tensor, tuple, tuple, object]] = {}
+        self._forks: list[Tape] = []  # the branch tapes of this tape's forks
+        self._tokens: list[contextvars.Token] = []  # one per open ``with``, innermost last
 
     def __enter__(self) -> "Tape":
-        _open_tapes.append(self)
+        self._tokens.append(_open_tape.set(self))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _open_tapes.pop()
-        assert popped is self
+        _open_tape.reset(self._tokens.pop())
         return False
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + sum(map(len, self._forks))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate the gradient of ``loss`` into every reachable parameter.
-
-        Returns once every gradient has landed; an exception from a deferred
-        product is raised only after every other one has finished.
-        """
+        """Accumulate the gradient of ``loss`` into every reachable parameter."""
         if loss.values.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.values.shape}")
         if id(loss) not in self._entries:
             raise ValueError("loss was not recorded on this tape")
+        self._sweep(loss, np.ones((), dtype=np.float64))
+
+    def _sweep(self, root: Tensor, g: np.ndarray) -> None:
+        """Carry ``g``, the gradient of ``root``, through the entries in reverse."""
         # adjoints of intermediates live in a scratch map so repeated sweeps stay correct
-        adjoint: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        contributions = _Contributions()
-        try:
-            for out, parents, wanted, backward in reversed(self._entries.values()):
-                g = adjoint.pop(id(out), None)
-                if g is None or not any(wanted):
+        adjoint: dict[int, np.ndarray] = {id(root): g}
+        for out, parents, wanted, backward in reversed(self._entries.values()):
+            g = adjoint.pop(id(out), None)
+            if g is None or (parents and not any(wanted)):
+                continue
+            for parent, want, contrib in zip(parents, wanted, backward(g, wanted), strict=True):
+                if not want:
                     continue
-                for parent, want, contrib in zip(parents, wanted, backward(g, wanted),
-                                                 strict=True):
-                    if not want:
-                        continue
-                    if isinstance(parent, Parameter):
-                        contributions.add(parent, contrib)
-                        continue
-                    if isinstance(contrib, _Product):
-                        contrib = contrib.value()
-                    key = id(parent)
-                    adjoint[key] = adjoint[key] + contrib if key in adjoint else contrib
-        finally:
-            error = contributions.finish()
-        if error is not None:
-            raise error
+                if isinstance(parent, Parameter):
+                    parent._accumulate(contrib)
+                    continue
+                if isinstance(contrib, _Product):
+                    contrib = contrib.value()
+                key = id(parent)
+                adjoint[key] = adjoint[key] + contrib if key in adjoint else contrib
 
 
 def _receives_grad(t: Tensor, tape: Tape) -> bool:
@@ -253,16 +265,16 @@ def _apply(values: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
 # ---------------------------------------------------------------------------
 # the second core
 
-# Multiply-adds per time step and direction, B * 3H * (I + H), from which
-# bi_gru_sequence runs its two directions concurrently.  On a 2-vCPU VM with one
-# BLAS thread (T 12 and 40, B 1-16, H 32-128, I 64-4096), every shape at or above
-# it ran 7-38% faster concurrently; below it, shapes whose per-step arrays are
-# small ran up to 2.5x slower, as both threads take turns with the interpreter lock.
-_PAIR_MIN_STEP_WORK = 1 << 21
-
-
 def _new_worker() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="iben-worker")
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="iben-worker",
+                              initializer=_mark_worker)
+
+
+_worker_thread = threading.local()  # ``is_worker`` is set on the worker's own thread
+
+
+def _mark_worker() -> None:
+    _worker_thread.is_worker = True
 
 
 _worker = _new_worker()  # its one thread starts at the first concurrent call
@@ -281,13 +293,15 @@ def run_both(first, second, concurrent: bool) -> tuple:
 
     When ``concurrent`` is true and the process may use at least two CPUs,
     ``second`` runs on the module's one worker thread, under a copy of the
-    caller's context (so the caller's ``np.errstate`` holds there), while
-    ``first`` runs on the caller's thread.  An exception from either is
-    raised only after both have finished, ``first``'s in preference.  Both
-    must be plain numpy work: they must not record on a tape or call
-    ``run_both``.
+    caller's context (so the caller's ``np.errstate`` and open tape hold
+    there), while ``first`` runs on the caller's thread.  An exception from
+    either is raised only after both have finished, ``first``'s in
+    preference.  Called on the worker thread itself, it runs both there, one
+    after the other: a task the worker submitted to itself would wait
+    forever behind the one that submitted it.  Neither may record on a tape
+    that it did not open, as both would then write to the same tape.
     """
-    if not (concurrent and _usable_cpus() >= 2):
+    if not (concurrent and _usable_cpus() >= 2) or getattr(_worker_thread, "is_worker", False):
         return first(), second()
     future = _worker.submit(contextvars.copy_context().run, second)
     try:
@@ -297,89 +311,41 @@ def run_both(first, second, concurrent: bool) -> tuple:
     return result, future.result()
 
 
-# Multiply-adds from which the reverse sweep hands a parameter's gradient product to
-# the worker thread.  On a 2-vCPU VM with one BLAS thread, the forward pass and sweep
-# of a paper-dims batch (B 16, H 128) took 115-119 ms for any gate from 0 to 2^22,
-# 124 ms at 2^25 and 140 ms with no hand-off.  At the overfit criterion's dims,
-# whose largest product is 98k multiply-adds, gates of 2^16 and 2^14 made the same
-# work 22% and 38% slower than 2^20, as each hand-off cost more than its product.
-_DEFER_MIN_MADDS = 1 << 20
+def fork(first, second, concurrent: bool) -> Tensor:
+    """``concat([first(), second()], axis=-1)`` for two branches of a graph.
 
-
-class _Product:
-    """The weight gradient ``(a @ b).reshape(shape)``, not yet multiplied out.
-
-    The operands must not change until the reverse sweep has formed it.
+    When ``concurrent`` is true, ``second`` runs on the worker thread while
+    ``first`` runs on the caller's (see :func:`run_both`).  Under an open
+    tape, each branch then records on a tape of its own, and the open tape
+    records one entry for the fork.  The sweep of that entry splits the
+    output's gradient and sweeps the two branch tapes at the same time,
+    ``second``'s on the worker, each from its own share.  A branch tape
+    passes gradient only to parameters and to what the branch recorded, so
+    neither branch may read another tensor that a sweep of the open tape
+    reaches, and no parameter may be reached from both.  Each parameter's
+    contributions then come from one thread in the order of a serial sweep,
+    so the bits do not depend on the path.
     """
+    tape = _active_tape()
+    if not (concurrent and _usable_cpus() >= 2) or tape is None:
+        return concat(run_both(first, second, concurrent), axis=-1)
 
-    __slots__ = ("a", "b", "shape")
+    def record(branch):
+        with Tape() as branch_tape:
+            return branch_tape, branch()
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, shape: tuple | None = None):
-        self.a, self.b = a, b
-        self.shape = (a.shape[0], b.shape[1]) if shape is None else shape
+    (tape_a, a), (tape_b, b) = run_both(lambda: record(first), lambda: record(second), True)
+    out = Tensor(np.concatenate((a.values, b.values), axis=-1), _op="fork")
+    width = a.shape[-1]
 
-    def madds(self) -> int:
-        return self.a.shape[0] * self.a.shape[1] * self.b.shape[1]
+    def backward(g, wanted):
+        run_both(lambda: tape_a._sweep(a, g[..., :width]),
+                 lambda: tape_b._sweep(b, g[..., width:]), True)
+        return ()
 
-    def value(self) -> np.ndarray:
-        return (self.a @ self.b).reshape(self.shape)
-
-
-def _form(p: Parameter, box: list) -> None:
-    p._accumulate(box.pop())
-
-
-class _Contributions:
-    """One reverse sweep's parameter gradients, each accumulated on the
-    caller's thread or queued on the module's one worker thread.
-
-    A product of at least ``_DEFER_MIN_MADDS`` multiply-adds goes to the
-    worker when the process may use two CPUs, and so does every later
-    contribution to a parameter while an earlier one waits there.  The
-    worker runs its queue in order, so each parameter's contributions land
-    in sweep order, and the bits are those of an all-serial sweep.
-    """
-
-    def __init__(self):
-        self._queued: list[tuple] = []  # (future, parameter, box), in sweep order
-
-    def _waiting(self, p: Parameter, other_than=None) -> bool:
-        """Whether a queued contribution to ``p``, other than ``other_than``, is unfinished."""
-        return any(q is p and f is not other_than and not f.done() for f, q, _ in self._queued)
-
-    def add(self, p: Parameter, contrib) -> None:
-        if not ((isinstance(contrib, _Product) and contrib.madds() >= _DEFER_MIN_MADDS
-                 and _usable_cpus() >= 2) or (self._queued and self._waiting(p))):
-            p._accumulate(contrib)
-            return
-        box = [contrib]  # emptied when formed, so that the operands are freed then
-        future = _worker.submit(contextvars.copy_context().run, _form, p, box)
-        self._queued.append((future, p, box))
-
-    def finish(self) -> BaseException | None:
-        """Wait until every queued contribution has landed; return the first
-        exception one raised, in sweep order, or None.
-
-        Last first, a contribution that the worker has not started is taken
-        back and formed on the caller's thread, unless another unfinished
-        one is for the same parameter.
-        """
-        raised = {}
-        try:
-            for i in range(len(self._queued) - 1, -1, -1):
-                future, p, box = self._queued[i]
-                if not self._waiting(p, other_than=future) and future.cancel():
-                    try:
-                        _form(p, box)
-                    except Exception as exc:  # raised below, in sweep order
-                        raised[i] = exc
-        finally:
-            wait([future for future, _, _ in self._queued])
-        for i, (future, _, _) in enumerate(self._queued):
-            error = raised.get(i) if future.cancelled() else future.exception()
-            if error is not None:
-                return error
-        return None
+    tape._entries[id(out)] = (out, (), (), backward)
+    tape._forks += (tape_a, tape_b)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +613,7 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
     one B x H by H x 3H GEMM (Appleyard et al., arXiv:1604.01946).  Input
     rows that are all zero are left out of the projection and of W's
     gradient, whose share of them is exactly zero.  The backward pass is
-    hand-written BPTT that forms each weight gradient once per batch, a
-    parameter's as a product for the sweep to form (see :class:`Tape`); one
+    hand-written BPTT that forms each weight gradient once per batch; one
     pass gives every operand's gradient, and the input's, over every row, is
     skipped when the input is a constant.
     """
@@ -663,27 +628,19 @@ def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
     """``concat([gru_sequence(x, fwd_weights), gru_sequence(x, bwd_weights,
     reverse=True)], axis=-1)`` as one op, with the same bits.
 
-    A T x I sequence gives T x 2H states, a B x T x I batch B x T x 2H.  The
-    two directions are independent, so from ``_PAIR_MIN_STEP_WORK``
-    multiply-adds per step and direction (see :func:`run_both`) the backward
-    direction's forward pass runs on the worker thread while the forward
-    direction's runs on the caller's.  The two BPTTs run on the caller's
-    thread, one after the other, and hand their weight gradients to the
-    sweep as products.  Both directions share one scan of the input for
-    all-zero rows.  The input's gradient, when wanted, is the sum of the two
-    directions' gradients.
+    A T x I sequence gives T x 2H states, a B x T x I batch B x T x 2H.
+    Both directions share one scan of the input for all-zero rows.  The
+    input's gradient, when wanted, is the sum of the two directions'
+    gradients.
     """
     fwd_weights, bwd_weights = tuple(fwd_weights), tuple(bwd_weights)
     H = _check_gru(x, fwd_weights, None, "bi_gru_sequence")
     if _check_gru(x, bwd_weights, None, "bi_gru_sequence") != H:
         raise ShapeError(f"bi_gru_sequence directions have hidden sizes {H} and "
                          f"{bwd_weights[1].shape[1]}")
-    B = x.values.size // (x.shape[-2] * x.shape[-1])
     keep = _nonzero_rows(x.values.reshape(-1, x.shape[-1]))
-    (out_f, bptt_f), (out_b, bptt_b) = run_both(
-        lambda: _gru(x, fwd_weights, None, False, keep),
-        lambda: _gru(x, bwd_weights, None, True, keep),
-        B * 3 * H * (x.shape[-1] + H) >= _PAIR_MIN_STEP_WORK)
+    out_f, bptt_f = _gru(x, fwd_weights, None, False, keep)
+    out_b, bptt_b = _gru(x, bwd_weights, None, True, keep)
     n = 1 + len(fwd_weights)
 
     def backward(g, wanted):

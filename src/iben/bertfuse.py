@@ -62,6 +62,14 @@ class LayerStack:
         self.data = arr
         self.id = id
 
+    @classmethod
+    def _of_finite(cls, arr: np.ndarray, id: str) -> "LayerStack":
+        """A stack of a 3-D float64 array of at least one token whose values
+        the caller has found finite, made without scanning them again."""
+        stack = cls.__new__(cls)
+        stack.data, stack.id = arr, id
+        return stack
+
     @property
     def n_layers(self) -> int:
         return self.data.shape[0]
@@ -279,7 +287,8 @@ def _read_record(fh, size: int, where: str, seen: set) -> LayerStack:
                          dtype="<f4")
     if not np.isfinite(data).all():
         raise HsFileError(f"{where} holds non-finite values")
-    return LayerStack(data.astype(np.float64).reshape(n_layers, seq_len, hidden), id=stack_id)
+    return LayerStack._of_finite(data.astype(np.float64).reshape(n_layers, seq_len, hidden),
+                                 stack_id)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,30 @@ def _input_matrix(x, width: int, what: str) -> Tensor:
     return x
 
 
+# Multiply-adds per forward pass of the smaller branch (``_branch_madds``) from which
+# ``IbenModel.forward`` runs its two branches on two threads.  On a 2-vCPU VM with one
+# BLAS thread, a forward pass and sweep with the split took 1.1-1.4x as long as without
+# it where the smaller branch had 0.26M-6.7M multiply-adds (the overfit criterion's
+# dims are 0.26M), 0.86-1.23x at 10M, 0.86-1.07x at 20M-29M, 0.83x at 40M, and
+# 0.60-0.68x at paper dims (35M at batch 1, 557M at batch 16).
+_SPLIT_MIN_MADDS = 1 << 25
+
+
+def _branch_madds(c: ModelConfig, fused_shape: tuple, emb_shape: tuple) -> tuple[int, int]:
+    """The multiply-adds of one forward pass of branch A and of branch B over
+    inputs of these shapes, in the Bi-GRUs (input projections and
+    recurrences) and the convolutions; the dense layers, a small share, are
+    left out."""
+    *batch, rows_a, width_a = fused_shape
+    *_, rows_b, width_b = emb_shape
+    B, H = math.prod(batch), c.hidden_size
+    a = B * rows_a * 6 * H * (width_a + H)  # two directions of three gates
+    b = B * rows_b * 6 * H * (width_b + H) if c.emb_submodel != "cnn" else 0
+    if c.emb_submodel != "bigru":
+        b += B * rows_b * width_b * c.filters_per_kernel * sum(c.kernel_sizes)
+    return a, b
+
+
 class IbenModel:
     """All trainable parameters of both branches plus the prediction head."""
 
@@ -272,7 +296,13 @@ class IbenModel:
     def forward(self, fused=None, emb=None) -> Tensor:
         """Scalar prediction for P x W and L x D inputs, or a length-B vector of
         them for B x P x W and B x L x D batches; inputs for disabled branches
-        are ignored."""
+        are ignored.
+
+        With both branches on, inputs given as arrays, and at least
+        ``_SPLIT_MIN_MADDS`` multiply-adds in each branch, branch B runs on
+        the worker thread while branch A runs on the caller's
+        (:func:`~iben.autodiff.fork`); the values and gradients are the same
+        either way."""
         c = self.config
         xa = xb = None
         if c.use_bert_branch:
@@ -286,25 +316,30 @@ class IbenModel:
         if xa is not None and xb is not None and xa.shape[:-2] != xb.shape[:-2]:
             raise ad.ShapeError(f"fused input batch shape {xa.shape[:-2]} != embedding "
                                 f"batch shape {xb.shape[:-2]}")
-        feats = []
-        if xa is not None:
-            if self.layer_weights is not None:
-                xa = ad.scale_rows(xa, self.layer_weights)
-            va = self.dense_a(pool_states(bi_gru(xa, self.branch_a)))
-            if c.dense_activation:
-                va = ad.relu(va)
-            feats.append(va)
-        if xb is not None:
+
+        def branch_a():
+            x = xa if self.layer_weights is None else ad.scale_rows(xa, self.layer_weights)
+            va = self.dense_a(pool_states(bi_gru(x, self.branch_a)))
+            return ad.relu(va) if c.dense_activation else va
+
+        def branch_b():
             parts = []
             if self.branch_b_rnn is not None:
                 parts.append(pool_states(bi_gru(xb, self.branch_b_rnn)))
             if self.branch_b_conv is not None:
                 parts.append(conv_features(xb, self.branch_b_conv))
             vb = self.dense_b(parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1))
-            if c.dense_activation:
-                vb = ad.relu(vb)
-            feats.append(vb)
-        joined = feats[0] if len(feats) == 1 else ad.concat(feats, axis=-1)
+            return ad.relu(vb) if c.dense_activation else vb
+
+        if xb is None:
+            joined = branch_a()
+        elif xa is None:
+            joined = branch_b()
+        else:
+            # a caller's tensor may be reached by a sweep of its tape, which a branch tape cannot do
+            split = (xa is not fused and xb is not emb
+                     and min(_branch_madds(c, xa.shape, xb.shape)) >= _SPLIT_MIN_MADDS)
+            joined = ad.fork(branch_a, branch_b, split)
         return ad.reshape(self.head(joined), joined.shape[:-1])
 
     def predict(self, fused=None, emb=None, clamp: bool = False) -> float | np.ndarray:

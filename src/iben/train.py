@@ -2,9 +2,12 @@
 
 Batches are drawn in seeded-shuffle order, and each batch runs as one
 stack of its samples' inputs, in ascending sample-index order, through one
-forward pass, one loss and one reverse sweep on one tape.  So a (seed,
-data, config) triple, at a fixed BLAS thread count, fully determines the
-trained parameters, bit for bit.
+forward pass, one loss and one reverse sweep of one tape; a model that
+splits its branches (``IbenModel.forward``) records each on a tape of its
+own, which that sweep reaches through the fork's entry.  Each parameter's
+arithmetic is the same either way, so a (seed, data, config) triple, at a
+fixed BLAS thread count, fully determines the trained parameters, bit for
+bit.
 """
 
 from __future__ import annotations

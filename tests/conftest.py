@@ -4,11 +4,14 @@ Each acceptance test reports one PASS/FAIL line through the
 ``criterion_report`` fixture; the lines are echoed both immediately
 (visible on failure) and in a summary section at the end of the run.
 ``setup_calls`` logs the calls run set-up makes into the input readers and
-per-record builders.
+per-record builders.  ``forced_split`` makes every two-branch model run its
+branches on two threads.
 """
 
 import pytest
 
+import iben.autodiff as ad
+import iben.model as model_lib
 from iben import bertfuse, wordvec
 
 _criterion_lines: list[str] = []
@@ -44,6 +47,27 @@ def setup_calls(monkeypatch):
 
         monkeypatch.setattr(owner, attr, logged)
     return calls
+
+
+class CountingWorker:
+    def __init__(self, worker):
+        self.worker = worker
+        self.calls = 0
+
+    def submit(self, fn, *args):
+        self.calls += 1
+        return self.worker.submit(fn, *args)
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Every two-branch model splits on two CPUs; returns the worker, which
+    counts its submits."""
+    monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 0)
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    worker = CountingWorker(ad._worker)
+    monkeypatch.setattr(ad, "_worker", worker)
+    return worker
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus):

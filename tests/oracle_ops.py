@@ -12,19 +12,18 @@ and :func:`batched_conv1d` are the batched ops as they were before all-zero
 input rows were left out of their products, kept as the oracles of that skip.
 
 :func:`serial_backward`, :func:`serial_gru_sequence` and
-:func:`serial_bi_gru_sequence` are the reverse sweep and the GRU ops as they
-were before weight-gradient products moved to the worker thread: each
-gradient buffer zero-filled by the caller and added into, W's gradient
-added in place by the BPTT, and the two directions' BPTTs run through
-``run_both``.  They are the oracles of the deferred sweep.  That BPTT added
-W's gradient a block of columns at a time; the package now adds a product
-into a used buffer whole, so these oracles hold their own blocked add,
-:func:`add_product`.
+:func:`serial_bi_gru_sequence` are the reverse sweep and the GRU ops on one
+thread and one tape: each gradient buffer zero-filled by the caller and
+added into, W's gradient added in place by the BPTT, and the two
+directions run one after the other.  They are the oracles of the sweep
+that writes each buffer with its first contribution and of the model's
+branch split.  That BPTT added W's gradient a block of columns at a time;
+the package adds a product into a used buffer whole, so these oracles hold
+their own blocked add, :func:`add_product`.
 """
 
 import numpy as np
 
-import iben.autodiff as ad
 from iben.autodiff import (
     Parameter,
     ShapeError,
@@ -419,19 +418,14 @@ def serial_gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
 def serial_bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
     fwd_weights, bwd_weights = tuple(fwd_weights), tuple(bwd_weights)
     H = _check_gru(x, fwd_weights, None, "bi_gru_sequence")
-    B = x.values.size // (x.shape[-2] * x.shape[-1])
-    concurrent = (B * 3 * H * (x.shape[-1] + H) >= ad._PAIR_MIN_STEP_WORK
-                  and not {id(w) for w in fwd_weights} & {id(w) for w in bwd_weights})
     keep = _nonzero_rows(x.values.reshape(-1, x.shape[-1]))
-    (out_f, bptt_f), (out_b, bptt_b) = ad.run_both(
-        lambda: _serial_gru(x, fwd_weights, None, False, keep),
-        lambda: _serial_gru(x, bwd_weights, None, True, keep), concurrent)
+    out_f, bptt_f = _serial_gru(x, fwd_weights, None, False, keep)
+    out_b, bptt_b = _serial_gru(x, bwd_weights, None, True, keep)
     n = 1 + len(fwd_weights)
 
     def backward(g, wanted):
-        grads_f, grads_b = ad.run_both(lambda: bptt_f(g[..., :H], wanted[:n]),
-                                       lambda: bptt_b(g[..., H:], wanted[:1] + wanted[n:]),
-                                       concurrent)
+        grads_f = bptt_f(g[..., :H], wanted[:n])
+        grads_b = bptt_b(g[..., H:], wanted[:1] + wanted[n:])
         dx = grads_f[0] + grads_b[0] if wanted[0] else None
         return [dx] + grads_f[1:] + grads_b[1:]
 

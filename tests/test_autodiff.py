@@ -4,6 +4,7 @@ Derived gradient values are checked against central finite differences;
 simple values against hand arithmetic.
 """
 
+import contextvars
 import os
 import threading
 import time
@@ -610,17 +611,33 @@ class TestTapeSemantics:
             tape.backward(out)
         npt.assert_array_equal(p.grad, [0.0, 0.0])
 
-    def test_an_op_on_another_thread_records_on_the_open_tape(self):
-        """Open tapes are process-wide: a worker thread's op lands on the
-        innermost tape that the main thread opened."""
+    def test_the_open_tape_belongs_to_the_context(self):
+        """A new thread starts with no open tape; one run in a copy of the
+        caller's context records on the caller's tape, and a tape it opens
+        there is not open for the caller."""
         p = Parameter(np.array([1.0, -2.0]), name="p")
         result = {}
+
+        def on_thread(fn, *args):
+            thread = threading.Thread(target=fn, args=args)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+        def own_tape():
+            with Tape() as result["inner"]:
+                ad.total(p)
+            ad.total(p)
+
         with Tape() as tape:
-            worker = threading.Thread(target=lambda: result.update(loss=ad.total(p)))
-            worker.start()
-            worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert len(tape) == 1
+            on_thread(lambda: result.update(plain=ad.total(p)))
+            assert len(tape) == 0
+            on_thread(contextvars.copy_context().run, lambda: result.update(loss=ad.total(p)))
+            assert len(tape) == 1
+            on_thread(contextvars.copy_context().run, own_tape)
+            assert len(result["inner"]) == 1 and len(tape) == 2
+            ad.total(p)
+        assert len(tape) == 3
         tape.backward(result["loss"])
         npt.assert_array_equal(p.grad, [1.0, 1.0])
 
@@ -714,6 +731,19 @@ class TestTapeSemantics:
                 ad.total(p)
             assert len(inner) == 1
         assert len(outer) == 1
+
+    def test_a_tape_entered_twice_stays_open_until_its_outer_exit(self):
+        p = Parameter(np.array([1.0]), name="p")
+        tape = Tape()
+        with tape:
+            with Tape() as other:
+                with tape:
+                    ad.total(p)
+                ad.total(p)
+            ad.total(p)
+        ad.total(p)
+        assert len(tape) == 2 and len(other) == 1
+        assert ad._active_tape() is None
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_a_backward_with_the_wrong_number_of_gradients_raises(self, count):
@@ -810,6 +840,25 @@ class TestRunBoth:
             ad.run_both(lambda: finished.append("first"), lambda: fail("second"), True)
         assert finished == ["second", "first"]
 
+    def test_a_call_on_the_worker_runs_both_there(self, two_cpus):
+        """A task on the worker that asks for the worker gets both pieces run
+        on its own thread: the one-thread worker cannot start a task queued
+        behind the running one."""
+        result = {}
+
+        def call():
+            result["threads"] = ad.run_both(
+                threading.current_thread,
+                lambda: ad.run_both(threading.current_thread, threading.current_thread, True),
+                True)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        caller, (first, second) = result["threads"]
+        assert caller is thread and first is second and first is not caller
+
     def test_a_forked_child_gets_its_own_worker(self, two_cpus):
         ad.run_both(int, int, True)  # the worker thread now exists, and a child lacks it
         pid = os.fork()
@@ -826,6 +875,77 @@ class TestRunBoth:
             os.kill(pid, 9)
             os.waitpid(pid, 0)
         assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
+
+
+class TestFork:
+    @pytest.fixture
+    def branches(self):
+        rng = np.random.default_rng(83)
+        p = Parameter(rng.normal(size=(3, 4)), "p")
+        q = Parameter(rng.normal(size=(2, 5)), "q")
+        x, y = Tensor(rng.normal(size=(6, 4))), Tensor(rng.normal(size=(6, 5)))
+        threads = []
+
+        def first():
+            threads.append(("first", threading.current_thread()))
+            return ad.tanh(ad.linear(x, p))
+
+        def second():
+            threads.append(("second", threading.current_thread()))
+            return ad.sigmoid(ad.linear(ad.tanh(y), q))
+
+        weights = Tensor(rng.normal(size=(6, 5)))
+        return first, second, [p, q], weights, threads
+
+    def sweep(self, branches, concurrent):
+        first, second, params, weights, threads = branches
+        threads.clear()
+        for p in params:
+            p.zero_grad()
+        with Tape() as tape:
+            out = ad.fork(first, second, concurrent)
+            loss = ad.total(ad.hadamard(out, weights))
+        tape.backward(loss)
+        return out.values, [p.grad.copy() for p in params], len(tape), dict(threads)
+
+    def test_branch_tapes_give_the_one_tapes_bits(self, monkeypatch, branches):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        out, grads, entries, threads = self.sweep(branches, True)
+        assert threads["first"] is threading.current_thread()
+        assert threads["second"] is not threading.current_thread()
+        want_out, want_grads, want_entries, threads = self.sweep(branches, False)
+        assert set(threads.values()) == {threading.current_thread()}
+        npt.assert_array_equal(out, want_out)
+        for g, w in zip(grads, want_grads, strict=True):
+            assert np.any(g != 0.0)
+            npt.assert_array_equal(g, w)
+        assert entries == want_entries == 8
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_a_failing_branch_leaves_no_tape_open(self, monkeypatch, branches, failing):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        first, second, params, weights, _ = branches
+        broken = {"first": (lambda: ad.total(Tensor([np.inf])), second),
+                  "second": (first, lambda: ad.total(Tensor([np.inf])))}[failing]
+        with Tape() as tape:
+            with pytest.raises(NonFiniteError):
+                ad.fork(*broken, True)
+            assert ad._active_tape() is tape and len(tape) == 0
+        assert ad._active_tape() is None
+        want = self.sweep(branches, False)[1]
+        for g, w in zip(self.sweep(branches, True)[1], want, strict=True):
+            npt.assert_array_equal(g, w)
+
+    def test_one_cpu_records_on_the_open_tape(self, monkeypatch, branches):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
+        *_, threads = self.sweep(branches, True)
+        assert set(threads.values()) == {threading.current_thread()}
+
+    def test_without_a_tape_it_is_the_concatenation(self, monkeypatch, branches):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        first, second, *_ = branches
+        npt.assert_array_equal(ad.fork(first, second, True).values,
+                               np.concatenate((first().values, second().values), axis=-1))
 
 
 class TestGradCheckUtility:

@@ -405,6 +405,24 @@ class TestHsFile:
             with pytest.raises(HsFileError, match=r"nan\.hs: record index 0 \('q'\) .*non-finite"):
                 read_hs_file(path)
 
+    def test_a_read_record_is_scanned_for_non_finite_values_once(self, tmp_path, monkeypatch):
+        """The reader checks the float32 payload; the stack it builds from the
+        float64 copy is not checked again, while a stack built by hand is."""
+        rng = np.random.default_rng(34)
+        path = tmp_path / "once.hs"
+        write_hs_file([self.float32_stack(rng, id="a"), self.float32_stack(rng, id="b")], path)
+        want = [s.data for s in read_hs_file(path)]
+
+        def refuse(self, data, id=""):
+            raise AssertionError("a read record was checked twice")
+
+        monkeypatch.setattr(LayerStack, "__init__", refuse)
+        stacks = read_hs_file(path)
+        assert [s.id for s in stacks] == ["a", "b"]
+        for stack, data in zip(stacks, want, strict=True):
+            assert stack.data.dtype == np.float64
+            npt.assert_array_equal(stack.data, data)
+
     def test_an_error_inside_the_record_loop_keeps_the_old_file(self, tmp_path, monkeypatch):
         """The second record's dimension overflows after the first is written:
         the old file stays byte-identical and no temporary is left."""

@@ -539,6 +539,21 @@ class TestTrain:
         assert f"{literal} is not a JSON number" in err
         assert not out_dir.exists()
 
+    def test_a_non_finite_hidden_state_exits_2_naming_the_record(self, pipeline, tmp_path,
+                                                                   capsys):
+        raw = bytearray(pipeline["features"].read_bytes())
+        (id_len,) = struct.unpack_from("<I", raw, 12)  # after the magic and the record count
+        record_id = raw[16:16 + id_len].decode("utf-8")
+        struct.pack_into("<f", raw, 16 + id_len + 12 + 4, math.nan)  # the payload's 2nd value
+        features = tmp_path / "nan.hs"
+        features.write_bytes(bytes(raw))
+        out_dir = tmp_path / "never"
+        config = write_config(pipeline, out_dir, features=str(features))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nan.hs: record index 0" in err
+        assert f"({record_id!r}) holds non-finite values" in err
+
     @pytest.mark.parametrize("member, argv, path, shown", [
         ('"train": {"eps": 1e999}', [], "train/eps", "inf"),
         ('"train": {"learning_rate": 1e999}', [], "train/learning_rate", "inf"),

@@ -5,7 +5,6 @@ import io
 import itertools
 import json
 import math
-import os
 import threading
 import time
 import weakref
@@ -430,36 +429,16 @@ def oracle_bi_gru(seq, params):
                       ad.gru_sequence(seq, params.bwd.parameters(), reverse=True)], axis=-1)
 
 
-@pytest.fixture(params=["serial", "concurrent"])
-def pair_path(request, monkeypatch):
-    """bi_gru_sequence's serial path, or its concurrent path at any size."""
-    concurrent = request.param == "concurrent"
-    monkeypatch.setattr(ad, "_PAIR_MIN_STEP_WORK", 0 if concurrent else 1 << 62)
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-    return request.param
-
-
 class _NoWorker:
     def submit(self, *args, **kwargs):
         raise AssertionError("the worker thread was asked to run")
-
-
-class _CountingWorker:
-    def __init__(self, worker):
-        self.worker = worker
-        self.calls = 0
-
-    def submit(self, fn, *args):
-        self.calls += 1
-        return self.worker.submit(fn, *args)
 
 
 class TestBiGruSequence:
     @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("input_wanted", [False, True])
     @pytest.mark.parametrize("use_bias", [True, False])
-    def test_matches_the_two_op_oracle_bit_for_bit(self, pair_path, batch, input_wanted,
-                                                   use_bias):
+    def test_matches_the_two_op_oracle_bit_for_bit(self, batch, input_wanted, use_bias):
         rng = np.random.default_rng(72)
         bg = BiGru(5, 4, "bg", rng, use_bias)
         for p in bg.parameters():
@@ -481,7 +460,7 @@ class TestBiGruSequence:
         for got, want in zip(sweep(bi_gru), sweep(oracle_bi_gru), strict=True):
             npt.assert_array_equal(got, want)
 
-    def test_gradcheck(self, pair_path):
+    def test_gradcheck(self):
         rng = np.random.default_rng(73)
         bg = BiGru(3, 2, "bg", rng)
         x = Parameter(rng.normal(size=(2, 4, 3)), "x")
@@ -491,24 +470,7 @@ class TestBiGruSequence:
                 ad.bi_gru_sequence(x, bg.fwd.parameters(), bg.bwd.parameters()), weights)),
             bg.parameters() + [x]) <= 1e-6
 
-    def test_the_worker_is_used_from_the_threshold(self, monkeypatch):
-        """B * 3H * (I + H) multiply-adds per step reach the threshold; one more
-        does not.  Only the forward passes pair up: both BPTTs run on the
-        caller's thread, and these products are below the sweep's gate."""
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-        bg = BiGru(5, 4, "bg", np.random.default_rng(74))
-        x = Tensor(np.random.default_rng(75).normal(size=(3, 6, 5)))
-        real = ad._worker
-        for threshold, submits in ((3 * 12 * 9, 1), (3 * 12 * 9 + 1, 0)):
-            monkeypatch.setattr(ad, "_PAIR_MIN_STEP_WORK", threshold)
-            worker = _CountingWorker(real)
-            monkeypatch.setattr(ad, "_worker", worker)
-            with Tape() as tape:
-                loss = ad.total(bi_gru(x, bg))
-            tape.backward(loss)
-            assert worker.calls == submits  # the backward direction's forward pass
-
-    def test_a_weight_shared_by_both_directions_gets_the_oracles_gradients(self, pair_path):
+    def test_a_weight_shared_by_both_directions_gets_the_oracles_gradients(self):
         cell = GruCell(3, 2, "c", np.random.default_rng(76))
         shared = BiGru.__new__(BiGru)
         shared.fwd = shared.bwd = cell
@@ -524,13 +486,13 @@ class TestBiGruSequence:
         for got, want in zip(*grads, strict=True):
             npt.assert_array_equal(got, want)
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(ad, "_PAIR_MIN_STEP_WORK", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    def test_a_large_bi_gru_starts_no_thread(self, monkeypatch):
+        """The two directions run one after the other on the caller's thread."""
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(ad, "_worker", _NoWorker())
-        bg = BiGru(3, 2, "bg", np.random.default_rng(78))
+        bg = BiGru(1024, 64, "bg", np.random.default_rng(78))
         with Tape() as tape:
-            loss = ad.total(bi_gru(Tensor(np.ones((2, 4, 3))), bg))
+            loss = ad.total(bi_gru(Tensor(np.ones((16, 4, 1024))), bg))
         tape.backward(loss)
 
     def test_overfit16_dims_start_no_thread(self, monkeypatch):
@@ -548,88 +510,159 @@ class TestBiGruSequence:
         tape.backward(loss)
         adam_step(model.parameters(), AdamState.for_params(model.parameters()), TrainConfig())
 
-    @pytest.mark.parametrize("phase", ["forward", "bptt"])
-    @pytest.mark.parametrize("failing", ["fwd", "bwd"])
-    def test_an_exception_is_raised_after_both_directions_finish(self, monkeypatch, phase,
-                                                                  failing):
-        """Forward: one direction raises at once while the other, on the worker,
-        is still running; the caller sees the error only once both are done.
-        BPTT: both directions run on the caller's thread, the forward one
-        first, and an error in either reaches the caller only once the head's
-        gradient product, handed to the worker before them, has landed."""
-        monkeypatch.setattr(ad, "_PAIR_MIN_STEP_WORK", 0)
-        monkeypatch.setattr(ad, "_DEFER_MIN_MADDS", 0)
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-        finished = []
-        gru = ad._gru
-        here = threading.current_thread()
-        head = Parameter(np.random.default_rng(82).normal(size=(1, 4)), "head")
-        accumulate = Parameter._accumulate
 
-        def slow_head(p, contrib):
-            if p is head:
-                time.sleep(0.05)
-                finished.append("head")
-            accumulate(p, contrib)
+def split_model(**overrides):
+    config = dict(fused_width=6, n_pairs=2, emb_dim=5, hidden_size=3, dense_size=4,
+                  kernel_sizes=(1, 2), filters_per_kernel=2, seed=83)
+    config.update(overrides)
+    return IbenModel(ModelConfig(**config))
 
-        def run(reverse, work):
-            direction = "bwd" if reverse else "fwd"
-            if phase == "bptt":
-                assert threading.current_thread() is here
-            if direction == failing:
-                raise ValueError(f"{direction} failed")
-            if phase == "forward":
-                time.sleep(0.05)
-            result = work()
-            finished.append(direction)
-            return result
 
-        def failing_gru(x, weights, h0, reverse, keep):
-            if phase == "forward":
-                return run(reverse, lambda: gru(x, weights, h0, reverse, keep))
-            out, bptt = gru(x, weights, h0, reverse, keep)
-            return out, lambda g, wanted: run(reverse, lambda: bptt(g, wanted))
+def split_inputs(batch=3, seed=84):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(batch, 2, 6)), rng.normal(size=(batch, 4, 5))
 
-        monkeypatch.setattr(ad, "_gru", failing_gru)
-        monkeypatch.setattr(Parameter, "_accumulate", slow_head)
-        bg = BiGru(3, 2, "bg", np.random.default_rng(81))
-        with pytest.raises(ValueError, match=f"{failing} failed"):
+
+class TestBranchSplit:
+    def test_the_split_starts_at_its_threshold(self, forced_split, monkeypatch):
+        """The smaller branch's multiply-adds reach the threshold; one more does not."""
+        model = split_model()
+        fused, emb = split_inputs()
+        smaller = min(model_lib._branch_madds(model.config, fused.shape, emb.shape))
+        for threshold, submits in ((smaller, 2), (smaller + 1, 0)):
+            monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", threshold)
+            forced_split.calls = 0
             with Tape() as tape:
-                loss = ad.total(ad.linear(bi_gru(Tensor(np.ones((4, 3))), bg), head))
+                loss = ad.total(model.forward(fused=fused, emb=emb))
             tape.backward(loss)
-        if phase == "forward":
-            assert finished == [{"fwd": "bwd", "bwd": "fwd"}[failing]]
-        else:
-            assert sorted(finished) == (["fwd", "head"] if failing == "bwd" else ["head"])
+            assert forced_split.calls == submits  # branch B's forward pass and its sweep
 
-    @pytest.mark.parametrize("direction", ["fwd", "bwd"])
-    def test_the_callers_errstate_governs_both_directions(self, monkeypatch, direction):
-        """An overflow in one direction's bias add; the backward direction runs on the worker."""
-        monkeypatch.setattr(ad, "_PAIR_MIN_STEP_WORK", 0)
+    @pytest.mark.parametrize("submodel, conv, rnn", [("both", 1, 1), ("cnn", 1, 0),
+                                                     ("bigru", 0, 1)])
+    def test_branch_madds_count_the_bi_grus_and_convolutions(self, submodel, conv, rnn):
+        c = split_model(emb_submodel=submodel).config  # H 3, F 2, kernels 1 and 2
+        a, b = model_lib._branch_madds(c, (3, 2, 6), (3, 4, 5))
+        assert a == 3 * 2 * (2 * 9 * 6 + 2 * 9 * 3)  # B x 2 directions x (3H x I + 3H x H) per row
+        assert b == rnn * 3 * 4 * (2 * 9 * 5 + 2 * 9 * 3) + conv * 3 * 4 * 2 * (1 + 2) * 5
+
+    @pytest.mark.parametrize("overrides", [dict(use_bert_branch=False),
+                                           dict(use_emb_branch=False)])
+    def test_one_branch_starts_no_thread(self, forced_split, monkeypatch, overrides):
+        monkeypatch.setattr(ad, "_worker", _NoWorker())
+        model = split_model(**overrides)
+        fused, emb = split_inputs()
+        with Tape() as tape:
+            loss = ad.total(model.forward(fused=fused, emb=emb))
+        tape.backward(loss)
+
+    def test_one_cpu_starts_no_thread(self, forced_split, monkeypatch):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(ad, "_worker", _NoWorker())
+        fused, emb = split_inputs()
+        with Tape() as tape:
+            loss = ad.total(split_model().forward(fused=fused, emb=emb))
+        tape.backward(loss)
+
+    def test_a_tensor_input_starts_no_thread(self, forced_split, monkeypatch):
+        """A sweep of the caller's tape may reach a tensor input, and a branch
+        tape cannot pass it a gradient, so the model does not split."""
+        monkeypatch.setattr(ad, "_worker", _NoWorker())
+        fused, emb = split_inputs()
+        x = Parameter(emb, "emb")
+        with Tape() as tape:
+            loss = ad.total(split_model().forward(fused=fused, emb=x))
+        tape.backward(loss)
+        assert np.any(x.grad != 0.0)
+
+    def test_predict_and_forward_match_the_serial_ones(self, forced_split, monkeypatch):
+        model = split_model()
+        fused, emb = split_inputs()
+        split = model.predict(fused=fused, emb=emb)
+        with Tape():
+            taped = model.forward(fused=fused, emb=emb).values
+        assert forced_split.calls == 2
+        monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 1 << 62)
+        npt.assert_array_equal(split, model.predict(fused=fused, emb=emb))
+        npt.assert_array_equal(taped, split)
+        assert forced_split.calls == 2
+
+    @pytest.mark.parametrize("learn_layer_weights", [False, True])
+    def test_a_split_tape_counts_the_entries_of_one_tape(self, monkeypatch, learn_layer_weights):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-        threads = []
-        gru = ad._gru
+        model = split_model(learn_layer_weights=learn_layer_weights)
+        fused, emb = split_inputs()
+        lengths = []
+        for gate in (0, 1 << 62):
+            monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", gate)
+            with Tape() as tape:
+                model.forward(fused=fused, emb=emb)
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1] == 23 + learn_layer_weights
 
-        def recording_gru(x, weights, h0, reverse, keep):
-            threads.append((reverse, threading.current_thread()))
-            return gru(x, weights, h0, reverse, keep)
+    @pytest.mark.parametrize("taped", [True, False])
+    @pytest.mark.parametrize("failing", ["b", "both"])
+    def test_an_exception_is_raised_after_both_branches_finish(self, forced_split,
+                                                               monkeypatch, taped, failing):
+        """Branch B raises NonFiniteError on the worker: alone, at once while
+        branch A is still running, or, after a pause, together with an error
+        that branch A raises at once.  The caller sees an error only once both
+        have finished, branch A's when both fail, and no tape stays open."""
+        here = threading.current_thread()
+        finished = []
+        bi_gru_op, conv_op = model_lib.bi_gru, model_lib.conv_features
 
-        monkeypatch.setattr(ad, "_gru", recording_gru)
-        bg = BiGru(1, 2, "bg", np.random.default_rng(80))
-        for p in bg.parameters():
-            p.values[...] = 0.0
-        cell = getattr(bg, direction)
+        def slow_a(seq, params):
+            if params is model.branch_a:
+                assert threading.current_thread() is here
+                if failing == "both":
+                    raise ValueError("branch A failed")
+                time.sleep(0.1)
+                finished.append("a")
+            return bi_gru_op(seq, params)
+
+        def failing_b(matrix, bank):
+            assert threading.current_thread() is not here
+            if failing == "both":
+                time.sleep(0.1)
+                finished.append("b")
+            raise ad.NonFiniteError("conv1d produced a non-finite value")
+
+        monkeypatch.setattr(model_lib, "bi_gru", slow_a)
+        monkeypatch.setattr(model_lib, "conv_features", failing_b)
+        model = split_model()
+        fused, emb = split_inputs()
+        error = (ValueError, "branch A") if failing == "both" else (ad.NonFiniteError, "conv1d")
+        with pytest.raises(error[0], match=error[1]):
+            if taped:
+                with Tape():
+                    model.forward(fused=fused, emb=emb)
+            else:
+                model.predict(fused=fused, emb=emb)
+        assert finished == ["b" if failing == "both" else "a"]
+        assert ad._active_tape() is None
+        monkeypatch.setattr(model_lib, "bi_gru", bi_gru_op)
+        monkeypatch.setattr(model_lib, "conv_features", conv_op)
+        with Tape() as tape:
+            loss = ad.total(model.forward(fused=fused, emb=emb))
+        assert len(tape) > 0 and ad._active_tape() is None
+        model.zero_grad()
+        tape.backward(loss)
+        assert all(np.any(p.grad != 0.0) for p in model.parameters())
+
+    def test_the_callers_errstate_governs_both_branches(self, forced_split):
+        """An overflow in branch B's Bi-GRU bias add, on the worker."""
+        model = split_model(emb_submodel="bigru")
+        cell = model.branch_b_rnn.bwd
         cell.W.values[...] = 1.0
         cell.b.values[...] = 1e308
-        x = Tensor(np.full((3, 1), 1e308))  # x W^T + b overflows to inf; the states stay finite
+        fused, emb = split_inputs()
+        emb = np.full_like(emb, 1e308)  # x W^T + b overflows to inf; the states stay finite
         with np.errstate(over="ignore"):
-            out = bi_gru(x, bg)
-        assert np.isfinite(out.values).all()
+            out = model.predict(fused=fused, emb=emb)
+        assert np.isfinite(out).all()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            bi_gru(x, bg)
-        here = threading.current_thread()
-        assert {(reverse, thread is here) for reverse, thread in threads} == {(False, True),
-                                                                              (True, False)}
+            model.predict(fused=fused, emb=emb)
+        assert forced_split.calls == 2
 
 
 class TestPoolStates:

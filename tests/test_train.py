@@ -1,6 +1,7 @@
 """Optimizer updates, the training loop, RMSE evaluation, the baseline."""
 
 import math
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import iben.autodiff as ad
+import iben.model as model_lib
 import iben.train as train_lib
 from iben.autodiff import Parameter, ShapeError
 from iben.errors import TrainingError
@@ -343,6 +345,25 @@ class TestTrain:
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match="epoch 1, batch 1"):
             train(model, tiny_dataset(2, seed=10), TrainConfig(epochs=1))
+
+    def test_a_failure_on_the_worker_names_the_epoch_and_batch(self, monkeypatch):
+        """Branch B, split onto the worker thread, raises in the second batch."""
+        monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 0)
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        conv_features = model_lib.conv_features
+        threads = []
+
+        def failing(matrix, bank):
+            threads.append(threading.current_thread())
+            if len(threads) == 2:
+                raise ad.NonFiniteError("conv1d produced a non-finite value")
+            return conv_features(matrix, bank)
+
+        monkeypatch.setattr(model_lib, "conv_features", failing)
+        with pytest.raises(TrainingError, match="epoch 1, batch 2: conv1d produced"):
+            train(tiny_model(seed=14), tiny_dataset(3, seed=15),
+                  TrainConfig(epochs=1, batch_size=2, shuffle=False))
+        assert len(threads) == 2 and threading.current_thread() not in threads
 
     def test_epoch_callback_runs_once_per_epoch(self):
         seen = []
