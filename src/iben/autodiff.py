@@ -14,12 +14,14 @@ worker thread starts from a copy of its caller's.  A tape knows the
 tensors it recorded, and a tensor does not refer to its tape, so a
 finished graph is freed by reference counting alone.
 
-The module has one worker thread.  :func:`fork` runs one branch of a graph
-there, on a tape of its own, while the caller runs the other, and the
-fork's entry on the caller's tape sweeps the two branch tapes the same
-way; :func:`run_both` runs any two pieces of numpy work so.  A task on the
-worker never submits to it.  A parameter's gradient buffer is written by
-its first contribution after ``zero_grad``, not zero-filled first.
+The module has one worker thread.  :func:`run_both` runs two pieces of
+numpy work, one there and one on the caller's thread, when the process may
+use two CPUs, and one after the other when it may not; it is the one place
+that asks.  :func:`fork` records two branches of a graph on tapes of their
+own through it, and the fork's entry on the caller's tape sweeps the two
+branch tapes the same way.  A task on the worker never submits to it.  A
+parameter's gradient buffer is written by its first contribution after
+``zero_grad``, not zero-filled first.
 
 The sequence ops leave input rows that are all zero (word-vector padding)
 out of their products with the input's weights, which are exactly zero
@@ -163,21 +165,17 @@ class Parameter(Tensor):
 
 
 class _Product:
-    """The weight gradient ``(a @ b).reshape(shape)``, not yet multiplied out,
-    so that a parameter's first contribution is formed in its gradient buffer
-    with no temporary and no copy.
+    """The weight gradient ``a @ b``, not yet multiplied out, so that a
+    parameter's first contribution is formed in its gradient buffer with no
+    temporary and no copy; the sweep reshapes it to any other operand's shape.
 
     The operands must not change until the reverse sweep has formed it.
     """
 
-    __slots__ = ("a", "b", "shape")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, shape: tuple | None = None):
+    def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a, self.b = a, b
-        self.shape = (a.shape[0], b.shape[1]) if shape is None else shape
-
-    def value(self) -> np.ndarray:
-        return (self.a @ self.b).reshape(self.shape)
 
 
 class Tape:
@@ -234,7 +232,7 @@ class Tape:
                     parent._accumulate(contrib)
                     continue
                 if isinstance(contrib, _Product):
-                    contrib = contrib.value()
+                    contrib = (contrib.a @ contrib.b).reshape(parent.shape)
                 key = id(parent)
                 adjoint[key] = adjoint[key] + contrib if key in adjoint else contrib
 
@@ -314,20 +312,21 @@ def run_both(first, second, concurrent: bool) -> tuple:
 def fork(first, second, concurrent: bool) -> Tensor:
     """``concat([first(), second()], axis=-1)`` for two branches of a graph.
 
-    When ``concurrent`` is true, ``second`` runs on the worker thread while
-    ``first`` runs on the caller's (see :func:`run_both`).  Under an open
-    tape, each branch then records on a tape of its own, and the open tape
-    records one entry for the fork.  The sweep of that entry splits the
-    output's gradient and sweeps the two branch tapes at the same time,
-    ``second``'s on the worker, each from its own share.  A branch tape
-    passes gradient only to parameters and to what the branch recorded, so
-    neither branch may read another tensor that a sweep of the open tape
-    reaches, and no parameter may be reached from both.  Each parameter's
-    contributions then come from one thread in the order of a serial sweep,
-    so the bits do not depend on the path.
+    When ``concurrent`` is true, the branches run through :func:`run_both`:
+    on two threads, ``second`` on the worker, when the process may use two
+    CPUs, and one after the other when it may not.  Under an open tape, each
+    branch then records on a tape of its own, and the open tape records one
+    entry for the fork.  The sweep of that entry splits the output's
+    gradient and sweeps the two branch tapes through :func:`run_both` too,
+    each from its own share.  A branch tape passes gradient only to
+    parameters and to what the branch recorded, so neither branch may read
+    another tensor that a sweep of the open tape reaches, and no parameter
+    may be reached from both.  Each parameter's contributions then come from
+    one thread in the order of a serial sweep, so the bits do not depend on
+    the path.
     """
     tape = _active_tape()
-    if not (concurrent and _usable_cpus() >= 2) or tape is None:
+    if not concurrent or tape is None:
         return concat(run_both(first, second, concurrent), axis=-1)
 
     def record(branch):
@@ -699,7 +698,7 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         full = spread(g)
         d_live, x_live = _live(full, rows, keep)
         return ((full @ slices).reshape(xv.shape) if wanted[0] else None,
-                _Product(d_live.T, x_live, kv.shape),
+                _Product(d_live.T, x_live),
                 g.reshape(-1, F).sum(axis=0))
 
     return _apply(out, "conv1d", (x, kernels, bias), backward)

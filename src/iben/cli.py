@@ -24,7 +24,8 @@ from . import model as model_lib
 from . import train as train_lib
 from .autodiff import Parameter, Tensor
 from .corpus import PAD_TOKEN, TokenSequence
-from .errors import ConfigError, DataFormatError, IbenError, open_text, refuse_json_constant
+from .errors import (ConfigError, DataFormatError, IbenError, open_replacing, open_text,
+                     refuse_json_constant)
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -54,8 +55,8 @@ def _fill_defaults(value: dict, node: dict) -> dict:
     return out
 
 
-def _schema_errors(validator, document) -> str | None:
-    errors = sorted(validator.iter_errors(document),
+def _schema_errors(schema, document) -> str | None:
+    errors = sorted(jsonschema.Draft202012Validator(schema).iter_errors(document),
                     key=lambda e: list(e.absolute_path))
     if not errors:
         return None
@@ -78,20 +79,18 @@ def _non_finite_numbers(value, path=""):
 def validate_runconfig(raw) -> dict:
     """Schema-check a raw config and return it with defaults applied.
 
-    The defaulted result is validated a second time, so the resolved echo
-    written next to a checkpoint is guaranteed to be re-loadable, and it
-    may hold no non-finite number: ``json`` reads ``1e999`` as ``inf``.
+    Every schema keyword constrains one value, and every default is valid
+    where it is declared, so the resolved echo written next to a checkpoint
+    is valid too.  It may hold no non-finite number: ``json`` reads
+    ``1e999`` as ``inf``.
     """
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
-    validator = jsonschema.Draft202012Validator(runconfig_schema())
-    problem = _schema_errors(validator, raw)
+    schema = runconfig_schema()
+    problem = _schema_errors(schema, raw)
     if problem:
         raise ConfigError(f"run config rejected: {problem}")
-    resolved = _fill_defaults(raw, validator.schema)
-    problem = _schema_errors(validator, resolved)
-    if problem:
-        raise ConfigError(f"resolved config failed re-validation: {problem}")
+    resolved = _fill_defaults(raw, schema)
     problem = "; ".join(f"{path}: {number!r} is not a finite number"
                         for path, number in _non_finite_numbers(resolved))
     if problem:
@@ -158,15 +157,18 @@ def _assemble_samples(records, resolved, features_path):
 # ---------------------------------------------------------------------------
 # token files (TSV: id TAB space-joined tokens; or JSON lines)
 
+def _replace_text(path, lines) -> None:
+    """Write ``lines``, each ended with a newline, to ``path`` as UTF-8; the
+    file replaces ``path`` only once it is complete (:func:`open_replacing`)."""
+    with open_replacing(path) as fh:
+        for line in lines:
+            fh.write(f"{line}\n".encode("utf-8"))
+
+
 def _write_token_file(sequences, path, jsonl: bool) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record_id, seq in sequences:
-            if jsonl:
-                fh.write(json.dumps({"id": record_id, "tokens": list(seq.tokens)},
-                                    sort_keys=True))
-            else:
-                fh.write(f"{record_id}\t{' '.join(seq.tokens)}")
-            fh.write("\n")
+    _replace_text(path, (json.dumps({"id": record_id, "tokens": list(seq.tokens)}, sort_keys=True)
+                         if jsonl else f"{record_id}\t{' '.join(seq.tokens)}"
+                         for record_id, seq in sequences))
 
 
 def _is_text(value) -> bool:
@@ -302,16 +304,12 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "model.ckpt"
     model_lib.save_checkpoint(net, ckpt_path, manifest=resolved)
-    with open(out_dir / "history.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_loss,dev_rmse\n" if dev_rmse else "epoch,train_loss\n")
-        for i, loss in enumerate(history):
-            row = f"{i + 1},{loss:.10f}"
-            if dev_rmse:
-                row += f",{dev_rmse[i]:.10f}"
-            fh.write(row + "\n")
-    with open(out_dir / "config.resolved.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _replace_text(out_dir / "history.csv",
+                  ["epoch,train_loss,dev_rmse" if dev_rmse else "epoch,train_loss"]
+                  + [f"{i + 1},{loss:.10f}" + (f",{dev_rmse[i]:.10f}" if dev_rmse else "")
+                     for i, loss in enumerate(history)])
+    _replace_text(out_dir / "config.resolved.json",
+                  [json.dumps(resolved, indent=2, sort_keys=True)])
 
     print(f"checkpoint {ckpt_path}")
     print(f"final_train_loss {history[-1]:.10f}")
@@ -337,10 +335,8 @@ def cmd_evaluate(args) -> int:
     (samples,), _ = pipeline.assemble(resolved, [(records, features)], widths)
     report = train_lib.evaluate_model(net, samples, clamp=args.clamp)
 
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,y,yhat\n")
-        for record_id, target, pred in report.rows:
-            fh.write(f"{record_id},{target:.10f},{pred:.10f}\n")
+    _replace_text(args.out, ["id,y,yhat"] + [f"{record_id},{target:.10f},{pred:.10f}"
+                                             for record_id, target, pred in report.rows])
     print(f"rmse {report.rmse:.10f}")
     print(f"n {report.n}")
     return 0

@@ -65,16 +65,22 @@ def open_replacing(path):
     The bytes go to a new file beside ``path``, which ``os.replace`` moves
     onto ``path`` when the ``with`` block ends normally.  When the block
     raises, the new file is removed and ``path`` keeps its old bytes, so a
-    writer that fails halfway never leaves a truncated file behind.
+    writer that fails halfway never leaves a truncated file behind.  An
+    error that would name the new file names ``path`` instead.  A directory,
+    pipe or device at ``path`` is refused: the move must not replace it.
     """
     path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise FileExistsError(f"{path}: exists and is not a regular file")
     head, tail = os.path.split(path)
     temp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
     try:
         with open(temp, "xb") as fh:
             yield fh
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename == temp:
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise

@@ -166,10 +166,6 @@ class ConvBank:
             )
             self.biases[k] = Parameter(np.zeros(filters_per_kernel), f"{name}.k{k}.bias")
 
-    @property
-    def total_filters(self) -> int:
-        return sum(self.kernels[k].shape[0] for k in self.kernel_sizes)
-
     def parameters(self) -> list[Parameter]:
         params = []
         for k in self.kernel_sizes:
@@ -221,19 +217,14 @@ def _input_matrix(x, width: int, what: str) -> Tensor:
 _SPLIT_MIN_MADDS = 1 << 25
 
 
-def _branch_madds(c: ModelConfig, fused_shape: tuple, emb_shape: tuple) -> tuple[int, int]:
-    """The multiply-adds of one forward pass of branch A and of branch B over
-    inputs of these shapes, in the Bi-GRUs (input projections and
-    recurrences) and the convolutions; the dense layers, a small share, are
-    left out."""
-    *batch, rows_a, width_a = fused_shape
-    *_, rows_b, width_b = emb_shape
-    B, H = math.prod(batch), c.hidden_size
-    a = B * rows_a * 6 * H * (width_a + H)  # two directions of three gates
-    b = B * rows_b * 6 * H * (width_b + H) if c.emb_submodel != "cnn" else 0
-    if c.emb_submodel != "bigru":
-        b += B * rows_b * width_b * c.filters_per_kernel * sum(c.kernel_sizes)
-    return a, b
+def _row_madds(bigru: BiGru | None, bank: ConvBank | None = None) -> int:
+    """The multiply-adds per input row of a forward pass through a Bi-GRU and a
+    convolution bank (None when absent): one per weight of each GRU
+    direction's ``W`` and ``U`` (its input projection and recurrence) and of
+    each kernel."""
+    cells = (bigru.fwd, bigru.bwd) if bigru else ()
+    kernels = bank.kernels.values() if bank else ()
+    return sum(c.W.size + c.U.size for c in cells) + sum(k.size for k in kernels)
 
 
 class IbenModel:
@@ -277,7 +268,7 @@ class IbenModel:
             if self.branch_b_rnn is not None:
                 b_width += 4 * H
             if self.branch_b_conv is not None:
-                b_width += self.branch_b_conv.total_filters
+                b_width += config.filters_per_kernel * len(config.kernel_sizes)
             self.dense_b = Dense(b_width, config.dense_size, "dense_b", rng, config.use_bias)
             self._params += self.dense_b.parameters()
 
@@ -285,6 +276,8 @@ class IbenModel:
                                           + int(config.use_emb_branch))
         self.head = Dense(head_width, 1, "head", rng, config.use_bias)
         self._params += self.head.parameters()
+        self._row_madds = (_row_madds(self.branch_a),
+                           _row_madds(self.branch_b_rnn, self.branch_b_conv))
 
     def parameters(self) -> list[Parameter]:
         return list(self._params)
@@ -293,16 +286,23 @@ class IbenModel:
         for p in self._params:
             p.zero_grad()
 
+    def _branch_madds(self, fused_shape: tuple, emb_shape: tuple) -> tuple[int, int]:
+        """The multiply-adds of one forward pass of branch A and of branch B over
+        inputs of these shapes, in the Bi-GRUs and the convolutions; the dense
+        layers, a small share, are left out."""
+        return (math.prod(fused_shape[:-1]) * self._row_madds[0],
+                math.prod(emb_shape[:-1]) * self._row_madds[1])
+
     def forward(self, fused=None, emb=None) -> Tensor:
         """Scalar prediction for P x W and L x D inputs, or a length-B vector of
         them for B x P x W and B x L x D batches; inputs for disabled branches
         are ignored.
 
         With both branches on, inputs given as arrays, and at least
-        ``_SPLIT_MIN_MADDS`` multiply-adds in each branch, branch B runs on
-        the worker thread while branch A runs on the caller's
-        (:func:`~iben.autodiff.fork`); the values and gradients are the same
-        either way."""
+        ``_SPLIT_MIN_MADDS`` multiply-adds in each branch (:meth:`_branch_madds`),
+        the branches are forked (:func:`~iben.autodiff.fork`): on two CPUs,
+        branch B runs on the worker thread while branch A runs on the caller's;
+        the values and gradients are the same either way."""
         c = self.config
         xa = xb = None
         if c.use_bert_branch:
@@ -338,7 +338,7 @@ class IbenModel:
         else:
             # a caller's tensor may be reached by a sweep of its tape, which a branch tape cannot do
             split = (xa is not fused and xb is not emb
-                     and min(_branch_madds(c, xa.shape, xb.shape)) >= _SPLIT_MIN_MADDS)
+                     and min(self._branch_madds(xa.shape, xb.shape)) >= _SPLIT_MIN_MADDS)
             joined = ad.fork(branch_a, branch_b, split)
         return ad.reshape(self.head(joined), joined.shape[:-1])
 

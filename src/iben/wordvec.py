@@ -31,9 +31,6 @@ class WordVectorTable:
         self.name = name
         self.duplicates = duplicates
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 

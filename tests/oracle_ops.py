@@ -331,7 +331,7 @@ def serial_backward(tape, loss: Tensor) -> None:
             if not want:
                 continue
             if isinstance(contrib, _Product):
-                contrib = contrib.value()
+                contrib = (contrib.a @ contrib.b).reshape(parent.shape)
             if isinstance(parent, Parameter):
                 if contrib is not None:  # None: the op added its share in place
                     parent.grad += contrib

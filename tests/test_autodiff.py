@@ -335,6 +335,16 @@ class TestConv1d:
             ad.conv1d(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3, 3))),
                       Tensor(np.zeros(1)))
 
+    def test_a_recorded_kernel_gets_its_gradient_in_its_own_shape(self):
+        """A kernel gradient is formed as an F x kD matrix; the sweep reshapes
+        it to F x k x D for an operand that is no parameter."""
+        rng = np.random.default_rng(44)
+        x = Tensor(rng.normal(size=(2, 5, 3)))
+        raw = Parameter(rng.normal(size=(2, 3, 3)), "raw")
+        bias = Parameter(rng.normal(size=2), "bias")
+        assert ad.grad_check(lambda: ad.total(ad.tanh(ad.conv1d(x, ad.tanh(raw), bias))),
+                             [raw, bias]) <= 1e-6
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_gradients_all_kernel_sizes(self, k):
         rng = np.random.default_rng(100 + k)
@@ -598,6 +608,44 @@ class TestLosses:
         target = Tensor(np.array([1.0, 1.0, 0.5]))
         g = tape_gradient(lambda p: ad.mae_sum_loss(p, target), pred)
         npt.assert_array_equal(g, [1.0, -1.0, 0.0])  # subgradient 0 at the tie
+
+
+class TestRefusals:
+    """Each op refuses operands outside its contract with a ShapeError that
+    names the op or the operand."""
+
+    @pytest.mark.parametrize("x, kernels, bias, message", [
+        ((5,), (2, 1, 5), (2,), r"conv1d needs input L x D or B x L x D, kernels F x k x D"),
+        ((5, 3), (2, 3), (2,), r"conv1d needs input L x D or B x L x D, kernels F x k x D"),
+        ((5, 3), (2, 1, 3), (2, 1), r"conv1d needs input .*, bias F"),
+        ((5, 3), (2, 1, 4), (2,), r"kernel feature width 4 != input width 3"),
+        ((2, 5, 3), (2, 2, 3), (3,), r"bias length 3 != filter count 2"),
+    ], ids=["1d_input", "2d_kernels", "2d_bias", "kernel_width", "bias_length"])
+    def test_conv1d_shapes(self, x, kernels, bias, message):
+        with pytest.raises(ShapeError, match=message):
+            ad.conv1d(Tensor(np.ones(x)), Tensor(np.ones(kernels)), Tensor(np.ones(bias)))
+
+    @pytest.mark.parametrize("op", [ad.max_over_time, ad.avg_over_time])
+    def test_pooling_a_vector(self, op):
+        with pytest.raises(ShapeError, match=rf"^{op.__name__} needs a 2-D or batched input, "
+                                             r"got shape \(3,\)"):
+            op(Tensor([1.0, 2.0, 3.0]))
+
+    def test_mse_loss_of_nothing(self):
+        with pytest.raises(ShapeError, match="^mse_loss needs at least one element"):
+            ad.mse_loss(Tensor(np.zeros(0)), Tensor(np.zeros(0)))
+
+    def test_concat_of_nothing(self):
+        with pytest.raises(ShapeError, match="^concat needs at least one tensor"):
+            ad.concat([])
+
+    def test_bi_gru_directions_of_different_sizes(self):
+        def weights(H):
+            return Tensor(np.zeros((3 * H, 4))), Tensor(np.zeros((3 * H, H)))
+
+        with pytest.raises(ShapeError, match="bi_gru_sequence directions have hidden sizes "
+                                             "2 and 3"):
+            ad.bi_gru_sequence(Tensor(np.ones((5, 4))), weights(2), weights(3))
 
 
 class TestTapeSemantics:
@@ -936,10 +984,21 @@ class TestFork:
         for g, w in zip(self.sweep(branches, True)[1], want, strict=True):
             npt.assert_array_equal(g, w)
 
-    def test_one_cpu_records_on_the_open_tape(self, monkeypatch, branches):
+    def test_one_cpu_records_the_branch_tapes_in_turn(self, monkeypatch, branches):
+        """On one CPU the branches record on their own tapes one after the
+        other, on the caller's thread, with the bits and the length of one tape."""
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
-        *_, threads = self.sweep(branches, True)
+        first, second, *_ = branches
+        with Tape() as tape:
+            ad.fork(first, second, True)
+        assert len(tape._forks) == 2
+        out, grads, entries, threads = self.sweep(branches, True)
         assert set(threads.values()) == {threading.current_thread()}
+        want_out, want_grads, want_entries, _ = self.sweep(branches, False)
+        npt.assert_array_equal(out, want_out)
+        for g, w in zip(grads, want_grads, strict=True):
+            npt.assert_array_equal(g, w)
+        assert entries == want_entries == 8
 
     def test_without_a_tape_it_is_the_concatenation(self, monkeypatch, branches):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)

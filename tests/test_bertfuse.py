@@ -580,6 +580,11 @@ class TestPseudoEncode:
         with pytest.raises(ValueError):
             pseudo_encode(self.seq([]), n_layers=2, hidden=2, seed=0)
 
+    @pytest.mark.parametrize("n_layers, hidden", [(0, 4), (2, 0), (-1, 4)])
+    def test_no_layer_or_no_hidden_unit_is_refused(self, n_layers, hidden):
+        with pytest.raises(ValueError, match="n_layers and hidden must be positive"):
+            pseudo_encode(self.seq(["a"]), n_layers=n_layers, hidden=hidden, seed=0)
+
     def test_values_survive_the_container_exactly(self, tmp_path):
         stack = pseudo_encode(self.seq(["x", "y"]), n_layers=3, hidden=5, seed=2,
                               stack_id="rt")

@@ -172,6 +172,35 @@ class TestValidateRunconfig:
         with pytest.raises(ConfigError, match="JSON object"):
             validate_runconfig(["not", "a", "config"])
 
+    # each constrains one value, and none of them a key's value by another key's
+    ONE_VALUE_KEYWORDS = {"$schema", "$id", "title", "description", "default", "type", "enum",
+                          "properties", "additionalProperties", "required", "items", "minItems",
+                          "uniqueItems", "minimum", "exclusiveMinimum", "exclusiveMaximum"}
+
+    @classmethod
+    def subschemas(cls, node, where="<root>"):
+        yield where, node
+        for key, sub in node.get("properties", {}).items():
+            yield from cls.subschemas(sub, f"{where}/{key}")
+        if isinstance(node.get("items"), dict):
+            yield from cls.subschemas(node["items"], f"{where}/items")
+
+    def test_filling_the_shipped_defaults_keeps_a_config_valid(self):
+        """``validate_runconfig`` validates once, before the defaults fill in.
+        That is enough because no keyword relates two values and each
+        default is valid where it is declared, so the resolved echo is valid."""
+        schema = cli.runconfig_schema()
+        for where, node in self.subschemas(schema):
+            assert set(node) <= self.ONE_VALUE_KEYWORDS, where
+            assert node.get("additionalProperties", False) is False, where
+            if "default" in node:
+                default = node["default"]
+                filled = cli._fill_defaults(default, node) if isinstance(default, dict) else default
+                assert cli._schema_errors(node, filled) is None, where
+        for raw in (self.minimal(), {**self.minimal(), "oov": {}, "train": {},
+                                     "embedding_tables": [{"path": "a"}, {"path": "b"}]}):
+            assert cli._schema_errors(schema, validate_runconfig(raw)) is None
+
 
 class TestPreprocess:
     def test_edited_variant_substitutes(self, pipeline):
@@ -308,6 +337,15 @@ class TestPseudoEncode:
             assert s.n_layers == 4 and s.hidden == 4
             assert 1 <= s.seq_len <= 6
 
+    @pytest.mark.parametrize("layers, hidden", [("0", "4"), ("4", "0")])
+    def test_no_layer_or_no_hidden_unit_exits_1(self, pipeline, tmp_path, capsys, layers,
+                                                 hidden):
+        out = tmp_path / "none.hs"
+        assert main(["pseudo-encode", "--tokens", str(pipeline["tokens"]), "--layers", layers,
+                     "--hidden", hidden, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n_layers and hidden must be positive\n"
+        assert not out.exists()
+
     def test_deterministic_across_runs(self, pipeline, tmp_path):
         outs = []
         for i in range(2):
@@ -357,8 +395,10 @@ class TestPseudoEncode:
         '{"id": "b", "tokens": [1, null]}',
         '{"id": "b", "tokens": ["\\ud800"]}',
         '{"id": "b", "tokens": ["<pad>", "<pad>"]}',
+        '["b", ["a"]]',
+        '"b a"',
     ], ids=["int_id", "null_id", "string_tokens", "non_string_tokens", "lone_surrogate",
-            "only_pads"])
+            "only_pads", "list_row", "string_row"])
     def test_bad_jsonl_row_exits_2_naming_the_line(self, tmp_path, capsys, row):
         tokens = tmp_path / "rows.jsonl"
         tokens.write_text('{"id": "a", "tokens": ["x", "<pad>"]}\n' + row + "\n")
@@ -1128,6 +1168,64 @@ class TestEvaluate:
         assert main(["evaluate", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--data", str(pipeline["data"]),
                      "--out", str(tmp_path / "p.csv")]) == 2
+
+
+class TestRunSettings:
+    """Branch and stoplist settings through ``iben train`` and ``iben evaluate``."""
+
+    def train_and_evaluate(self, pipeline, out_dir, monkeypatch, **overrides) -> tuple:
+        """Run ``iben train`` and then ``iben evaluate``, both to exit 0, with
+        these config overrides; returns the checkpoint's model config and the
+        tokens that ``corpus.prepare`` gave in training."""
+        seen = []
+        prepare = corpus.prepare
+
+        def recording(*args, **kwargs):
+            seq = prepare(*args, **kwargs)
+            seen.append(seq.tokens)
+            return seq
+
+        config = write_config(pipeline, out_dir, **overrides)
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus, "prepare", recording)
+            assert main(["train", "--config", str(config)]) == 0
+        assert main(["evaluate", "--checkpoint", str(out_dir / "model.ckpt"),
+                     "--data", str(pipeline["data"]), "--out", str(out_dir / "preds.csv")]) == 0
+        with open(out_dir / "preds.csv", encoding="utf-8") as fh:
+            assert [row["id"] for row in csv.DictReader(fh)] == ["1", "2", "3", "4"]
+        return model_lib.load_checkpoint(out_dir / "model.ckpt").config, seen
+
+    @pytest.mark.parametrize("with_features", [True, False])
+    def test_the_word_vector_branch_alone(self, pipeline, tmp_path, monkeypatch,
+                                          with_features):
+        overrides = {"branches": "emb"}
+        if not with_features:
+            overrides["features"] = None
+        config, tokens = self.train_and_evaluate(pipeline, tmp_path / "emb", monkeypatch,
+                                                 **overrides)
+        assert (config.use_bert_branch, config.use_emb_branch) == (False, True)
+        assert len(tokens) == 4
+
+    def test_the_encoder_branch_alone_needs_no_table(self, pipeline, tmp_path, monkeypatch):
+        config, tokens = self.train_and_evaluate(pipeline, tmp_path / "bert", monkeypatch,
+                                                 branches="bert", embedding_tables=[])
+        assert (config.use_bert_branch, config.use_emb_branch) == (True, False)
+        assert tokens == []
+
+    def test_the_stoplist_settings_change_the_tokens(self, pipeline, tmp_path, monkeypatch):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("# only these\nsenate\ncity\n", encoding="utf-8")
+        runs = {}
+        for name, overrides in (("bundled", {}), ("kept", {"remove_stopwords": False}),
+                                ("custom", {"stopwords": str(stopwords)})):
+            config, runs[name] = self.train_and_evaluate(
+                pipeline, tmp_path / name, monkeypatch, max_len=12, **overrides)
+            assert (config.use_bert_branch, config.use_emb_branch) == (True, True)
+        words = {name: {t for seq in tokens for t in seq} for name, tokens in runs.items()}
+        assert {"to", "his", "about"} <= words["kept"] - words["bundled"]
+        assert {"to", "his", "about"} <= words["custom"]
+        assert not {"senate", "city"} & words["custom"]
+        assert {"senate", "city"} <= words["bundled"] & words["kept"]
 
 
 class TestNonUtf8Input:

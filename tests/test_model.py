@@ -523,12 +523,30 @@ def split_inputs(batch=3, seed=84):
     return rng.normal(size=(batch, 2, 6)), rng.normal(size=(batch, 4, 5))
 
 
+PAPER_DIMS = dict(fused_width=4096, n_pairs=12, emb_dim=900, hidden_size=128)
+OVERFIT16_DIMS = dict(fused_width=64, n_pairs=2, emb_dim=8, hidden_size=16, dense_size=16,
+                      seed=11)
+
+
+def config_branch_madds(c: ModelConfig, fused_shape: tuple, emb_shape: tuple) -> tuple:
+    """The oracle: the split gate's work per forward pass of branch A and of
+    branch B, worked out from the config."""
+    *batch, rows_a, width_a = fused_shape
+    *_, rows_b, width_b = emb_shape
+    B, H = math.prod(batch), c.hidden_size
+    a = B * rows_a * 6 * H * (width_a + H)  # two directions of three gates
+    b = B * rows_b * 6 * H * (width_b + H) if c.emb_submodel != "cnn" else 0
+    if c.emb_submodel != "bigru":
+        b += B * rows_b * width_b * c.filters_per_kernel * sum(c.kernel_sizes)
+    return a, b
+
+
 class TestBranchSplit:
     def test_the_split_starts_at_its_threshold(self, forced_split, monkeypatch):
         """The smaller branch's multiply-adds reach the threshold; one more does not."""
         model = split_model()
         fused, emb = split_inputs()
-        smaller = min(model_lib._branch_madds(model.config, fused.shape, emb.shape))
+        smaller = min(model._branch_madds(fused.shape, emb.shape))
         for threshold, submits in ((smaller, 2), (smaller + 1, 0)):
             monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", threshold)
             forced_split.calls = 0
@@ -540,10 +558,28 @@ class TestBranchSplit:
     @pytest.mark.parametrize("submodel, conv, rnn", [("both", 1, 1), ("cnn", 1, 0),
                                                      ("bigru", 0, 1)])
     def test_branch_madds_count_the_bi_grus_and_convolutions(self, submodel, conv, rnn):
-        c = split_model(emb_submodel=submodel).config  # H 3, F 2, kernels 1 and 2
-        a, b = model_lib._branch_madds(c, (3, 2, 6), (3, 4, 5))
+        model = split_model(emb_submodel=submodel)  # H 3, F 2, kernels 1 and 2
+        a, b = model._branch_madds((3, 2, 6), (3, 4, 5))
         assert a == 3 * 2 * (2 * 9 * 6 + 2 * 9 * 3)  # B x 2 directions x (3H x I + 3H x H) per row
         assert b == rnn * 3 * 4 * (2 * 9 * 5 + 2 * 9 * 3) + conv * 3 * 4 * 2 * (1 + 2) * 5
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("submodel", ["both", "cnn", "bigru"])
+    @pytest.mark.parametrize("dims, emb_rows, splits", [(PAPER_DIMS, 40, True),
+                                                        (OVERFIT16_DIMS, 8, False)])
+    def test_branch_madds_match_the_config_formula(self, dims, emb_rows, splits, submodel,
+                                                   use_bias, batch):
+        """The weight-derived counts equal the formula over the config that
+        they replace, so the gate decides as before: paper dims split and
+        the overfit criterion's dims do not."""
+        config = ModelConfig(emb_submodel=submodel, use_bias=use_bias, **dims)
+        fused_shape = (batch, config.n_pairs, config.fused_width)
+        emb_shape = (batch, emb_rows, config.emb_dim)
+        got = IbenModel(config)._branch_madds(fused_shape, emb_shape)
+        assert got == config_branch_madds(config, fused_shape, emb_shape)
+        if submodel == "both":
+            assert (min(got) >= model_lib._SPLIT_MIN_MADDS) == splits
 
     @pytest.mark.parametrize("overrides", [dict(use_bert_branch=False),
                                            dict(use_emb_branch=False)])
@@ -706,7 +742,6 @@ class TestConvFeatures:
 
     def test_default_bank_yields_36_features(self):
         bank = self.make_bank(np.random.default_rng(13))
-        assert bank.total_filters == 36
         out = conv_features(Tensor(np.zeros((5, 3))), bank)
         assert out.shape == (36,)
 
@@ -1073,6 +1108,22 @@ class TestCheckpoints:
         for read in (load_checkpoint, checkpoint_manifest):
             with pytest.raises(DataFormatError, match="unreadable checkpoint header"):
                 read(path)
+
+    @pytest.mark.parametrize("header", [b"[1, 2]", b"\"text\"", b"7", b"null"])
+    def test_a_header_that_is_not_an_object_is_refused(self, tmp_path, header):
+        path = tmp_path / "list.ckpt"
+        path.write_bytes(header + b"\n")
+        for read in (load_checkpoint, checkpoint_manifest):
+            with pytest.raises(DataFormatError, match="list.ckpt: checkpoint header is not a "
+                                                      "JSON object"):
+                read(path)
+
+    @pytest.mark.parametrize("manifest", [[1, 2], "text", 7])
+    def test_a_manifest_that_is_not_an_object_is_refused(self, tmp_path, manifest):
+        path = self.tamper(tmp_path, lambda h: h.__setitem__("manifest", manifest))
+        with pytest.raises(DataFormatError, match="m.ckpt: checkpoint manifest is not a JSON "
+                                                  "object"):
+            checkpoint_manifest(path)
 
     def tamper(self, tmp_path, mutate):
         model = self.make_model()

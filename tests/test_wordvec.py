@@ -88,6 +88,13 @@ class TestLoadTextVectors:
         assert table.duplicates == 1
         assert len(table) == 2
 
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_a_w2v_header_dim_below_1_is_refused(self, tmp_path, dim):
+        path = tmp_path / "v.txt"
+        path.write_text(f"1 {dim}\ncat 1 2\n")
+        with pytest.raises(DataFormatError, match=r"v.txt line 1: dim must be positive"):
+            load_text_vectors(path, format="w2v_text")
+
     def test_bad_w2v_header(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("not-a-header\ncat 1 2\n")
