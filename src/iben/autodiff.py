@@ -19,7 +19,9 @@ numpy work, one there and one on the caller's thread, when the process may
 use two CPUs, and one after the other when it may not; it is the one place
 that asks.  :func:`fork` records two branches of a graph on tapes of their
 own through it, and the fork's entry on the caller's tape sweeps the two
-branch tapes the same way.  A task on the worker never submits to it.  A
+branch tapes the same way.  The outermost ``run_both`` holds the worker, and
+every ``run_both`` inside either of its pieces runs serially, so forks nest:
+inside a forked pass, an inner fork runs its branches in turn.  A
 parameter's gradient buffer is written by its first contribution after
 ``zero_grad``, not zero-filled first.
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -57,7 +58,6 @@ __all__ = [
     "reshape",
     "total",
     "gru_sequence",
-    "bi_gru_sequence",
     "conv1d",
     "max_over_time",
     "avg_over_time",
@@ -78,10 +78,6 @@ class ShapeError(ValueError):
 
 
 _open_tape: contextvars.ContextVar = contextvars.ContextVar("iben_open_tape", default=None)
-
-
-def _active_tape():
-    return _open_tape.get()
 
 
 class Tensor:
@@ -253,7 +249,7 @@ def _apply(values: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
     wanted.
     """
     out = Tensor(values, _op=op)
-    tape = _active_tape()
+    tape = _open_tape.get()
     if tape is not None:
         wanted = tuple(_receives_grad(p, tape) for p in parents)
         tape._entries[id(out)] = (out, parents, wanted, backward)
@@ -264,18 +260,11 @@ def _apply(values: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
 # the second core
 
 def _new_worker() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="iben-worker",
-                              initializer=_mark_worker)
-
-
-_worker_thread = threading.local()  # ``is_worker`` is set on the worker's own thread
-
-
-def _mark_worker() -> None:
-    _worker_thread.is_worker = True
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="iben-worker")
 
 
 _worker = _new_worker()  # its one thread starts at the first concurrent call
+_holds_worker = contextvars.ContextVar("iben_holds_worker", default=False)
 if hasattr(os, "register_at_fork"):  # a forked child lacks the parent's worker thread
     os.register_at_fork(after_in_child=lambda: globals().update(_worker=_new_worker()))
 
@@ -290,20 +279,25 @@ def run_both(first, second, concurrent: bool) -> tuple:
     """``(first(), second())``.
 
     When ``concurrent`` is true and the process may use at least two CPUs,
-    ``second`` runs on the module's one worker thread, under a copy of the
-    caller's context (so the caller's ``np.errstate`` and open tape hold
-    there), while ``first`` runs on the caller's thread.  An exception from
+    ``second`` runs on the module's one worker thread while ``first`` runs on
+    the caller's thread, each under a copy of the caller's context (so the
+    caller's ``np.errstate`` and open tape hold in both).  An exception from
     either is raised only after both have finished, ``first``'s in
-    preference.  Called on the worker thread itself, it runs both there, one
-    after the other: a task the worker submitted to itself would wait
-    forever behind the one that submitted it.  Neither may record on a tape
-    that it did not open, as both would then write to the same tape.
+    preference.  Neither may record on a tape that it did not open, as both
+    would then write to the same tape.
+
+    The outermost call holds the worker: both copies mark it held, so a
+    ``run_both`` inside ``first`` or ``second`` runs its two pieces one after
+    the other on its own thread.  A task queued behind the worker's running
+    one would wait for it, and on the worker itself, forever.
     """
-    if not (concurrent and _usable_cpus() >= 2) or getattr(_worker_thread, "is_worker", False):
+    if not (concurrent and _usable_cpus() >= 2) or _holds_worker.get():
         return first(), second()
-    future = _worker.submit(contextvars.copy_context().run, second)
+    context = contextvars.copy_context()
+    context.run(_holds_worker.set, True)
+    future = _worker.submit(context.copy().run, second)
     try:
-        result = first()
+        result = context.run(first)
     finally:
         wait((future,))
     return result, future.result()
@@ -323,9 +317,10 @@ def fork(first, second, concurrent: bool) -> Tensor:
     another tensor that a sweep of the open tape reaches, and no parameter
     may be reached from both.  Each parameter's contributions then come from
     one thread in the order of a serial sweep, so the bits do not depend on
-    the path.
+    the path.  Inside another ``run_both`` the branches run in turn (see
+    there), on branch tapes all the same.
     """
-    tape = _active_tape()
+    tape = _open_tape.get()
     if not concurrent or tape is None:
         return concat(run_both(first, second, concurrent), axis=-1)
 
@@ -621,35 +616,6 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
     out, bptt = _gru(x, weights, h0, reverse, _nonzero_rows(x.values.reshape(-1, x.shape[-1])))
     parents = (x,) + weights + (() if h0 is None else (h0,))
     return _apply(out, "gru_sequence", parents, bptt)
-
-
-def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
-    """``concat([gru_sequence(x, fwd_weights), gru_sequence(x, bwd_weights,
-    reverse=True)], axis=-1)`` as one op, with the same bits.
-
-    A T x I sequence gives T x 2H states, a B x T x I batch B x T x 2H.
-    Both directions share one scan of the input for all-zero rows.  The
-    input's gradient, when wanted, is the sum of the two directions'
-    gradients.
-    """
-    fwd_weights, bwd_weights = tuple(fwd_weights), tuple(bwd_weights)
-    H = _check_gru(x, fwd_weights, None, "bi_gru_sequence")
-    if _check_gru(x, bwd_weights, None, "bi_gru_sequence") != H:
-        raise ShapeError(f"bi_gru_sequence directions have hidden sizes {H} and "
-                         f"{bwd_weights[1].shape[1]}")
-    keep = _nonzero_rows(x.values.reshape(-1, x.shape[-1]))
-    out_f, bptt_f = _gru(x, fwd_weights, None, False, keep)
-    out_b, bptt_b = _gru(x, bwd_weights, None, True, keep)
-    n = 1 + len(fwd_weights)
-
-    def backward(g, wanted):
-        grads_f = bptt_f(g[..., :H], wanted[:n])
-        grads_b = bptt_b(g[..., H:], wanted[:1] + wanted[n:])
-        dx = grads_f[0] + grads_b[0] if wanted[0] else None
-        return [dx] + grads_f[1:] + grads_b[1:]
-
-    return _apply(np.concatenate((out_f, out_b), axis=-1), "bi_gru_sequence",
-                  (x,) + fwd_weights + bwd_weights, backward)
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:

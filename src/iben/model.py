@@ -136,14 +136,19 @@ class BiGru:
         return self.fwd.parameters() + self.bwd.parameters()
 
 
-def bi_gru(seq: Tensor, params: BiGru) -> Tensor:
+def bi_gru(seq: Tensor, params: BiGru, *, concurrent: bool = False) -> Tensor:
     """Row t is the forward state at t joined with the backward state at t.
 
     The backward half comes from running the backward cell over the
     sequence last row first.  A B x T x I batch gives B x T x 2H states.
-    One ``bi_gru_sequence`` op computes both halves.
+    The two directions are two ``gru_sequence`` ops, a fork
+    (:func:`~iben.autodiff.fork`) of which ``concurrent`` may put the
+    backward one on the worker thread; ``seq`` must then be a tensor that no
+    sweep of the open tape reaches.
     """
-    return ad.bi_gru_sequence(seq, params.fwd.parameters(), params.bwd.parameters())
+    return ad.fork(lambda: ad.gru_sequence(seq, params.fwd.parameters()),
+                   lambda: ad.gru_sequence(seq, params.bwd.parameters(), reverse=True),
+                   concurrent)
 
 
 def pool_states(states: Tensor) -> Tensor:
@@ -208,23 +213,30 @@ def _input_matrix(x, width: int, what: str) -> Tensor:
     return x
 
 
-# Multiply-adds per forward pass of the smaller branch (``_branch_madds``) from which
-# ``IbenModel.forward`` runs its two branches on two threads.  On a 2-vCPU VM with one
-# BLAS thread, a forward pass and sweep with the split took 1.1-1.4x as long as without
-# it where the smaller branch had 0.26M-6.7M multiply-adds (the overfit criterion's
-# dims are 0.26M), 0.86-1.23x at 10M, 0.86-1.07x at 20M-29M, 0.83x at 40M, and
-# 0.60-0.68x at paper dims (35M at batch 1, 557M at batch 16).
+# Multiply-adds per forward pass of each of two pieces of work (the two branches, or a
+# Bi-GRU's two directions) from which ``IbenModel.forward`` runs them on two threads.
+# On a 2-vCPU VM with one BLAS thread, a forward pass and sweep with the branch split
+# took 1.1-1.4x as long as without it where the smaller branch had 0.26M-6.7M
+# multiply-adds (the overfit criterion's dims are 0.26M), 0.86-1.23x at 10M, 0.86-1.07x
+# at 20M-29M, 0.83x at 40M, and 0.60-0.68x at paper dims (35M at batch 1, 557M at
+# batch 16).  With a Bi-GRU's directions forked against in turn, a paper-dims A-only
+# model's forward pass and sweep, or predict, took 0.66-0.73x as long at 39M per
+# direction and 0.56-0.59x at 311M; a B-only model's, whose count includes its
+# padding rows (32 of 40 in that probe), 1.18-1.21x at 47M, 0.92-1.04x at 63M-126M
+# and 0.77-0.80x at 253M.
 _SPLIT_MIN_MADDS = 1 << 25
 
 
-def _row_madds(bigru: BiGru | None, bank: ConvBank | None = None) -> int:
-    """The multiply-adds per input row of a forward pass through a Bi-GRU and a
-    convolution bank (None when absent): one per weight of each GRU
-    direction's ``W`` and ``U`` (its input projection and recurrence) and of
-    each kernel."""
-    cells = (bigru.fwd, bigru.bwd) if bigru else ()
+def _madds(shape: tuple, bigru: BiGru | None, bank: ConvBank | None = None,
+           directions: int = 2) -> int:
+    """The multiply-adds of a forward pass over an input of ``shape`` through the
+    first ``directions`` of a Bi-GRU's directions and a convolution bank (None
+    when absent): per input row, one per weight of each direction's ``W`` and
+    ``U`` (its input projection and recurrence) and of each kernel."""
+    cells = (bigru.fwd, bigru.bwd)[:directions] if bigru else ()
     kernels = bank.kernels.values() if bank else ()
-    return sum(c.W.size + c.U.size for c in cells) + sum(k.size for k in kernels)
+    per_row = sum(c.W.size + c.U.size for c in cells) + sum(k.size for k in kernels)
+    return math.prod(shape[:-1]) * per_row
 
 
 class IbenModel:
@@ -276,8 +288,6 @@ class IbenModel:
                                           + int(config.use_emb_branch))
         self.head = Dense(head_width, 1, "head", rng, config.use_bias)
         self._params += self.head.parameters()
-        self._row_madds = (_row_madds(self.branch_a),
-                           _row_madds(self.branch_b_rnn, self.branch_b_conv))
 
     def parameters(self) -> list[Parameter]:
         return list(self._params)
@@ -290,19 +300,23 @@ class IbenModel:
         """The multiply-adds of one forward pass of branch A and of branch B over
         inputs of these shapes, in the Bi-GRUs and the convolutions; the dense
         layers, a small share, are left out."""
-        return (math.prod(fused_shape[:-1]) * self._row_madds[0],
-                math.prod(emb_shape[:-1]) * self._row_madds[1])
+        return (_madds(fused_shape, self.branch_a),
+                _madds(emb_shape, self.branch_b_rnn, self.branch_b_conv))
 
     def forward(self, fused=None, emb=None) -> Tensor:
         """Scalar prediction for P x W and L x D inputs, or a length-B vector of
         them for B x P x W and B x L x D batches; inputs for disabled branches
         are ignored.
 
-        With both branches on, inputs given as arrays, and at least
-        ``_SPLIT_MIN_MADDS`` multiply-adds in each branch (:meth:`_branch_madds`),
-        the branches are forked (:func:`~iben.autodiff.fork`): on two CPUs,
-        branch B runs on the worker thread while branch A runs on the caller's;
-        the values and gradients are the same either way."""
+        Two pieces of work are forked (:func:`~iben.autodiff.fork`) when each has
+        at least ``_SPLIT_MIN_MADDS`` multiply-adds and no sweep of the open tape
+        reaches their input: the two branches (:meth:`_branch_madds`), given
+        arrays, and a Bi-GRU's two directions, given an array that is not
+        recorded on the open tape (the layer-weighted input is, under a tape).
+        On two CPUs the second piece runs on the worker thread, and only the
+        outermost fork does: inside a forked two-branch pass each Bi-GRU runs
+        its directions in turn.  The values and gradients are the same on
+        every path."""
         c = self.config
         xa = xb = None
         if c.use_bert_branch:
@@ -317,15 +331,23 @@ class IbenModel:
             raise ad.ShapeError(f"fused input batch shape {xa.shape[:-2]} != embedding "
                                 f"batch shape {xb.shape[:-2]}")
 
+        # a sweep of the open tape may reach a caller's tensor, or a tensor recorded there,
+        # and a branch tape cannot pass either its gradient
+        own_a = xa is not fused and (self.layer_weights is None or ad._open_tape.get() is None)
+
+        def pooled(x, bigru, own: bool) -> Tensor:
+            split = own and _madds(x.shape, bigru, directions=1) >= _SPLIT_MIN_MADDS
+            return pool_states(bi_gru(x, bigru, concurrent=split))
+
         def branch_a():
             x = xa if self.layer_weights is None else ad.scale_rows(xa, self.layer_weights)
-            va = self.dense_a(pool_states(bi_gru(x, self.branch_a)))
+            va = self.dense_a(pooled(x, self.branch_a, own_a))
             return ad.relu(va) if c.dense_activation else va
 
         def branch_b():
             parts = []
             if self.branch_b_rnn is not None:
-                parts.append(pool_states(bi_gru(xb, self.branch_b_rnn)))
+                parts.append(pooled(xb, self.branch_b_rnn, xb is not emb))
             if self.branch_b_conv is not None:
                 parts.append(conv_features(xb, self.branch_b_conv))
             vb = self.dense_b(parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1))
@@ -336,7 +358,6 @@ class IbenModel:
         elif xa is None:
             joined = branch_b()
         else:
-            # a caller's tensor may be reached by a sweep of its tape, which a branch tape cannot do
             split = (xa is not fused and xb is not emb
                      and min(self._branch_madds(xa.shape, xb.shape)) >= _SPLIT_MIN_MADDS)
             joined = ad.fork(branch_a, branch_b, split)

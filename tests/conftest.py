@@ -4,8 +4,10 @@ Each acceptance test reports one PASS/FAIL line through the
 ``criterion_report`` fixture; the lines are echoed both immediately
 (visible on failure) and in a summary section at the end of the run.
 ``setup_calls`` logs the calls run set-up makes into the input readers and
-per-record builders.  ``forced_split`` makes every two-branch model run its
-branches on two threads.
+per-record builders.  ``forced_split`` makes every model fork its branches
+and its Bi-GRUs' directions on two CPUs; ``counting_worker`` and
+``idle_worker`` give two CPUs and a worker that counts its tasks or refuses
+them.
 """
 
 import pytest
@@ -59,15 +61,33 @@ class CountingWorker:
         return self.worker.submit(fn, *args)
 
 
+class IdleWorker:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("the worker thread was asked to run")
+
+
 @pytest.fixture
-def forced_split(monkeypatch):
-    """Every two-branch model splits on two CPUs; returns the worker, which
-    counts its submits."""
-    monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 0)
+def counting_worker(monkeypatch):
+    """Two usable CPUs; returns the worker, which counts its submits."""
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
     worker = CountingWorker(ad._worker)
     monkeypatch.setattr(ad, "_worker", worker)
     return worker
+
+
+@pytest.fixture
+def idle_worker(monkeypatch):
+    """Two usable CPUs and a worker that fails the test if it is given a task."""
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "_worker", IdleWorker())
+
+
+@pytest.fixture
+def forced_split(monkeypatch, counting_worker):
+    """Every model forks at any size (split gate 0) on two CPUs; returns the
+    worker, which counts its submits."""
+    monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 0)
+    return counting_worker
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus):

@@ -11,15 +11,14 @@ matrix, by ``einsum``) are the single-sample ops the batched ones in
 and :func:`batched_conv1d` are the batched ops as they were before all-zero
 input rows were left out of their products, kept as the oracles of that skip.
 
-:func:`serial_backward`, :func:`serial_gru_sequence` and
-:func:`serial_bi_gru_sequence` are the reverse sweep and the GRU ops on one
-thread and one tape: each gradient buffer zero-filled by the caller and
-added into, W's gradient added in place by the BPTT, and the two
-directions run one after the other.  They are the oracles of the sweep
-that writes each buffer with its first contribution and of the model's
-branch split.  That BPTT added W's gradient a block of columns at a time;
-the package adds a product into a used buffer whole, so these oracles hold
-their own blocked add, :func:`add_product`.
+:func:`serial_backward` and :func:`serial_gru_sequence` are the reverse
+sweep and the GRU op on one thread and one tape: each gradient buffer
+zero-filled by the caller and added into, and W's gradient added in place
+by the BPTT.  They are the oracles of the sweep that writes each buffer
+with its first contribution and of the model's forks.  That BPTT added
+W's gradient a block of columns at a time; the package adds a product into
+a used buffer whole, so these oracles hold their own blocked add,
+:func:`add_product`.
 """
 
 import numpy as np
@@ -413,21 +412,3 @@ def serial_gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
                             _nonzero_rows(x.values.reshape(-1, x.shape[-1])))
     parents = (x,) + weights + (() if h0 is None else (h0,))
     return _apply(out, "gru_sequence", parents, bptt)
-
-
-def serial_bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
-    fwd_weights, bwd_weights = tuple(fwd_weights), tuple(bwd_weights)
-    H = _check_gru(x, fwd_weights, None, "bi_gru_sequence")
-    keep = _nonzero_rows(x.values.reshape(-1, x.shape[-1]))
-    out_f, bptt_f = _serial_gru(x, fwd_weights, None, False, keep)
-    out_b, bptt_b = _serial_gru(x, bwd_weights, None, True, keep)
-    n = 1 + len(fwd_weights)
-
-    def backward(g, wanted):
-        grads_f = bptt_f(g[..., :H], wanted[:n])
-        grads_b = bptt_b(g[..., H:], wanted[:1] + wanted[n:])
-        dx = grads_f[0] + grads_b[0] if wanted[0] else None
-        return [dx] + grads_f[1:] + grads_b[1:]
-
-    return _apply(np.concatenate((out_f, out_b), axis=-1), "bi_gru_sequence",
-                  (x,) + fwd_weights + bwd_weights, backward)

@@ -39,6 +39,12 @@ def fd_gradient(f, x, eps=1e-5):
     return g
 
 
+def bi_gru(x, fwd, bwd, concurrent=False):
+    """A Bi-GRU as the model forms it: a fork of its two ``gru_sequence`` directions."""
+    return ad.fork(lambda: ad.gru_sequence(x, fwd),
+                   lambda: ad.gru_sequence(x, bwd, reverse=True), concurrent)
+
+
 def tape_gradient(build, param):
     """Gradient of build(param) (a scalar tensor) wrt the parameter."""
     param.zero_grad()
@@ -416,7 +422,7 @@ class TestConv1d:
 
 
 class TestZeroRows:
-    """gru_sequence, bi_gru_sequence and conv1d leave all-zero input rows out
+    """gru_sequence and conv1d leave all-zero input rows out
     of their input-weight products; the ops from before that skip, kept in
     ``oracle_ops``, are the oracles."""
 
@@ -486,7 +492,8 @@ class TestZeroRows:
             out_shape = (B, T, 2 * H if op == "bi_gru" else H)
             reverse = op == "gru reversed"
             if op == "bi_gru":
-                new = lambda x: ad.bi_gru_sequence(x, fwd, bwd)  # noqa: E731
+                # a branch tape passes no gradient to a wanted input or a recorded weight
+                new = lambda x: bi_gru(x, fwd, bwd, not (input_wanted or recorded))  # noqa: E731
                 old = lambda x: ad.concat([oracle_ops.batched_gru_sequence(x, fwd),  # noqa: E731
                                            oracle_ops.batched_gru_sequence(x, bwd, reverse=True)],
                                           axis=-1)
@@ -515,7 +522,7 @@ class TestZeroRows:
             params = [Parameter(rng.normal(size=s), f"w{i}")
                       for i, s in enumerate([(6, 3), (6, 2), (6,)] * 2)]
             out = ((lambda: ad.gru_sequence(x, params[:3])) if op == "gru"
-                   else (lambda: ad.bi_gru_sequence(x, params[:3], params[3:])))
+                   else (lambda: bi_gru(x, params[:3], params[3:])))
         weights = Tensor(rng.normal(size=out().shape))
         assert ad.grad_check(lambda: ad.total(ad.hadamard(ad.tanh(out()), weights)),
                              params + [x]) <= 1e-6
@@ -638,14 +645,6 @@ class TestRefusals:
     def test_concat_of_nothing(self):
         with pytest.raises(ShapeError, match="^concat needs at least one tensor"):
             ad.concat([])
-
-    def test_bi_gru_directions_of_different_sizes(self):
-        def weights(H):
-            return Tensor(np.zeros((3 * H, 4))), Tensor(np.zeros((3 * H, H)))
-
-        with pytest.raises(ShapeError, match="bi_gru_sequence directions have hidden sizes "
-                                             "2 and 3"):
-            ad.bi_gru_sequence(Tensor(np.ones((5, 4))), weights(2), weights(3))
 
 
 class TestTapeSemantics:
@@ -791,7 +790,7 @@ class TestTapeSemantics:
             ad.total(p)
         ad.total(p)
         assert len(tape) == 2 and len(other) == 1
-        assert ad._active_tape() is None
+        assert ad._open_tape.get() is None
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_a_backward_with_the_wrong_number_of_gradients_raises(self, count):
@@ -907,6 +906,24 @@ class TestRunBoth:
         caller, (first, second) = result["threads"]
         assert caller is thread and first is second and first is not caller
 
+    def test_a_call_inside_first_runs_both_on_the_caller(self, counting_worker):
+        """The outermost call holds the worker: a call inside its first piece
+        runs both of its own pieces in order on the caller's thread and submits
+        nothing, and once the outer call returns the worker is free again."""
+        here = threading.current_thread()
+        order = []
+
+        def piece(n):
+            return lambda: order.append((n, threading.current_thread())) or n
+
+        def first():
+            return ad.run_both(piece(1), piece(2), True)
+
+        assert ad.run_both(first, threading.current_thread, True)[0] == (1, 2)
+        assert order == [(1, here), (2, here)] and counting_worker.calls == 1
+        assert ad.run_both(threading.current_thread, threading.current_thread, True)[1] is not here
+        assert counting_worker.calls == 2
+
     def test_a_forked_child_gets_its_own_worker(self, two_cpus):
         ad.run_both(int, int, True)  # the worker thread now exists, and a child lacks it
         pid = os.fork()
@@ -978,8 +995,8 @@ class TestFork:
         with Tape() as tape:
             with pytest.raises(NonFiniteError):
                 ad.fork(*broken, True)
-            assert ad._active_tape() is tape and len(tape) == 0
-        assert ad._active_tape() is None
+            assert ad._open_tape.get() is tape and len(tape) == 0
+        assert ad._open_tape.get() is None
         want = self.sweep(branches, False)[1]
         for g, w in zip(self.sweep(branches, True)[1], want, strict=True):
             npt.assert_array_equal(g, w)

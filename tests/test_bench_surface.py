@@ -10,6 +10,7 @@ it runs; these tests find it from the source.
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -144,3 +145,77 @@ def test_set_up_calls_every_function_the_traced_benchmark_times(tmp_path, monkey
         assert name in names, f"set-up makes no {name} call"
     (read,) = [s for s in tracer.spans if s.name == "bertfuse.read_hs_file"]
     assert read.count == os.path.getsize(resolved["features"]) and read.seconds > 0
+
+
+def _lambda_wraps() -> dict[tuple, tuple[int, bool]]:
+    """For every ``tracer.wrap`` in bench/tracing.py whose ``name`` or ``count``
+    is a lambda, (owner, attribute) -> (n, more): the lambda takes the first n
+    positional arguments of each call of the wrapped function, and with
+    ``more`` any after them too.  ``name(*args)`` gets them all and
+    ``count(result, *args)`` gets them after the result."""
+    scope = next(n for n in ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8")).body
+                 if isinstance(n, ast.FunctionDef) and n.name == "install_iben_spans")
+    names = _aliases(scope)
+    out = {}
+    for node in ast.walk(scope):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "wrap"):
+            continue
+        given = dict(zip(("owner", "attr", "name", "count"), node.args))
+        given.update((k.arg, k.value) for k in node.keywords)
+        for role, skip in (("name", 0), ("count", 1)):
+            lam = given.get(role)
+            if isinstance(lam, ast.Lambda):
+                key = (_owner(given["owner"], names), given["attr"].value)
+                out[key] = (len(lam.args.posonlyargs + lam.args.args) - skip,
+                            lam.args.vararg is not None)
+    return out
+
+
+def _binding_problem(function, n: int, more: bool) -> str | None:
+    """Why ``function`` does not bind exactly n positional arguments (or, with
+    ``more``, at least n) with every further parameter keyword-only with a
+    default; None when it does."""
+    params = list(inspect.signature(function).parameters.values())
+    bound = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    if len(bound) < n or (len(bound) > n and not more):
+        return f"binds {len(bound)} positional arguments, not {n}"
+    further = [p.name for p in params[len(bound):]
+               if p.kind is not p.KEYWORD_ONLY or p.default is p.empty]
+    return f"{further} are not keyword-only with a default" if further else None
+
+
+def test_a_wrap_whose_name_or_count_is_a_lambda_gets_the_arguments_it_takes():
+    """The tracer hands a wrapped call's positional arguments to its lambdas,
+    so a positional parameter added to the function would reach them."""
+    wraps = _lambda_wraps()
+    assert ("bi_gru" in {attr for _, attr in wraps}) and len(wraps) >= 5
+    problems = [f"{getattr(owner, '__name__', owner)}.{attr}: {problem}"
+                for (owner, attr), (n, more) in wraps.items()
+                if (problem := _binding_problem(getattr(owner, attr), n, more))]
+    assert not problems, "; ".join(problems)
+
+
+def test_the_benchmark_calls_each_lambda_wrapped_function_as_its_lambda_takes_it():
+    """E.g. ``probe_layers``' ``m.bi_gru(x, params)``: positional arguments the
+    name lambda takes, and nothing positional beyond them."""
+    wraps = _lambda_wraps()
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    scopes = [m for n in tree.body if isinstance(n, ast.ClassDef)
+              for m in n.body if isinstance(m, ast.FunctionDef)]
+    checked, problems = 0, []
+    for scope in scopes:
+        names = _aliases(scope)
+        for node in ast.walk(scope):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            key = (_owner(node.func.value, names), node.func.attr)
+            if key in wraps:
+                checked += 1
+                n, more = wraps[key]
+                takes = len(node.args) == n or (more and len(node.args) > n)
+                problem = (None if takes else f"passes {len(node.args)} positional arguments")
+                problem = problem or _binding_problem(getattr(*key), len(node.args), more)
+                if problem:
+                    problems.append(f"run.py:{node.lineno} {key[1]}: {problem}")
+    assert checked >= 2 and not problems, "; ".join(problems)

@@ -351,11 +351,15 @@ class TestGruSequence:
                     npt.assert_array_equal(twice, want_twice)
                     npt.assert_array_equal(twice, 2 * once)
 
-    def test_records_one_tape_entry_for_both_directions(self):
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_records_one_tape_entry_per_direction_and_one_to_join_them(self, counting_worker,
+                                                                         concurrent):
+        """Two ``gru_sequence`` entries and a ``concat``, or, forked, the fork's
+        entry and one entry on each branch tape."""
         bg = BiGru(3, 2, "bg", np.random.default_rng(62))
         with Tape() as tape:
-            bi_gru(Tensor(np.ones((5, 3))), bg)
-        assert len(tape) == 1  # one op for both directions
+            bi_gru(Tensor(np.ones((5, 3))), bg, concurrent=concurrent)
+        assert len(tape) == 3 and counting_worker.calls == int(concurrent)
 
     def test_finished_tape_is_freed_by_reference_counting(self):
         rng = np.random.default_rng(63)
@@ -424,21 +428,20 @@ class TestBiGru:
 
 
 def oracle_bi_gru(seq, params):
-    """The two-op Bi-GRU that ``bi_gru_sequence`` replaced, kept as its oracle."""
+    """The serial Bi-GRU, the concatenation of its two directions on one tape,
+    kept as the reference of the forked one."""
     return ad.concat([ad.gru_sequence(seq, params.fwd.parameters()),
                       ad.gru_sequence(seq, params.bwd.parameters(), reverse=True)], axis=-1)
 
 
-class _NoWorker:
-    def submit(self, *args, **kwargs):
-        raise AssertionError("the worker thread was asked to run")
-
-
-class TestBiGruSequence:
+class TestBiGruFork:
     @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("input_wanted", [False, True])
     @pytest.mark.parametrize("use_bias", [True, False])
-    def test_matches_the_two_op_oracle_bit_for_bit(self, batch, input_wanted, use_bias):
+    def test_matches_the_serial_oracle_bit_for_bit(self, counting_worker, batch, input_wanted,
+                                                   use_bias):
+        """Forked on two CPUs, or, when the input is a parameter that a branch
+        tape could not pass its gradient, serial."""
         rng = np.random.default_rng(72)
         bg = BiGru(5, 4, "bg", rng, use_bias)
         for p in bg.parameters():
@@ -457,18 +460,42 @@ class TestBiGruSequence:
             return ([states.values] + [p.grad.copy() for p in bg.parameters()]
                     + ([x.grad] if input_wanted else []))
 
-        for got, want in zip(sweep(bi_gru), sweep(oracle_bi_gru), strict=True):
+        forked = sweep(lambda x, params: bi_gru(x, params, concurrent=not input_wanted))
+        assert counting_worker.calls == (0 if input_wanted else 2)  # the forward pass, the sweep
+        for got, want in zip(forked, sweep(oracle_bi_gru), strict=True):
             npt.assert_array_equal(got, want)
 
-    def test_gradcheck(self):
+    def test_the_input_gradient_adds_the_two_directions(self):
+        """``dx_b + dx_f`` from the sweep, bit for bit the ``dx_f + dx_b`` of
+        the one-op Bi-GRU this fork replaced."""
+        rng = np.random.default_rng(74)
+        bg = BiGru(5, 4, "bg", rng)
+        x = Parameter(rng.normal(size=(3, 6, 5)), "x")
+        cotangent = rng.normal(size=(3, 6, 8))
+
+        def input_grad(states, g):
+            x.zero_grad()
+            with Tape() as tape:
+                loss = ad.total(ad.hadamard(states(), Tensor(g)))
+            tape.backward(loss)
+            return x.grad.copy()
+
+        dx_f = input_grad(lambda: ad.gru_sequence(x, bg.fwd.parameters()), cotangent[..., :4])
+        dx_b = input_grad(lambda: ad.gru_sequence(x, bg.bwd.parameters(), reverse=True),
+                          cotangent[..., 4:])
+        npt.assert_array_equal(input_grad(lambda: bi_gru(x, bg), cotangent), dx_f + dx_b)
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_gradcheck(self, concurrent):
+        """Forked, the input is a constant: a branch tape could not pass it a gradient."""
         rng = np.random.default_rng(73)
         bg = BiGru(3, 2, "bg", rng)
-        x = Parameter(rng.normal(size=(2, 4, 3)), "x")
+        xv = rng.normal(size=(2, 4, 3))
+        x = Tensor(xv) if concurrent else Parameter(xv, "x")
         weights = Tensor(rng.normal(size=(2, 4, 4)))
         assert ad.grad_check(
-            lambda: ad.total(ad.hadamard(
-                ad.bi_gru_sequence(x, bg.fwd.parameters(), bg.bwd.parameters()), weights)),
-            bg.parameters() + [x]) <= 1e-6
+            lambda: ad.total(ad.hadamard(bi_gru(x, bg, concurrent=concurrent), weights)),
+            bg.parameters() + ([] if concurrent else [x])) <= 1e-6
 
     def test_a_weight_shared_by_both_directions_gets_the_oracles_gradients(self):
         cell = GruCell(3, 2, "c", np.random.default_rng(76))
@@ -486,20 +513,21 @@ class TestBiGruSequence:
         for got, want in zip(*grads, strict=True):
             npt.assert_array_equal(got, want)
 
-    def test_a_large_bi_gru_starts_no_thread(self, monkeypatch):
-        """The two directions run one after the other on the caller's thread."""
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(ad, "_worker", _NoWorker())
+    @pytest.mark.parametrize("concurrent, tasks", [(False, 0), (True, 2)])
+    def test_a_forked_bi_gru_hands_one_direction_to_the_worker(self, counting_worker,
+                                                               concurrent, tasks):
+        """The backward direction's forward pass and its sweep; unforked, both
+        directions run one after the other on the caller's thread."""
         bg = BiGru(1024, 64, "bg", np.random.default_rng(78))
         with Tape() as tape:
-            loss = ad.total(bi_gru(Tensor(np.ones((16, 4, 1024))), bg))
+            loss = ad.total(bi_gru(Tensor(np.ones((16, 4, 1024))), bg, concurrent=concurrent))
         tape.backward(loss)
+        assert counting_worker.calls == tasks
 
-    def test_overfit16_dims_start_no_thread(self, monkeypatch):
+    @pytest.mark.usefixtures("idle_worker")
+    def test_overfit16_dims_start_no_thread(self):
         """The fixed overfit inputs' model and batch: a forward pass, a sweep and
         an Adam step, all on the caller's thread even with two CPUs."""
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(ad, "_worker", _NoWorker())
         config = ModelConfig(fused_width=64, n_pairs=2, emb_dim=8, hidden_size=16,
                              dense_size=16, seed=11)
         model = IbenModel(config)
@@ -581,34 +609,45 @@ class TestBranchSplit:
         if submodel == "both":
             assert (min(got) >= model_lib._SPLIT_MIN_MADDS) == splits
 
+    @pytest.mark.parametrize("batch, forks", [(1, False), (2, True)])
+    def test_a_bi_gru_direction_counts_half_its_branch(self, batch, forks):
+        """At paper dims, one direction of branch A's Bi-GRU reaches the gate
+        from a batch of two."""
+        model = IbenModel(ModelConfig(use_emb_branch=False, **PAPER_DIMS))
+        shape = (batch, 12, 4096)
+        one = model_lib._madds(shape, model.branch_a, directions=1)
+        assert 2 * one == model._branch_madds(shape, (batch, 40, 900))[0]
+        assert (one >= model_lib._SPLIT_MIN_MADDS) == forks
+
     @pytest.mark.parametrize("overrides", [dict(use_bert_branch=False),
                                            dict(use_emb_branch=False)])
-    def test_one_branch_starts_no_thread(self, forced_split, monkeypatch, overrides):
-        monkeypatch.setattr(ad, "_worker", _NoWorker())
+    def test_one_branch_forks_its_bi_gru(self, forced_split, overrides):
+        """The backward direction's forward pass and its sweep go to the worker."""
         model = split_model(**overrides)
         fused, emb = split_inputs()
         with Tape() as tape:
             loss = ad.total(model.forward(fused=fused, emb=emb))
         tape.backward(loss)
+        assert forced_split.calls == 2
 
     def test_one_cpu_starts_no_thread(self, forced_split, monkeypatch):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(ad, "_worker", _NoWorker())
         fused, emb = split_inputs()
         with Tape() as tape:
             loss = ad.total(split_model().forward(fused=fused, emb=emb))
         tape.backward(loss)
+        assert forced_split.calls == 0
 
-    def test_a_tensor_input_starts_no_thread(self, forced_split, monkeypatch):
+    def test_a_tensor_input_starts_no_thread(self, forced_split):
         """A sweep of the caller's tape may reach a tensor input, and a branch
-        tape cannot pass it a gradient, so the model does not split."""
-        monkeypatch.setattr(ad, "_worker", _NoWorker())
+        tape cannot pass it a gradient, so the model forks nothing over it."""
         fused, emb = split_inputs()
-        x = Parameter(emb, "emb")
+        xa, xb = Parameter(fused, "fused"), Parameter(emb, "emb")
         with Tape() as tape:
-            loss = ad.total(split_model().forward(fused=fused, emb=x))
+            loss = ad.total(split_model().forward(fused=xa, emb=xb))
         tape.backward(loss)
-        assert np.any(x.grad != 0.0)
+        assert np.any(xa.grad != 0.0) and np.any(xb.grad != 0.0)
+        assert forced_split.calls == 0
 
     def test_predict_and_forward_match_the_serial_ones(self, forced_split, monkeypatch):
         model = split_model()
@@ -633,7 +672,7 @@ class TestBranchSplit:
             with Tape() as tape:
                 model.forward(fused=fused, emb=emb)
             lengths.append(len(tape))
-        assert lengths[0] == lengths[1] == 23 + learn_layer_weights
+        assert lengths[0] == lengths[1] == 27 + learn_layer_weights
 
     @pytest.mark.parametrize("taped", [True, False])
     @pytest.mark.parametrize("failing", ["b", "both"])
@@ -647,14 +686,14 @@ class TestBranchSplit:
         finished = []
         bi_gru_op, conv_op = model_lib.bi_gru, model_lib.conv_features
 
-        def slow_a(seq, params):
+        def slow_a(seq, params, **kwargs):
             if params is model.branch_a:
                 assert threading.current_thread() is here
                 if failing == "both":
                     raise ValueError("branch A failed")
                 time.sleep(0.1)
                 finished.append("a")
-            return bi_gru_op(seq, params)
+            return bi_gru_op(seq, params, **kwargs)
 
         def failing_b(matrix, bank):
             assert threading.current_thread() is not here
@@ -675,12 +714,12 @@ class TestBranchSplit:
             else:
                 model.predict(fused=fused, emb=emb)
         assert finished == ["b" if failing == "both" else "a"]
-        assert ad._active_tape() is None
+        assert ad._open_tape.get() is None
         monkeypatch.setattr(model_lib, "bi_gru", bi_gru_op)
         monkeypatch.setattr(model_lib, "conv_features", conv_op)
         with Tape() as tape:
             loss = ad.total(model.forward(fused=fused, emb=emb))
-        assert len(tape) > 0 and ad._active_tape() is None
+        assert len(tape) > 0 and ad._open_tape.get() is None
         model.zero_grad()
         tape.backward(loss)
         assert all(np.any(p.grad != 0.0) for p in model.parameters())
@@ -699,6 +738,45 @@ class TestBranchSplit:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             model.predict(fused=fused, emb=emb)
         assert forced_split.calls == 2
+
+
+class TestWorkerUse:
+    """At paper dims, on two CPUs at the default gate: the tasks that reach the
+    worker in a training batch and in ``predict``, and the serial run's bits."""
+
+    @pytest.mark.parametrize("overrides, batch_tasks", [
+        (dict(use_emb_branch=False), 2),
+        (dict(use_bert_branch=False), 2),
+        (dict(use_emb_branch=False, learn_layer_weights=True), 0),  # its Bi-GRU input is taped
+        (dict(), 2),  # the branches fork, and each Bi-GRU runs its directions in turn
+        (dict(learn_layer_weights=True), 2),
+    ])
+    def test_tasks_and_bits(self, counting_worker, monkeypatch, overrides, batch_tasks):
+        model = IbenModel(ModelConfig(**PAPER_DIMS, seed=91, **overrides))
+        rng = np.random.default_rng(92)
+        fused, emb = rng.normal(size=(4, 12, 4096)), rng.normal(size=(4, 40, 900))
+        emb[:, 9:] = 0.0  # padding rows
+        goal = Tensor(rng.normal(size=4))
+
+        def batch_and_predict():
+            model.zero_grad()
+            with Tape() as tape:
+                loss = ad.mse_loss(model.forward(fused=fused, emb=emb), goal)
+            tape.backward(loss)
+            tasks = counting_worker.calls
+            predicted = model.predict(fused=fused, emb=emb)
+            return [p.grad.copy() for p in model.parameters()], predicted, tasks
+
+        grads, predicted, tasks = batch_and_predict()
+        assert (tasks, counting_worker.calls) == (batch_tasks, batch_tasks + 1)
+        monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 1 << 62)
+        counting_worker.calls = 0
+        want_grads, want_predicted, tasks = batch_and_predict()
+        assert counting_worker.calls == 0
+        npt.assert_array_equal(predicted, want_predicted)
+        for p, got, want in zip(model.parameters(), grads, want_grads, strict=True):
+            assert np.any(want != 0.0), p.name
+            npt.assert_array_equal(got, want, err_msg=p.name)
 
 
 class TestPoolStates:
@@ -894,7 +972,7 @@ class TestForward:
                      model.branch_b_rnn.fwd, model.branch_b_rnn.bwd):
             assert [p.shape[0] for p in cell.parameters()] == [3 * H] * 3
 
-    @pytest.mark.parametrize("learn, entries", [(False, 29), (True, 30)])
+    @pytest.mark.parametrize("learn, entries", [(False, 33), (True, 34)])
     def test_forward_tape_entries_at_twelve_pairs(self, learn, entries):
         config = small_config(n_pairs=12, kernel_sizes=(1, 2, 3, 4),
                               learn_layer_weights=learn)

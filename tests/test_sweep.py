@@ -1,12 +1,12 @@
 """The reverse sweep against the serial one, bit for bit.
 
 ``Tape.backward`` writes each gradient buffer with its first contribution,
-and a model with both branches may run branch B on the worker thread, on a
-tape of its own, in the forward pass and in the sweep.  Each case compares
-every parameter gradient with ``oracle_ops.serial_backward`` over the
-serial GRU ops on one tape: once with the model's split forced on (gate 0,
-two CPUs), and once at the default gate, where these dims keep all work on
-the caller's thread.
+and a model may run branch B, or a Bi-GRU's backward direction, on the
+worker thread, on a tape of its own, in the forward pass and in the sweep.
+Each case compares every parameter gradient with
+``oracle_ops.serial_backward`` over the serial GRU op on one tape: once with
+the model's forks forced on (gate 0, two CPUs), and once at the default
+gate, where these dims keep all work on the caller's thread.
 """
 
 import numpy as np
@@ -20,18 +20,12 @@ from iben.autodiff import Parameter, Tape, Tensor
 from iben.model import BiGru, GruCell, IbenModel, ModelConfig, bi_gru
 
 
-class _NoWorker:
-    def submit(self, *args, **kwargs):
-        raise AssertionError("the worker thread was asked to run")
-
-
 @pytest.fixture(params=["split", "serial"])
-def mode(request, monkeypatch):
+def mode(request):
     """The forced split, or the default gate with a worker that must stay idle."""
     if request.param == "split":
         return request.getfixturevalue("forced_split")
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(ad, "_worker", _NoWorker())
+    request.getfixturevalue("idle_worker")
     return None
 
 
@@ -80,17 +74,26 @@ def _step_chain_case():
     return build, cell.parameters()
 
 
+PAPER_LIKE = dict(fused_width=600, n_pairs=3, emb_dim=900, hidden_size=8, dense_size=8,
+                  kernel_sizes=(1, 2, 3), filters_per_kernel=3)
+
 CASES = {
     # the zero-row skip is on for the embeddings (4 x 12 x 900 values)
-    "paper_like": _model_case(ModelConfig(fused_width=600, n_pairs=3, emb_dim=900,
-                                          hidden_size=8, dense_size=8, kernel_sizes=(1, 2, 3),
-                                          filters_per_kernel=3, seed=5),
+    "paper_like": _model_case(ModelConfig(**PAPER_LIKE, seed=5),
                               (4, 3, 600), (4, 12, 900), (12, 7, 3, 9)),
     "paper_like_layer_weights": _model_case(
         ModelConfig(fused_width=600, n_pairs=3, emb_dim=900, hidden_size=8, dense_size=8,
                     kernel_sizes=(1, 2, 3), filters_per_kernel=3, learn_layer_weights=True,
                     seed=6),
         (4, 3, 600), (4, 12, 900), (5, 12, 2, 8)),
+    "a_only": _model_case(ModelConfig(**PAPER_LIKE, use_emb_branch=False, seed=7),
+                          (4, 3, 600), (4, 12, 900), (12, 7, 3, 9)),
+    # a taped Bi-GRU input: it stays serial, and its gradient reaches the layer weights
+    "a_only_layer_weights": _model_case(
+        ModelConfig(**PAPER_LIKE, use_emb_branch=False, learn_layer_weights=True, seed=8),
+        (4, 3, 600), (4, 12, 900), (12, 7, 3, 9)),
+    "b_only": _model_case(ModelConfig(**PAPER_LIKE, use_bert_branch=False, seed=9),
+                          (4, 3, 600), (4, 12, 900), (12, 7, 3, 9)),
     "overfit16": _model_case(ModelConfig(fused_width=64, n_pairs=2, emb_dim=8, hidden_size=16,
                                          dense_size=16, seed=11),
                              (16, 2, 64), (16, 8, 8), tuple(range(1, 9)) * 2),
@@ -100,7 +103,9 @@ CASES = {
 
 
 SEVERAL_CONTRIBUTIONS = {"shared_weight", "step_chain"}  # per parameter and sweep
-MODELS = {"paper_like", "paper_like_layer_weights", "overfit16"}  # the cases that can split
+MODELS = {"paper_like", "paper_like_layer_weights", "a_only", "a_only_layer_weights", "b_only",
+          "overfit16"}
+FORKS_UNDER_A_TAPE = MODELS - {"a_only_layer_weights"}
 
 
 def sweep_gradients(build, params, sweeps=1):
@@ -115,9 +120,8 @@ def sweep_gradients(build, params, sweeps=1):
 
 def serial_gradients(build, params, monkeypatch, sweeps=1):
     with monkeypatch.context() as patch:
-        patch.setattr(model_lib, "_SPLIT_MIN_MADDS", 1 << 62)
+        patch.setattr(model_lib, "_SPLIT_MIN_MADDS", 1 << 62)  # neither branches nor directions fork
         patch.setattr(ad, "gru_sequence", oracle_ops.serial_gru_sequence)
-        patch.setattr(ad, "bi_gru_sequence", oracle_ops.serial_bi_gru_sequence)
         for p in params:
             p.grad[...] = 0.0
         with Tape() as tape:
@@ -135,7 +139,7 @@ def test_every_gradient_matches_the_serial_sweep(mode, monkeypatch, case, sweeps
     build, params = CASES[case]()
     got = sweep_gradients(build, params, sweeps)
     if mode is not None:
-        assert (mode.calls > 0) == (case in MODELS)
+        assert (mode.calls > 0) == (case in FORKS_UNDER_A_TAPE)
     want = serial_gradients(build, params, monkeypatch, sweeps)
     assert any(np.any(g != 0.0) for g in want)
     for p, g, w in zip(params, got, want, strict=True):
@@ -158,14 +162,13 @@ def test_predict_matches_the_serial_predict(forced_split, monkeypatch, case):
     assert forced_split.calls == 1
 
 
-def test_one_cpu_hands_nothing_over(monkeypatch):
-    monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 0)
+def test_one_cpu_hands_nothing_over(forced_split, monkeypatch):
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(ad, "_worker", _NoWorker())
     build, params = CASES["paper_like"]()
     for g, w in zip(sweep_gradients(build, params),
                     serial_gradients(build, params, monkeypatch), strict=True):
         npt.assert_array_equal(g, w)
+    assert forced_split.calls == 0
 
 
 def test_a_parameter_no_op_reaches_reads_zeros(mode):
