@@ -317,11 +317,11 @@ def fork(first, second, concurrent: bool) -> Tensor:
     another tensor that a sweep of the open tape reaches, and no parameter
     may be reached from both.  Each parameter's contributions then come from
     one thread in the order of a serial sweep, so the bits do not depend on
-    the path.  Inside another ``run_both`` the branches run in turn (see
-    there), on branch tapes all the same.
+    the path.  Inside another ``run_both``, which runs its pieces in turn
+    (see there), the fork is the plain ``concat``, recorded as such.
     """
     tape = _open_tape.get()
-    if not concurrent or tape is None:
+    if not concurrent or tape is None or _holds_worker.get():
         return concat(run_both(first, second, concurrent), axis=-1)
 
     def record(branch):

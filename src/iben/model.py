@@ -219,24 +219,36 @@ def _input_matrix(x, width: int, what: str) -> Tensor:
 # took 1.1-1.4x as long as without it where the smaller branch had 0.26M-6.7M
 # multiply-adds (the overfit criterion's dims are 0.26M), 0.86-1.23x at 10M, 0.86-1.07x
 # at 20M-29M, 0.83x at 40M, and 0.60-0.68x at paper dims (35M at batch 1, 557M at
-# batch 16).  With a Bi-GRU's directions forked against in turn, a paper-dims A-only
-# model's forward pass and sweep, or predict, took 0.66-0.73x as long at 39M per
-# direction and 0.56-0.59x at 311M; a B-only model's, whose count includes its
-# padding rows (32 of 40 in that probe), 1.18-1.21x at 47M, 0.92-1.04x at 63M-126M
-# and 0.77-0.80x at 253M.
+# batch 16).  With a Bi-GRU's directions forked against in turn, a paper-dims
+# one-branch model's forward pass and sweep, or predict, took as long as this at its
+# input projection's count (``_direction_madds``): B-only, 8 of 40 rows live,
+# 0.94-1.15x at 22M and 0.77-0.85x at 44M; B-only, every row live, 0.98-1.08x at 28M
+# and 0.80-0.99x at 42M-55M; A-only 0.64-0.68x at 19M, 0.66-0.73x at 38M and
+# 0.56-0.59x at 302M.
 _SPLIT_MIN_MADDS = 1 << 25
 
 
-def _madds(shape: tuple, bigru: BiGru | None, bank: ConvBank | None = None,
-           directions: int = 2) -> int:
-    """The multiply-adds of a forward pass over an input of ``shape`` through the
-    first ``directions`` of a Bi-GRU's directions and a convolution bank (None
-    when absent): per input row, one per weight of each direction's ``W`` and
-    ``U`` (its input projection and recurrence) and of each kernel."""
-    cells = (bigru.fwd, bigru.bwd)[:directions] if bigru else ()
+def _madds(shape: tuple, bigru: BiGru | None, bank: ConvBank | None = None) -> int:
+    """The multiply-adds of a forward pass over an input of ``shape`` through a
+    Bi-GRU and a convolution bank (None when absent): per input row, one per
+    weight of each direction's ``W`` and ``U`` (its input projection and
+    recurrence) and of each kernel."""
+    cells = (bigru.fwd, bigru.bwd) if bigru else ()
     kernels = bank.kernels.values() if bank else ()
     per_row = sum(c.W.size + c.U.size for c in cells) + sum(k.size for k in kernels)
     return math.prod(shape[:-1]) * per_row
+
+
+def _direction_madds(x: Tensor, bigru: BiGru) -> int:
+    """The multiply-adds of the input projection of one of the Bi-GRU's
+    directions over ``x``: one per weight of its ``W`` for each input row that
+    is not all zero, the rows that ``gru_sequence`` projects.  Its recurrence,
+    many small products one step at a time, is left out: counted over every
+    row, it would put a B-only batch over the gate where forking costs time
+    (see ``_SPLIT_MIN_MADDS``)."""
+    rows = x.values.reshape(-1, x.shape[-1])
+    keep = ad._nonzero_rows(rows)
+    return (rows.shape[0] if keep is None else keep.size) * bigru.fwd.W.size
 
 
 class IbenModel:
@@ -311,12 +323,14 @@ class IbenModel:
         Two pieces of work are forked (:func:`~iben.autodiff.fork`) when each has
         at least ``_SPLIT_MIN_MADDS`` multiply-adds and no sweep of the open tape
         reaches their input: the two branches (:meth:`_branch_madds`), given
-        arrays, and a Bi-GRU's two directions, given an array that is not
-        recorded on the open tape (the layer-weighted input is, under a tape).
-        On two CPUs the second piece runs on the worker thread, and only the
-        outermost fork does: inside a forked two-branch pass each Bi-GRU runs
-        its directions in turn.  The values and gradients are the same on
-        every path."""
+        arrays, and a Bi-GRU's two directions (:func:`_direction_madds`, their
+        input projections over the rows that are not padding), given an array
+        that is not recorded
+        on the open tape (the layer-weighted input is, under a tape).  On two
+        CPUs the second piece runs on the worker thread, and only the outermost
+        fork does: inside a forked two-branch pass each Bi-GRU runs its
+        directions in turn.  The values and gradients are the same on every
+        path."""
         c = self.config
         xa = xb = None
         if c.use_bert_branch:
@@ -333,11 +347,16 @@ class IbenModel:
 
         # a sweep of the open tape may reach a caller's tensor, or a tensor recorded there,
         # and a branch tape cannot pass either its gradient
-        own_a = xa is not fused and (self.layer_weights is None or ad._open_tape.get() is None)
+        split = (xa is not None and xb is not None and xa is not fused and xb is not emb
+                 and min(self._branch_madds(xa.shape, xb.shape)) >= _SPLIT_MIN_MADDS)
+        # the outermost fork holds the worker, so inside split branches a Bi-GRU runs in turn
+        own_a = (not split and xa is not fused
+                 and (self.layer_weights is None or ad._open_tape.get() is None))
+        own_b = not split and xb is not emb
 
         def pooled(x, bigru, own: bool) -> Tensor:
-            split = own and _madds(x.shape, bigru, directions=1) >= _SPLIT_MIN_MADDS
-            return pool_states(bi_gru(x, bigru, concurrent=split))
+            forks = own and _direction_madds(x, bigru) >= _SPLIT_MIN_MADDS
+            return pool_states(bi_gru(x, bigru, concurrent=forks))
 
         def branch_a():
             x = xa if self.layer_weights is None else ad.scale_rows(xa, self.layer_weights)
@@ -347,7 +366,7 @@ class IbenModel:
         def branch_b():
             parts = []
             if self.branch_b_rnn is not None:
-                parts.append(pooled(xb, self.branch_b_rnn, xb is not emb))
+                parts.append(pooled(xb, self.branch_b_rnn, own_b))
             if self.branch_b_conv is not None:
                 parts.append(conv_features(xb, self.branch_b_conv))
             vb = self.dense_b(parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1))
@@ -358,8 +377,6 @@ class IbenModel:
         elif xa is None:
             joined = branch_b()
         else:
-            split = (xa is not fused and xb is not emb
-                     and min(self._branch_madds(xa.shape, xb.shape)) >= _SPLIT_MIN_MADDS)
             joined = ad.fork(branch_a, branch_b, split)
         return ad.reshape(self.head(joined), joined.shape[:-1])
 

@@ -1017,6 +1017,38 @@ class TestFork:
             npt.assert_array_equal(g, w)
         assert entries == want_entries == 8
 
+    def test_a_fork_inside_a_forked_branch_is_the_concatenation(self, counting_worker,
+                                                               branches):
+        """The outer fork holds the worker, so the inner one records the plain
+        ``concat`` on its branch's tape, on that branch's thread, and submits
+        nothing; the bits and the entry count are those of one tape."""
+        first, second, params, _, threads = branches
+        rng = np.random.default_rng(84)
+        z, weights = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(6, 8)))
+
+        def sweep(concurrent):
+            threads.clear()
+            for p in params:
+                p.zero_grad()
+            with Tape() as tape:
+                out = ad.fork(lambda: ad.tanh(z),
+                              lambda: ad.fork(first, second, concurrent), concurrent)
+                loss = ad.total(ad.hadamard(out, weights))
+            tape.backward(loss)
+            return tape, out.values, [p.grad.copy() for p in params]
+
+        tape, out, grads = sweep(True)
+        assert counting_worker.calls == 2  # the outer fork's forward pass and its sweep
+        assert [len(branch._forks) for branch in tape._forks] == [0, 0]
+        (_, worker), (_, also) = threads
+        assert worker is also and worker is not threading.current_thread()
+        want_tape, want_out, want_grads = sweep(False)
+        npt.assert_array_equal(out, want_out)
+        for g, w in zip(grads, want_grads, strict=True):
+            assert np.any(g != 0.0)
+            npt.assert_array_equal(g, w)
+        assert len(tape) == len(want_tape) == 10
+
     def test_without_a_tape_it_is_the_concatenation(self, monkeypatch, branches):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         first, second, *_ = branches

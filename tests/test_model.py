@@ -609,14 +609,22 @@ class TestBranchSplit:
         if submodel == "both":
             assert (min(got) >= model_lib._SPLIT_MIN_MADDS) == splits
 
-    @pytest.mark.parametrize("batch, forks", [(1, False), (2, True)])
-    def test_a_bi_gru_direction_counts_half_its_branch(self, batch, forks):
-        """At paper dims, one direction of branch A's Bi-GRU reaches the gate
-        from a batch of two."""
-        model = IbenModel(ModelConfig(use_emb_branch=False, **PAPER_DIMS))
-        shape = (batch, 12, 4096)
-        one = model_lib._madds(shape, model.branch_a, directions=1)
-        assert 2 * one == model._branch_madds(shape, (batch, 40, 900))[0]
+    @pytest.mark.parametrize("branch, batch, live, forks", [
+        ("a", 1, 12, False), ("a", 2, 12, True),  # 19M and 38M
+        ("b", 2, 40, False), ("b", 3, 40, True),  # 28M and 41M
+        ("b", 8, 8, False), ("b", 16, 8, True),  # 22M and 44M
+    ])
+    def test_a_bi_gru_direction_counts_the_rows_it_projects(self, branch, batch, live, forks):
+        """At paper dims, one direction's input projection over the rows that
+        are not all zero: branch A's reaches the gate from a batch of two, and
+        branch B's from three with no padding and from 16 with 8 of 40 rows live."""
+        model = IbenModel(ModelConfig(**PAPER_DIMS))
+        bigru, rows, width = ((model.branch_a, 12, 4096) if branch == "a"
+                              else (model.branch_b_rnn, 40, 900))
+        x = np.ones((batch, rows, width))
+        x[:, live:] = 0.0
+        one = model_lib._direction_madds(Tensor(x), bigru)
+        assert one == batch * live * 3 * 128 * width
         assert (one >= model_lib._SPLIT_MIN_MADDS) == forks
 
     @pytest.mark.parametrize("overrides", [dict(use_bert_branch=False),
@@ -638,16 +646,26 @@ class TestBranchSplit:
         tape.backward(loss)
         assert forced_split.calls == 0
 
-    def test_a_tensor_input_starts_no_thread(self, forced_split):
-        """A sweep of the caller's tape may reach a tensor input, and a branch
-        tape cannot pass it a gradient, so the model forks nothing over it."""
+    @pytest.mark.parametrize("recorded", [False, True])
+    @pytest.mark.parametrize("tensors, tasks", [("fused", 2), ("emb", 2), ("both", 0)])
+    def test_a_tensor_input_is_forked_over_by_nothing(self, forced_split, tensors, tasks,
+                                                      recorded):
+        """A sweep of the caller's tape may reach a tensor input, a parameter or
+        a tensor recorded there, and a branch tape cannot pass the latter a
+        gradient, nor two threads' sweeps add into one parameter safely.  So
+        neither the branches nor that input's Bi-GRU fork; the other input's
+        Bi-GRU forks its directions (its forward pass and its sweep)."""
         fused, emb = split_inputs()
-        xa, xb = Parameter(fused, "fused"), Parameter(emb, "emb")
+        params = {name: Parameter(v, name) for name, v in (("fused", fused), ("emb", emb))
+                  if tensors in (name, "both")}
         with Tape() as tape:
-            loss = ad.total(split_model().forward(fused=xa, emb=xb))
+            given = {name: ad.reshape(p, p.shape) if recorded else p
+                     for name, p in params.items()}
+            loss = ad.total(split_model().forward(**{"fused": fused, "emb": emb, **given}))
         tape.backward(loss)
-        assert np.any(xa.grad != 0.0) and np.any(xb.grad != 0.0)
-        assert forced_split.calls == 0
+        for p in params.values():
+            assert np.any(p.grad != 0.0), p.name
+        assert forced_split.calls == tasks
 
     def test_predict_and_forward_match_the_serial_ones(self, forced_split, monkeypatch):
         model = split_model()
@@ -744,18 +762,21 @@ class TestWorkerUse:
     """At paper dims, on two CPUs at the default gate: the tasks that reach the
     worker in a training batch and in ``predict``, and the serial run's bits."""
 
-    @pytest.mark.parametrize("overrides, batch_tasks", [
-        (dict(use_emb_branch=False), 2),
-        (dict(use_bert_branch=False), 2),
-        (dict(use_emb_branch=False, learn_layer_weights=True), 0),  # its Bi-GRU input is taped
-        (dict(), 2),  # the branches fork, and each Bi-GRU runs its directions in turn
-        (dict(learn_layer_weights=True), 2),
+    @pytest.mark.parametrize("overrides, live, tasks", [
+        (dict(use_emb_branch=False), 9, (2, 1)),
+        # the gate counts the rows branch B's Bi-GRU projects: 12M with 9 of 40 live, 55M with all
+        (dict(use_bert_branch=False), 9, (0, 0)),
+        (dict(use_bert_branch=False), 40, (2, 1)),
+        (dict(use_emb_branch=False, learn_layer_weights=True), 9, (0, 1)),  # a taped input
+        (dict(), 9, (2, 1)),  # the branches fork, and each Bi-GRU runs its directions in turn
+        (dict(learn_layer_weights=True), 9, (2, 1)),
     ])
-    def test_tasks_and_bits(self, counting_worker, monkeypatch, overrides, batch_tasks):
+    def test_tasks_and_bits(self, counting_worker, monkeypatch, overrides, live, tasks):
+        """``tasks``: those of a training batch and those of ``predict``."""
         model = IbenModel(ModelConfig(**PAPER_DIMS, seed=91, **overrides))
         rng = np.random.default_rng(92)
         fused, emb = rng.normal(size=(4, 12, 4096)), rng.normal(size=(4, 40, 900))
-        emb[:, 9:] = 0.0  # padding rows
+        emb[:, live:] = 0.0  # padding rows
         goal = Tensor(rng.normal(size=4))
 
         def batch_and_predict():
@@ -763,16 +784,17 @@ class TestWorkerUse:
             with Tape() as tape:
                 loss = ad.mse_loss(model.forward(fused=fused, emb=emb), goal)
             tape.backward(loss)
-            tasks = counting_worker.calls
+            batch_tasks = counting_worker.calls
             predicted = model.predict(fused=fused, emb=emb)
-            return [p.grad.copy() for p in model.parameters()], predicted, tasks
+            return ([p.grad.copy() for p in model.parameters()], predicted,
+                    (batch_tasks, counting_worker.calls - batch_tasks))
 
-        grads, predicted, tasks = batch_and_predict()
-        assert (tasks, counting_worker.calls) == (batch_tasks, batch_tasks + 1)
+        grads, predicted, got_tasks = batch_and_predict()
+        assert got_tasks == tasks
         monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 1 << 62)
         counting_worker.calls = 0
-        want_grads, want_predicted, tasks = batch_and_predict()
-        assert counting_worker.calls == 0
+        want_grads, want_predicted, serial_tasks = batch_and_predict()
+        assert serial_tasks == (0, 0)
         npt.assert_array_equal(predicted, want_predicted)
         for p, got, want in zip(model.parameters(), grads, want_grads, strict=True):
             assert np.any(want != 0.0), p.name
