@@ -21,7 +21,7 @@ that asks.  :func:`fork` records two branches of a graph on tapes of their
 own through it, and the fork's entry on the caller's tape sweeps the two
 branch tapes the same way.  The outermost ``run_both`` holds the worker, and
 every ``run_both`` inside either of its pieces runs serially, so forks nest:
-inside a forked pass, an inner fork runs its branches in turn.  A
+inside a forked pass, an inner fork is the plain ``concat`` of its branches.  A
 parameter's gradient buffer is written by its first contribution after
 ``zero_grad``, not zero-filled first.
 

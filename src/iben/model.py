@@ -219,12 +219,11 @@ def _input_matrix(x, width: int, what: str) -> Tensor:
 # took 1.1-1.4x as long as without it where the smaller branch had 0.26M-6.7M
 # multiply-adds (the overfit criterion's dims are 0.26M), 0.86-1.23x at 10M, 0.86-1.07x
 # at 20M-29M, 0.83x at 40M, and 0.60-0.68x at paper dims (35M at batch 1, 557M at
-# batch 16).  With a Bi-GRU's directions forked against in turn, a paper-dims
-# one-branch model's forward pass and sweep, or predict, took as long as this at its
-# input projection's count (``_direction_madds``): B-only, 8 of 40 rows live,
-# 0.94-1.15x at 22M and 0.77-0.85x at 44M; B-only, every row live, 0.98-1.08x at 28M
-# and 0.80-0.99x at 42M-55M; A-only 0.64-0.68x at 19M, 0.66-0.73x at 38M and
-# 0.56-0.59x at 302M.
+# batch 16).  A Bi-GRU's directions forked against in turn took, per one-branch batch
+# at paper dims and its input projection's count (``_direction_madds``): A-only
+# 0.64-0.68x at 19M, 0.66-0.73x at 38M and 0.56-0.59x at 302M; B-only with every row
+# live 0.98-1.08x at 28M and 0.80-0.99x at 42M-55M, with 8 of 40 live 0.94-1.15x at
+# 22M (whose recurrence counted would reach 38M) and 0.77-0.85x at 44M.
 _SPLIT_MIN_MADDS = 1 << 25
 
 
@@ -240,12 +239,9 @@ def _madds(shape: tuple, bigru: BiGru | None, bank: ConvBank | None = None) -> i
 
 
 def _direction_madds(x: Tensor, bigru: BiGru) -> int:
-    """The multiply-adds of the input projection of one of the Bi-GRU's
-    directions over ``x``: one per weight of its ``W`` for each input row that
-    is not all zero, the rows that ``gru_sequence`` projects.  Its recurrence,
-    many small products one step at a time, is left out: counted over every
-    row, it would put a B-only batch over the gate where forking costs time
-    (see ``_SPLIT_MIN_MADDS``)."""
+    """The multiply-adds of one direction's input projection over ``x``: one per
+    weight of its ``W`` for each row that is not all zero, as ``gru_sequence``
+    projects them.  The recurrence is left out (see ``_SPLIT_MIN_MADDS``)."""
     rows = x.values.reshape(-1, x.shape[-1])
     keep = ad._nonzero_rows(rows)
     return (rows.shape[0] if keep is None else keep.size) * bigru.fwd.W.size
@@ -323,14 +319,12 @@ class IbenModel:
         Two pieces of work are forked (:func:`~iben.autodiff.fork`) when each has
         at least ``_SPLIT_MIN_MADDS`` multiply-adds and no sweep of the open tape
         reaches their input: the two branches (:meth:`_branch_madds`), given
-        arrays, and a Bi-GRU's two directions (:func:`_direction_madds`, their
-        input projections over the rows that are not padding), given an array
-        that is not recorded
-        on the open tape (the layer-weighted input is, under a tape).  On two
-        CPUs the second piece runs on the worker thread, and only the outermost
-        fork does: inside a forked two-branch pass each Bi-GRU runs its
-        directions in turn.  The values and gradients are the same on every
-        path."""
+        arrays, and a Bi-GRU's two directions (:func:`_direction_madds`), given
+        an array that is not recorded on the open tape (the layer-weighted
+        input is, under a tape).  On two CPUs the second piece runs on the
+        worker thread, and only the outermost fork does: inside a forked
+        two-branch pass each Bi-GRU runs its directions in turn.  The values
+        and gradients are the same on every path."""
         c = self.config
         xa = xb = None
         if c.use_bert_branch:
