@@ -16,18 +16,22 @@ finished graph is freed by reference counting alone.
 
 The module has one worker thread.  :func:`run_both` runs two pieces of
 numpy work, one there and one on the caller's thread, when the process may
-use two CPUs, and one after the other when it may not; it is the one place
-that asks.  :func:`fork` records two branches of a graph on tapes of their
-own through it, and the fork's entry on the caller's tape sweeps the two
-branch tapes the same way.  The outermost ``run_both`` holds the worker, and
-every ``run_both`` inside either of its pieces runs serially, so forks nest:
-inside a forked pass, an inner fork is the plain ``concat`` of its branches.  A
-parameter's gradient buffer is written by its first contribution after
+use two CPUs, and one after the other when it may not; ``_on_two_threads``
+is the one place that asks, and says which it will do.  :func:`fork`
+records two branches of a graph on tapes of their own through it, and the
+fork's entry on the caller's tape sweeps the two branch tapes the same way.
+The outermost ``run_both`` holds the worker, and every ``run_both`` inside
+either of its pieces runs serially, so forks nest: inside a forked pass, an
+inner fork is the plain ``concat`` of its branches.  A parameter's gradient
+buffer is written by its first contribution after
 ``zero_grad``, not zero-filled first.
 
 The sequence ops leave input rows that are all zero (word-vector padding)
 out of their products with the input's weights, which are exactly zero
-there; an input's gradient still covers every row.  Every op verifies its
+there; an input's gradient still covers every row.  One private recurrence
+kernel steps one GRU direction (:func:`gru_sequence`) or a Bi-GRU's two
+(:func:`bi_gru_sequence`, one tape entry) over the same input, with one
+numpy call per step serving both directions.  Every op verifies its
 output is finite and raises :class:`NonFiniteError` otherwise; overflow
 never propagates silently.
 """
@@ -58,6 +62,7 @@ __all__ = [
     "reshape",
     "total",
     "gru_sequence",
+    "bi_gru_sequence",
     "conv1d",
     "max_over_time",
     "avg_over_time",
@@ -221,7 +226,8 @@ class Tape:
             g = adjoint.pop(id(out), None)
             if g is None or (parents and not any(wanted)):
                 continue
-            for parent, want, contrib in zip(parents, wanted, backward(g, wanted), strict=True):
+            contribs, g = backward(g, wanted), None  # a generator may free g once it is read
+            for parent, want, contrib in zip(parents, wanted, contribs, strict=True):
                 if not want:
                     continue
                 if isinstance(parent, Parameter):
@@ -246,7 +252,9 @@ def _apply(values: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
     operand, in the order of ``parents``; ``wanted[i]`` says whether a sweep
     reaches operand i, and the entry of an operand it does not reach may be
     None.  A sweep calls it at most once, and not at all when no operand is
-    wanted.
+    wanted.  It may return an iterator: the sweep holds no reference to
+    ``g`` meanwhile, and it takes each entry, and forms it if it is a
+    :class:`_Product`, before it asks for the next.
     """
     out = Tensor(values, _op=op)
     tape = _open_tape.get()
@@ -275,6 +283,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _on_two_threads(concurrent: bool) -> bool:
+    """Whether :func:`run_both` called here with ``concurrent`` runs its two
+    pieces on two threads: when asked to, where the process may use two CPUs
+    and the worker is not held (see there)."""
+    return concurrent and _usable_cpus() >= 2 and not _holds_worker.get()
+
+
 def run_both(first, second, concurrent: bool) -> tuple:
     """``(first(), second())``.
 
@@ -291,7 +306,7 @@ def run_both(first, second, concurrent: bool) -> tuple:
     the other on its own thread.  A task queued behind the worker's running
     one would wait for it, and on the worker itself, forever.
     """
-    if not (concurrent and _usable_cpus() >= 2) or _holds_worker.get():
+    if not _on_two_threads(concurrent):
         return first(), second()
     context = contextvars.copy_context()
     context.run(_holds_worker.set, True)
@@ -416,10 +431,19 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
                                      (g * xv).sum(axis=-1).reshape(-1, wv.size).sum(axis=0)))
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) without overflow for large |x|: exp(x) / (1 + exp(x)) below 0."""
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, np.sign(x)) / (1.0 + e)  # the numerator is 1 from x = +-0 up
+def _logistic(x: np.ndarray, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow for large |x|: exp(x) / (1 + exp(x)) below 0.
+
+    ``out`` (which may be ``x``) and ``scratch`` are arrays of x's shape to
+    write into; fresh ones when None."""
+    e = np.abs(x, out=np.empty_like(x) if scratch is None else scratch)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.sign(x, out=np.empty_like(x) if out is None else out)
+    np.maximum(e, s, out=s)  # the numerator is 1 from x = +-0 up
+    np.add(1.0, e, out=e)
+    return np.divide(s, e, out=s)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -522,69 +546,162 @@ def _check_gru(x: Tensor, weights: tuple, h0: Tensor | None, op: str) -> int:
     return H
 
 
-def _gru(x: Tensor, weights: tuple, h0: Tensor | None, reverse: bool,
-         keep: np.ndarray | None):
-    """One GRU direction over checked operands (see :func:`gru_sequence`):
-    its states and its BPTT function.  ``keep`` is ``_nonzero_rows`` of the
-    input's rows.  Plain numpy; nothing is recorded."""
+def _step_views(a: np.ndarray, times: list, buf: np.ndarray | None = None) -> list:
+    """For each step k, the D x B x W view of ``a`` (D x B x T x W) that holds
+    row ``times[k][d]`` of each direction d.  ``buf`` is the C-ordered array
+    whose first value is ``a[0, 0, 0, 0]``; ``a`` itself when None."""
+    sD, sB, sT, sW = a.strides
+    shape = (a.shape[0], a.shape[1], a.shape[3])
+    buf = a if buf is None else buf
+    return [np.ndarray(shape, np.float64, buf, t[0] * sT, (sD + (t[-1] - t[0]) * sT, sB, sW))
+            for t in times]
+
+
+def _gru(x: Tensor, cells: tuple, h0: Tensor | None, keep: np.ndarray | None):
+    """D = len(cells) GRU directions over one checked input, stepped together
+    (see :func:`gru_sequence` and :func:`bi_gru_sequence`): their states,
+    joined on the last axis, and their BPTT function.
+
+    ``cells`` holds each direction's ``(weights, reverse)``, all of one shape;
+    ``h0`` may be given only for D = 1.  ``keep`` is ``_nonzero_rows`` of the
+    input's rows.  Step k consumes input row k of a forward direction and row
+    T-1-k of a reverse one.  What the steps write is stored step-major, so
+    that step k of every direction is one contiguous D x B x . block, and
+    each numpy call of a step but the per-direction GEMMs serves all D
+    directions; each direction's arithmetic is that of D = 1.  Outside a
+    tape the BPTT function is None and only the last step's U_h h_prev is
+    kept.  The BPTT is a generator (see :func:`_apply`) that forms one
+    direction's weight gradients after the other.  The input's gradient is
+    the sum of the directions'.  Plain numpy; nothing is recorded."""
     xv = x.values
     *_, T, I = xv.shape
-    W, U = weights[0].values, weights[1].values
-    H = U.shape[1]
-    h_shape = xv.shape[:-2] + (H,)
+    D, H = len(cells), cells[0][0][1].shape[1]
     rows = xv.reshape(-1, I)  # row b * T + t is input row t of sample b
     B = rows.shape[0] // T
-    pre = _times(rows, keep, W.T)
-    if len(weights) == 3:
-        pre += weights[2].values
-    pre = pre.reshape(B, T, 3 * H)
-    # the state after input row t is states[:, t + new], the one before it states[:, t + 1 - new]
-    new = 0 if reverse else 1
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    states = np.empty((B, T + 1, H))
-    h = states[:, T * (1 - new)]
-    h[...] = 0.0 if h0 is None else h0.values.reshape(B, H)
-    zr = np.empty((B, T, 2 * H))
-    recur_c = np.empty((B, T, H))  # U_h h_prev
-    cand = np.empty((B, T, H))
-    UT = U.T
-    for t in steps:
-        g = h @ UT
-        zr[:, t] = _logistic(pre[:, t, :2 * H] + g[:, :2 * H])
-        z, r = zr[:, t, :H], zr[:, t, H:]
-        recur_c[:, t] = g[:, 2 * H:]
-        cand[:, t] = np.tanh(pre[:, t, 2 * H:] + r * recur_c[:, t])
-        h = z * h + (1.0 - z) * cand[:, t]
-        states[:, t + new] = h
-    out = states[:, new:new + T].reshape(h_shape[:-1] + (T, H))
+    times = list(zip(*(range(T - 1, -1, -1) if rev else range(T) for _, rev in cells)))
+
+    def in_time(steps: np.ndarray, d: int) -> np.ndarray:
+        """The B x T x . view, in input-row order, of direction d of a step-major array."""
+        return (steps[::-1, d] if cells[d][1] else steps[:, d]).swapaxes(0, 1)
+
+    # a sweep of the open tape may run the BPTT, which reads what every step stored.  What
+    # outlives the call is allocated before what does not, so that the freed buffers leave
+    # one hole: under a tape the output comes with the step storage, outside one after it
+    taped = _open_tape.get() is not None
+    # the input projection, until step k overwrites it with its gates z and r and its candidate
+    zr, cand = np.empty((T, D, B, 2 * H)), np.empty((T, D, B, H))
+    recur_c = np.empty((T if taped else 1, D, B, H))  # U_h h_prev, of every step or the last
+    out = np.empty((B, T, D, H)) if taped else None
+    x_live = rows if keep is None else rows[keep]
+    live = None if keep is None else np.divmod(keep, T)  # (sample, row) of each live row
+    proj = np.empty((x_live.shape[0], 3 * H))
+    for d, (weights, _) in enumerate(cells):
+        np.matmul(x_live, weights[0].values.T, out=proj)
+        if len(weights) == 3:
+            proj += weights[2].values
+        for steps, cols in ((zr, slice(0, 2 * H)), (cand, slice(2 * H, 3 * H))):
+            if live is None:
+                in_time(steps, d)[...] = proj.reshape(B, T, 3 * H)[..., cols]
+            else:  # an all-zero row's projection is its bias
+                in_time(steps, d)[...] = 0.0 if len(weights) == 2 else 0.0 + weights[2].values[cols]
+                in_time(steps, d)[live] = proj[:, cols]
+    del x_live, proj
+    states = np.empty((T + 1, D, B, H))  # states[k] before step k, states[k + 1] after it
+    first = states[0]
+    first[...] = 0.0 if h0 is None else h0.values.reshape(1, B, H)
+    U = [weights[1].values for weights, _ in cells]
+    uh = np.empty((D, B, 3 * H))  # U h_prev
+    scratch, a = np.empty((D, B, 2 * H)), np.empty((D, B, H))
+    for k in range(T):
+        h, zr_k, c, h_new, rc = states[k], zr[k], cand[k], states[k + 1], recur_c[k % len(recur_c)]
+        for d in range(D):
+            np.matmul(h[d], U[d].T, out=uh[d])
+        np.add(zr_k, uh[..., :2 * H], out=zr_k)
+        _logistic(zr_k, out=zr_k, scratch=scratch)
+        z, r = zr_k[..., :H], zr_k[..., H:]
+        np.copyto(rc, uh[..., 2 * H:])
+        np.multiply(r, rc, out=a)
+        np.add(c, a, out=c)
+        np.tanh(c, out=c)
+        np.multiply(z, h, out=h_new)
+        np.subtract(1.0, z, out=a)
+        np.multiply(a, c, out=a)
+        np.add(h_new, a, out=h_new)
+    if not taped:
+        del zr, cand, zr_k, z, r, c  # the step storage, and the last step's views of it
+        out = np.empty((B, T, D, H))
+    for d in range(D):
+        out[:, :, d] = in_time(states[1:], d)
+    if not taped:
+        return out.reshape(xv.shape[:-1] + (D * H,)), None
+    first = first.copy()  # the BPTT reads every later state from ``out``
+    del states
 
     def bptt(g, wanted):
-        gs = g.reshape(B, T, H)
-        d_pre = np.empty((B, T, 3 * H))  # z, r and candidate pre-activations
-        dh = np.zeros((B, H))
-        for t in reversed(steps):
-            dh = dh + gs[:, t]
-            z, r, c = zr[:, t, :H], zr[:, t, H:], cand[:, t]
-            dc = dh * (1.0 - z) * (1.0 - c * c)
-            d = d_pre[:, t]
-            d[:, :H] = dh * (states[:, t + 1 - new] - c) * z * (1.0 - z)
-            d[:, H:2 * H] = dc * recur_c[:, t] * r * (1.0 - r)
-            d[:, 2 * H:] = dc
-            dh = dh * z + np.concatenate((d[:, :2 * H], dc * r), axis=1) @ U
-        d_rows = d_pre.reshape(B * T, 3 * H)  # in the row order of ``rows``
-        dx = (d_rows @ W).reshape(xv.shape) if wanted[0] else None
-        dW = None
-        if wanted[1]:
-            d_live, x_live = _live(d_rows, rows, keep)
-            # d_pre becomes U's operand below, so W's must not be a view of it
-            dW = _Product((d_rows.copy() if d_live is d_rows else d_live).T, x_live)
-        db = d_rows.sum(axis=0)
-        d_pre[..., 2 * H:] *= zr[..., H:]  # now the gradient of U @ h_prev
-        dU = _Product(d_rows.T, states[:, 1 - new:1 - new + T].reshape(B * T, H))
-        return ([dx, dW, dU] + ([db] if len(weights) == 3 else [])
-                + ([dh.reshape(h_shape)] if h0 is not None else []))
+        gs = np.ascontiguousarray(g).reshape(B, T, D, H)
+        grad_k = _step_views(gs.transpose(2, 0, 1, 3), times, gs)
+        prev_k = [first] + _step_views(out.transpose(2, 0, 1, 3), times[:-1], out)
+        # per direction, z, r and candidate pre-activations in row order
+        d_pre = [np.empty((B, T, 3 * H)) for _ in cells]
+        dh = np.zeros((D, B, H))
+        one_minus, u = np.empty((D, B, 2 * H)), np.empty((D, B, 3 * H))
+        dc = u[..., 2 * H:]  # until u becomes the gradient of U h_prev
+        a, mm = np.empty((2, D, B, H))
+        for k in range(T - 1, -1, -1):
+            np.add(dh, grad_k[k], out=dh)
+            zr_k, c = zr[k], cand[k]
+            z, r = zr_k[..., :H], zr_k[..., H:]
+            np.subtract(1.0, zr_k, out=one_minus)
+            np.multiply(dh, one_minus[..., :H], out=dc)
+            np.multiply(c, c, out=a)
+            np.subtract(1.0, a, out=a)
+            np.multiply(dc, a, out=dc)
+            np.subtract(prev_k[k], c, out=a)
+            np.multiply(dh, a, out=a)
+            np.multiply(a, z, out=a)
+            np.multiply(a, one_minus[..., :H], out=u[..., :H])
+            np.multiply(dc, recur_c[k], out=a)
+            np.multiply(a, r, out=a)
+            np.multiply(a, one_minus[..., H:], out=u[..., H:2 * H])
+            for d, t in enumerate(times[k]):
+                np.copyto(d_pre[d][:, t], u[d])
+            np.multiply(dc, r, out=dc)
+            for d in range(D):
+                np.matmul(u[d], U[d], out=mm[d])
+            np.multiply(dh, z, out=dh)
+            np.add(dh, mm, out=dh)
+        del g, gs, grad_k
+        # the entries are yielded in operand order, and the sweep forms each before it takes
+        # the next, so a direction's d_pre is rewritten once its W's product is formed
+        dx = None
+        if wanted[0]:
+            for d, (weights, _) in enumerate(cells):
+                dx_d = d_pre[d].reshape(B * T, 3 * H) @ weights[0].values
+                dx = dx_d if dx is None else np.add(dx, dx_d, out=dx)
+        yield None if dx is None else dx.reshape(xv.shape)
+        del dx
+        n = len(cells[0][0])  # operands per direction
+        x_live = rows if keep is None else rows[keep]
+        h_prev = np.empty((B, T, H))  # the state before each input row
+        for d, (weights, rev) in enumerate(cells):
+            d_rows = d_pre[d].reshape(B * T, 3 * H)  # in the row order of ``rows``
+            db = d_rows.sum(axis=0) if n == 3 else None
+            if wanted[1 + d * n]:
+                yield _Product((d_rows if keep is None else d_rows[keep]).T, x_live)
+            else:
+                yield None
+            d_pre[d][..., 2 * H:] *= in_time(zr, d)[..., H:]  # now the gradient of U h_prev
+            if rev:
+                h_prev[:, :-1], h_prev[:, -1] = out[:, 1:, d], first[d]
+            else:
+                h_prev[:, 1:], h_prev[:, 0] = out[:, :-1, d], first[d]
+            yield _Product(d_rows.T, h_prev.reshape(B * T, H))
+            if n == 3:
+                yield db
+        if h0 is not None:
+            yield dh.reshape(h0.shape)
 
-    return out, bptt
+    return out.reshape(xv.shape[:-1] + (D * H,)), bptt
 
 
 def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
@@ -609,13 +726,39 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
     gradient, whose share of them is exactly zero.  The backward pass is
     hand-written BPTT that forms each weight gradient once per batch; one
     pass gives every operand's gradient, and the input's, over every row, is
-    skipped when the input is a constant.
+    skipped when the input is a constant.  It is the one-direction case of
+    the recurrence that :func:`bi_gru_sequence` runs for two.
     """
     weights = tuple(weights)
     _check_gru(x, weights, h0, "gru_sequence")
-    out, bptt = _gru(x, weights, h0, reverse, _nonzero_rows(x.values.reshape(-1, x.shape[-1])))
+    out, bptt = _gru(x, ((weights, reverse),), h0,
+                     _nonzero_rows(x.values.reshape(-1, x.shape[-1])))
     parents = (x,) + weights + (() if h0 is None else (h0,))
     return _apply(out, "gru_sequence", parents, bptt)
+
+
+def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
+    """``concat([gru_sequence(x, fwd_weights), gru_sequence(x, bwd_weights,
+    reverse=True)], axis=-1)`` as one op, with the same bits.
+
+    A T x I sequence gives T x 2H states, a B x T x I batch B x T x 2H.  The
+    two directions step together: step k runs the forward one on input row
+    k and the backward one on row T-1-k, and every numpy call of a step but
+    the two recurrence GEMMs serves both, so a step makes about half the
+    calls of two ``gru_sequence`` steps.  The directions share one scan of
+    the input for all-zero rows and record one tape entry.  The input's
+    gradient, when wanted, is the sum of the two directions' gradients.
+    Both directions need the same weight shapes.
+    """
+    fwd_weights, bwd_weights = tuple(fwd_weights), tuple(bwd_weights)
+    shapes = [w.shape for w in fwd_weights], [w.shape for w in bwd_weights]
+    if shapes[0] != shapes[1]:
+        raise ShapeError(f"bi_gru_sequence directions need equal weight shapes, got "
+                         f"{shapes[0]} and {shapes[1]}")
+    _check_gru(x, fwd_weights, None, "bi_gru_sequence")
+    out, bptt = _gru(x, ((fwd_weights, False), (bwd_weights, True)), None,
+                     _nonzero_rows(x.values.reshape(-1, x.shape[-1])))
+    return _apply(out, "bi_gru_sequence", (x,) + fwd_weights + bwd_weights, bptt)
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -691,9 +834,10 @@ def avg_over_time(x: Tensor) -> Tensor:
     xv = x.values
     if xv.ndim < 2:
         raise ShapeError(f"avg_over_time needs a 2-D or batched input, got shape {x.shape}")
-    L = xv.shape[-2]
+    shape, L = xv.shape, xv.shape[-2]
+    # a read-only view that repeats g / L over the rows, not a copy
     return _apply(xv.mean(axis=-2), "avg_over_time", (x,),
-                  lambda g, wanted: (np.repeat(np.expand_dims(g / L, -2), L, axis=-2),))
+                  lambda g, wanted: (np.broadcast_to(np.expand_dims(g / L, -2), shape),))
 
 
 # ---------------------------------------------------------------------------

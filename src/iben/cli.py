@@ -467,6 +467,14 @@ def gradcheck_report(dims: str = "small", seed: int = 0) -> list[tuple[str, floa
     check("scale_rows", lambda: ad.total(ad.tanh(ad.scale_rows(rows, row_weights))),
           [rows, row_weights])
 
+    pair = model_lib.BiGru(d["D"], d["H"], "bi_gru_sequence", rng)
+    xp = Parameter(rng.normal(size=(3, d["T"], d["D"])), name="bi_gru_sequence.x")
+    wp = Tensor(rng.normal(size=(3, d["T"], 2 * d["H"])))
+    check("bi_gru_sequence",
+          lambda: ad.total(ad.hadamard(
+              ad.bi_gru_sequence(xp, pair.fwd.parameters(), pair.bwd.parameters()), wp)),
+          pair.parameters() + [xp])
+
     return report
 
 

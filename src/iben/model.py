@@ -141,14 +141,18 @@ def bi_gru(seq: Tensor, params: BiGru, *, concurrent: bool = False) -> Tensor:
 
     The backward half comes from running the backward cell over the
     sequence last row first.  A B x T x I batch gives B x T x 2H states.
-    The two directions are two ``gru_sequence`` ops, a fork
-    (:func:`~iben.autodiff.fork`) of which ``concurrent`` may put the
-    backward one on the worker thread; ``seq`` must then be a tensor that no
-    sweep of the open tape reaches.
+    Where the two directions would run on one thread, they are one
+    ``bi_gru_sequence`` op, which steps both together.  Where ``concurrent``
+    puts the backward one on the worker thread, they are a fork
+    (:func:`~iben.autodiff.fork`) of two ``gru_sequence`` ops; ``seq`` must
+    then be a tensor that no sweep of the open tape reaches.  The values and
+    gradients are the same either way.
     """
-    return ad.fork(lambda: ad.gru_sequence(seq, params.fwd.parameters()),
-                   lambda: ad.gru_sequence(seq, params.bwd.parameters(), reverse=True),
-                   concurrent)
+    fwd, bwd = params.fwd.parameters(), params.bwd.parameters()
+    if not ad._on_two_threads(concurrent):
+        return ad.bi_gru_sequence(seq, fwd, bwd)
+    return ad.fork(lambda: ad.gru_sequence(seq, fwd),
+                   lambda: ad.gru_sequence(seq, bwd, reverse=True), True)
 
 
 def pool_states(states: Tensor) -> Tensor:
@@ -219,8 +223,9 @@ def _input_matrix(x, width: int, what: str) -> Tensor:
 # took 1.1-1.4x as long as without it where the smaller branch had 0.26M-6.7M
 # multiply-adds (the overfit criterion's dims are 0.26M), 0.86-1.23x at 10M, 0.86-1.07x
 # at 20M-29M, 0.83x at 40M, and 0.60-0.68x at paper dims (35M at batch 1, 557M at
-# batch 16).  A Bi-GRU's directions forked against in turn took, per one-branch batch
-# at paper dims and its input projection's count (``_direction_madds``): A-only
+# batch 16).  A Bi-GRU's directions forked, against in turn as two ``gru_sequence`` ops
+# (before ``bi_gru_sequence`` stepped them together), took, per one-branch batch at
+# paper dims and its input projection's count (``_direction_madds``): A-only
 # 0.64-0.68x at 19M, 0.66-0.73x at 38M and 0.56-0.59x at 302M; B-only with every row
 # live 0.98-1.08x at 28M and 0.80-0.99x at 42M-55M, with 8 of 40 live 0.94-1.15x at
 # 22M (whose recurrence counted would reach 38M) and 0.77-0.85x at 44M.
@@ -323,8 +328,9 @@ class IbenModel:
         an array that is not recorded on the open tape (the layer-weighted
         input is, under a tape).  On two CPUs the second piece runs on the
         worker thread, and only the outermost fork does: inside a forked
-        two-branch pass each Bi-GRU runs its directions in turn.  The values
-        and gradients are the same on every path."""
+        two-branch pass each Bi-GRU steps its two directions together on its
+        branch's thread (:func:`bi_gru`).  The values and gradients are the
+        same on every path."""
         c = self.config
         xa = xb = None
         if c.use_bert_branch:
@@ -343,7 +349,7 @@ class IbenModel:
         # and a branch tape cannot pass either its gradient
         split = (xa is not None and xb is not None and xa is not fused and xb is not emb
                  and min(self._branch_madds(xa.shape, xb.shape)) >= _SPLIT_MIN_MADDS)
-        # the outermost fork holds the worker, so inside split branches a Bi-GRU runs in turn
+        # the outermost fork holds the worker, so inside split branches a Bi-GRU is one op
         own_a = (not split and xa is not fused
                  and (self.layer_weights is None or ad._open_tape.get() is None))
         own_b = not split and xb is not emb

@@ -6,6 +6,7 @@ simple values against hand arithmetic.
 
 import contextvars
 import os
+import re
 import threading
 import time
 
@@ -469,7 +470,7 @@ class TestZeroRows:
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("input_wanted", [False, True])
     @pytest.mark.parametrize("recorded", [False, True])
-    @pytest.mark.parametrize("op", ["gru", "gru reversed", "bi_gru", "conv"])
+    @pytest.mark.parametrize("op", ["gru", "gru reversed", "bi_gru", "bi_gru_sequence", "conv"])
     @pytest.mark.usefixtures("skip_at_any_size")
     def test_matches_the_batched_oracle(self, case, input_wanted, recorded, op):
         rng = np.random.default_rng(131)
@@ -489,11 +490,12 @@ class TestZeroRows:
             params, fwd = self.weights(rng, shapes, recorded)
             more, bwd = self.weights(rng, shapes, recorded)
             params += more
-            out_shape = (B, T, 2 * H if op == "bi_gru" else H)
+            out_shape = (B, T, H if op.startswith("gru") else 2 * H)
             reverse = op == "gru reversed"
-            if op == "bi_gru":
+            if op.startswith("bi_gru"):
                 # a branch tape passes no gradient to a wanted input or a recorded weight
-                new = lambda x: bi_gru(x, fwd, bwd, not (input_wanted or recorded))  # noqa: E731
+                new = ((lambda x: bi_gru(x, fwd, bwd, not (input_wanted or recorded)))  # noqa: E731
+                       if op == "bi_gru" else (lambda x: ad.bi_gru_sequence(x, fwd, bwd)))
                 old = lambda x: ad.concat([oracle_ops.batched_gru_sequence(x, fwd),  # noqa: E731
                                            oracle_ops.batched_gru_sequence(x, bwd, reverse=True)],
                                           axis=-1)
@@ -508,7 +510,7 @@ class TestZeroRows:
             dx = got[-1].reshape(-1, I)[~xv.reshape(-1, I).any(axis=1)]
             assert np.abs(dx).max() > 0
 
-    @pytest.mark.parametrize("op", ["gru", "bi_gru", "conv"])
+    @pytest.mark.parametrize("op", ["gru", "bi_gru", "bi_gru_sequence", "conv"])
     @pytest.mark.usefixtures("skip_at_any_size")
     def test_gradcheck_with_zero_rows(self, op):
         rng = np.random.default_rng(132)
@@ -521,8 +523,9 @@ class TestZeroRows:
         else:
             params = [Parameter(rng.normal(size=s), f"w{i}")
                       for i, s in enumerate([(6, 3), (6, 2), (6,)] * 2)]
-            out = ((lambda: ad.gru_sequence(x, params[:3])) if op == "gru"
-                   else (lambda: bi_gru(x, params[:3], params[3:])))
+            out = {"gru": lambda: ad.gru_sequence(x, params[:3]),
+                   "bi_gru": lambda: bi_gru(x, params[:3], params[3:]),
+                   "bi_gru_sequence": lambda: ad.bi_gru_sequence(x, params[:3], params[3:])}[op]
         weights = Tensor(rng.normal(size=out().shape))
         assert ad.grad_check(lambda: ad.total(ad.hadamard(ad.tanh(out()), weights)),
                              params + [x]) <= 1e-6
@@ -540,6 +543,70 @@ class TestZeroRows:
         """16 samples of criterion 4's 8 x 8 word-vector matrix: the scan would
         cost more than it saves."""
         assert 16 * 8 * 8 < ad._SKIP_MIN_VALUES <= 16 * 40 * 900
+
+
+class TestBiGruSequence:
+    """``bi_gru_sequence`` against its two-op oracle, the ``concat`` of a
+    forward and a reverse ``gru_sequence``: the same states and gradients,
+    bit for bit, at the paper's and the overfit criterion's dims."""
+
+    DIMS = {"paper_a": (12, 4096, 128), "paper_b": (40, 900, 128),  # T, I, H
+            "overfit_a": (2, 64, 16), "overfit_b": (8, 8, 16)}
+    # each input kind with and without biases and with and without padding rows
+    RUNS = [("array", True, True), ("array", False, False), ("parameter", True, False),
+            ("parameter", False, True), ("taped", True, True), ("taped", False, False)]
+
+    @staticmethod
+    def sweep(op, xv, weights, cotangent, kind):
+        """The states and the gradients of the weights and of the input: of
+        ``xv`` as a parameter, or of the row weights of ``scale_rows(xv, .)``,
+        a tensor recorded on the caller's tape (as ``learn_layer_weights`` forms it)."""
+        params = [Parameter(w.copy(), f"w{i}") for i, w in enumerate(weights)]
+        x = Parameter(xv.copy(), "x") if kind == "parameter" else Tensor(xv)
+        row_weights = Parameter(np.linspace(0.5, 1.5, xv.shape[-2]), "row_weights")
+        wanted = params + {"array": [], "parameter": [x], "taped": [row_weights]}[kind]
+        for p in wanted:
+            p.zero_grad()
+        with Tape() as tape:
+            seq = ad.scale_rows(x, row_weights) if kind == "taped" else x
+            n = len(params) // 2
+            states = op(seq, params[:n], params[n:])
+            loss = ad.total(ad.hadamard(states, Tensor(cotangent)))
+        tape.backward(loss)
+        return [states.values] + [p.grad.copy() for p in wanted]
+
+    @staticmethod
+    def oracle(x, fwd, bwd):
+        return ad.concat([ad.gru_sequence(x, fwd), ad.gru_sequence(x, bwd, reverse=True)],
+                         axis=-1)
+
+    @pytest.mark.parametrize("batch", [None, 1, 3, 16])
+    @pytest.mark.parametrize("dims", list(DIMS))
+    def test_matches_the_two_op_oracle_bit_for_bit(self, dims, batch):
+        T, I, H = self.DIMS[dims]
+        rng = np.random.default_rng(sum(map(ord, dims)) + (batch or 0))
+        shape = (T, I) if batch is None else (batch, T, I)
+        directions = [[rng.normal(size=(3 * H, I)) / np.sqrt(I),
+                       rng.normal(size=(3 * H, H)) / np.sqrt(H), rng.normal(size=3 * H)]
+                      for _ in range(2)]
+        for kind, use_bias, padded in self.RUNS:
+            xv = rng.normal(size=shape)
+            if padded:  # word-vector padding: all-zero rows after the first third
+                xv[..., max(1, T // 3):, :] = 0.0
+            weights = [w for cell in directions for w in cell[:3 if use_bias else 2]]
+            cotangent = rng.normal(size=shape[:-1] + (2 * H,))
+            got = self.sweep(ad.bi_gru_sequence, xv, weights, cotangent, kind)
+            want = self.sweep(self.oracle, xv, weights, cotangent, kind)
+            assert len(got) == len(want) == 1 + len(weights) + (kind != "array")
+            for g, w in zip(got, want, strict=True):
+                npt.assert_array_equal(g, w, err_msg=f"{kind}, bias {use_bias}, padded {padded}")
+
+    def test_records_one_tape_entry(self):
+        rng = np.random.default_rng(3)
+        fwd, bwd = ([Tensor(rng.normal(size=s)) for s in [(6, 4), (6, 2)]] for _ in range(2))
+        with Tape() as tape:
+            ad.bi_gru_sequence(Tensor(rng.normal(size=(5, 4))), fwd, bwd)
+        assert len(tape) == 1
 
 
 class TestPooling:
@@ -645,6 +712,18 @@ class TestRefusals:
     def test_concat_of_nothing(self):
         with pytest.raises(ShapeError, match="^concat needs at least one tensor"):
             ad.concat([])
+
+    def test_bi_gru_directions_of_different_sizes(self):
+        """Directions that differ in hidden size or in input width are refused
+        with both directions' weight shapes."""
+        def weights(H, I):
+            return Tensor(np.zeros((3 * H, I))), Tensor(np.zeros((3 * H, H)))
+
+        for H, I in ((3, 4), (2, 5)):
+            with pytest.raises(ShapeError, match=re.escape(
+                    f"bi_gru_sequence directions need equal weight shapes, got "
+                    f"[(6, 4), (6, 2)] and [({3 * H}, {I}), ({3 * H}, {H})]")):
+                ad.bi_gru_sequence(Tensor(np.ones((5, 4))), weights(2, 4), weights(H, I))
 
 
 class TestTapeSemantics:

@@ -15,6 +15,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from iben import autodiff, bertfuse, cli, corpus, model, pipeline, train, wordvec
@@ -219,3 +220,40 @@ def test_the_benchmark_calls_each_lambda_wrapped_function_as_its_lambda_takes_it
                 if problem:
                     problems.append(f"run.py:{node.lineno} {key[1]}: {problem}")
     assert checked >= 2 and not problems, "; ".join(problems)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("branches", ["both", "bert", "emb"])
+def test_a_forward_calls_each_wrapped_layer_once_per_bi_gru_and_conv_bank(
+        request, monkeypatch, branches, taped, split):
+    """``bench/run.py --trace 1`` reads ``model.branch_*.bigru_fwd_ms`` and
+    ``model.branch_b.conv_fwd_ms`` from its spans around ``model.bi_gru`` and
+    ``model.conv_features``, and exits with "no samples to take a median of"
+    for a metric with no span.  So a forward pass, taped or not, one-branch
+    or two-branch, forked or serial, calls each once per Bi-GRU and per
+    convolution bank, whichever op steps the directions."""
+    if split:
+        request.getfixturevalue("forced_split")
+    calls = []
+    for attr in ("bi_gru", "conv_features"):
+        def counted(*args, _call=getattr(model, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(model, attr, counted)
+    config = model.ModelConfig(use_bert_branch=branches != "emb",
+                               use_emb_branch=branches != "bert", fused_width=8, n_pairs=3,
+                               emb_dim=5, hidden_size=3, dense_size=2, kernel_sizes=(1, 2),
+                               filters_per_kernel=2)
+    net = model.IbenModel(config)
+    rng = np.random.default_rng(4)
+    fused, emb = rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 6, 5))
+    if taped:
+        with autodiff.Tape():
+            net.forward(fused=fused, emb=emb)
+    else:
+        net.predict(fused=fused, emb=emb)
+    want = {"both": ["bi_gru", "bi_gru", "conv_features"], "bert": ["bi_gru"],
+            "emb": ["bi_gru", "conv_features"]}[branches]
+    assert sorted(calls) == want
