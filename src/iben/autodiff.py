@@ -21,9 +21,8 @@ is the one place that asks, and says which it will do.  :func:`fork`
 records two branches of a graph on tapes of their own through it, and the
 fork's entry on the caller's tape sweeps the two branch tapes the same way.
 The outermost ``run_both`` holds the worker, and every ``run_both`` inside
-either of its pieces runs serially, so forks nest: inside a forked pass, an
-inner fork is the plain ``concat`` of its branches.  A parameter's gradient
-buffer is written by its first contribution after
+either of its pieces runs its two pieces in turn on its own thread.  A
+parameter's gradient buffer is written by its first contribution after
 ``zero_grad``, not zero-filled first.
 
 The sequence ops leave input rows that are all zero (word-vector padding)
@@ -31,9 +30,9 @@ out of their products with the input's weights, which are exactly zero
 there; an input's gradient still covers every row.  One private recurrence
 kernel steps one GRU direction (:func:`gru_sequence`) or a Bi-GRU's two
 (:func:`bi_gru_sequence`, one tape entry) over the same input, with one
-numpy call per step serving both directions.  Every op verifies its
-output is finite and raises :class:`NonFiniteError` otherwise; overflow
-never propagates silently.
+numpy call per step serving both directions, unless the Bi-GRU forks them
+(see there).  Every op verifies its output is finite and raises
+:class:`NonFiniteError` otherwise; overflow never propagates silently.
 """
 
 from __future__ import annotations
@@ -71,6 +70,7 @@ __all__ = [
     "grad_check",
     "run_both",
     "fork",
+    "FORK_MIN_MADDS",
 ]
 
 
@@ -332,11 +332,11 @@ def fork(first, second, concurrent: bool) -> Tensor:
     another tensor that a sweep of the open tape reaches, and no parameter
     may be reached from both.  Each parameter's contributions then come from
     one thread in the order of a serial sweep, so the bits do not depend on
-    the path.  Inside another ``run_both``, which runs its pieces in turn
-    (see there), the fork is the plain ``concat``, recorded as such.
+    the path.  Inside another ``run_both`` the branches run in turn (see
+    there), each still on a tape of its own.
     """
     tape = _open_tape.get()
-    if not concurrent or tape is None or _holds_worker.get():
+    if not concurrent or tape is None:
         return concat(run_both(first, second, concurrent), axis=-1)
 
     def record(branch):
@@ -355,6 +355,21 @@ def fork(first, second, concurrent: bool) -> Tensor:
     tape._entries[id(out)] = (out, (), (), backward)
     tape._forks += (tape_a, tape_b)
     return out
+
+
+# Multiply-adds per forward pass of each of two pieces of work from which they run on two
+# threads: the model's two branches (``IbenModel.forward``) and a Bi-GRU's two directions
+# (one direction's input projection over its live rows, ``bi_gru_sequence``).  On a 2-vCPU
+# VM with one BLAS thread, a forward pass and sweep with the branch split took 1.1-1.4x as
+# long as without it where the smaller branch had 0.26M-6.7M multiply-adds (the overfit
+# criterion's dims), 0.86-1.23x at 10M, 0.86-1.07x at 20M-29M, 0.83x at 40M, and
+# 0.60-0.68x at paper dims (35M at batch 1, 557M at batch 16).  A Bi-GRU's directions forked
+# against stepped together (one-branch batches at paper dims, forward pass and sweep, then
+# ``predict``, 3 rounds): A-only 0.67-0.69x, 0.63-0.70x at 19M and 0.66-0.72x, 0.57-0.74x at
+# 38M; B-only with every row live 1.03-1.06x, 1.06-1.12x at 28M, 0.90-1.08x, 0.88-1.14x at
+# 41M and 0.86-0.93x, 0.78-0.85x at 55M; with 8 of 40 rows live 0.88-0.96x, 0.81-0.84x at
+# 22M, 0.84-0.93x, 0.79-0.88x at 33M and 0.78-0.85x, 0.76-0.80x at 44M.
+FORK_MIN_MADDS = 1 << 25
 
 
 # ---------------------------------------------------------------------------
@@ -731,24 +746,34 @@ def gru_sequence(x: Tensor, weights, h0: Tensor | None = None,
     """
     weights = tuple(weights)
     _check_gru(x, weights, h0, "gru_sequence")
-    out, bptt = _gru(x, ((weights, reverse),), h0,
-                     _nonzero_rows(x.values.reshape(-1, x.shape[-1])))
+    return _gru_sequence(x, weights, h0, reverse,
+                         _nonzero_rows(x.values.reshape(-1, x.shape[-1])))
+
+
+def _gru_sequence(x: Tensor, weights: tuple, h0: Tensor | None, reverse: bool,
+                  keep: np.ndarray | None) -> Tensor:
+    """:func:`gru_sequence` over a checked input whose ``_nonzero_rows`` are ``keep``."""
+    out, bptt = _gru(x, ((weights, reverse),), h0, keep)
     parents = (x,) + weights + (() if h0 is None else (h0,))
     return _apply(out, "gru_sequence", parents, bptt)
 
 
-def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
+def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights, *, concurrent: bool = False) -> Tensor:
     """``concat([gru_sequence(x, fwd_weights), gru_sequence(x, bwd_weights,
-    reverse=True)], axis=-1)`` as one op, with the same bits.
+    reverse=True)], axis=-1)``, with the same bits.
 
-    A T x I sequence gives T x 2H states, a B x T x I batch B x T x 2H.  The
-    two directions step together: step k runs the forward one on input row
-    k and the backward one on row T-1-k, and every numpy call of a step but
-    the two recurrence GEMMs serves both, so a step makes about half the
-    calls of two ``gru_sequence`` steps.  The directions share one scan of
-    the input for all-zero rows and record one tape entry.  The input's
-    gradient, when wanted, is the sum of the two directions' gradients.
-    Both directions need the same weight shapes.
+    A T x I sequence gives T x 2H states, a B x T x I batch B x T x 2H, and
+    both directions need the same weight shapes.  With ``concurrent`` they
+    are a :func:`fork` of two ``gru_sequence`` ops where the worker is free
+    (:func:`run_both`), one direction's input projection over the rows that
+    are not all zero reaches ``FORK_MIN_MADDS`` multiply-adds, no sweep of
+    the open tape reaches ``x`` or a weight that is not a parameter, and no
+    parameter is in both directions.  Otherwise they step together as one
+    op with one tape entry: step k runs the forward one on input row k and
+    the backward one on row T-1-k, and every numpy call of a step but the
+    two recurrence GEMMs serves both.  Either way they share one scan of the
+    input for all-zero rows, and the input's gradient, when wanted, is the
+    sum of the two directions' gradients.
     """
     fwd_weights, bwd_weights = tuple(fwd_weights), tuple(bwd_weights)
     shapes = [w.shape for w in fwd_weights], [w.shape for w in bwd_weights]
@@ -756,8 +781,19 @@ def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
         raise ShapeError(f"bi_gru_sequence directions need equal weight shapes, got "
                          f"{shapes[0]} and {shapes[1]}")
     _check_gru(x, fwd_weights, None, "bi_gru_sequence")
-    out, bptt = _gru(x, ((fwd_weights, False), (bwd_weights, True)), None,
-                     _nonzero_rows(x.values.reshape(-1, x.shape[-1])))
+    rows = x.values.reshape(-1, x.shape[-1])
+    keep = _nonzero_rows(rows)
+    tape, live = _open_tape.get(), len(rows) if keep is None else keep.size
+    # a branch tape passes no gradient to what the open tape recorded, and two threads must
+    # not add into one parameter (see ``fork``); both directions read ``x``
+    both = {id(x)} | {id(w) for w in fwd_weights} & {id(w) for w in bwd_weights}
+    if (_on_two_threads(concurrent) and live * fwd_weights[0].size >= FORK_MIN_MADDS
+            and (tape is None or not any(
+                id(t) in both if isinstance(t, Parameter) else id(t) in tape._entries
+                for t in (x,) + fwd_weights + bwd_weights))):
+        return fork(lambda: _gru_sequence(x, fwd_weights, None, False, keep),
+                    lambda: _gru_sequence(x, bwd_weights, None, True, keep), True)
+    out, bptt = _gru(x, ((fwd_weights, False), (bwd_weights, True)), None, keep)
     return _apply(out, "bi_gru_sequence", (x,) + fwd_weights + bwd_weights, bptt)
 
 

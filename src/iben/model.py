@@ -141,18 +141,12 @@ def bi_gru(seq: Tensor, params: BiGru, *, concurrent: bool = False) -> Tensor:
 
     The backward half comes from running the backward cell over the
     sequence last row first.  A B x T x I batch gives B x T x 2H states.
-    Where the two directions would run on one thread, they are one
-    ``bi_gru_sequence`` op, which steps both together.  Where ``concurrent``
-    puts the backward one on the worker thread, they are a fork
-    (:func:`~iben.autodiff.fork`) of two ``gru_sequence`` ops; ``seq`` must
-    then be a tensor that no sweep of the open tape reaches.  The values and
-    gradients are the same either way.
+    :func:`~iben.autodiff.bi_gru_sequence` steps both directions together,
+    or, asked by ``concurrent``, decides whether to fork them onto two
+    threads.  The values and gradients are the same either way.
     """
-    fwd, bwd = params.fwd.parameters(), params.bwd.parameters()
-    if not ad._on_two_threads(concurrent):
-        return ad.bi_gru_sequence(seq, fwd, bwd)
-    return ad.fork(lambda: ad.gru_sequence(seq, fwd),
-                   lambda: ad.gru_sequence(seq, bwd, reverse=True), True)
+    return ad.bi_gru_sequence(seq, params.fwd.parameters(), params.bwd.parameters(),
+                              concurrent=concurrent)
 
 
 def pool_states(states: Tensor) -> Tensor:
@@ -217,21 +211,6 @@ def _input_matrix(x, width: int, what: str) -> Tensor:
     return x
 
 
-# Multiply-adds per forward pass of each of two pieces of work (the two branches, or a
-# Bi-GRU's two directions) from which ``IbenModel.forward`` runs them on two threads.
-# On a 2-vCPU VM with one BLAS thread, a forward pass and sweep with the branch split
-# took 1.1-1.4x as long as without it where the smaller branch had 0.26M-6.7M
-# multiply-adds (the overfit criterion's dims are 0.26M), 0.86-1.23x at 10M, 0.86-1.07x
-# at 20M-29M, 0.83x at 40M, and 0.60-0.68x at paper dims (35M at batch 1, 557M at
-# batch 16).  A Bi-GRU's directions forked, against in turn as two ``gru_sequence`` ops
-# (before ``bi_gru_sequence`` stepped them together), took, per one-branch batch at
-# paper dims and its input projection's count (``_direction_madds``): A-only
-# 0.64-0.68x at 19M, 0.66-0.73x at 38M and 0.56-0.59x at 302M; B-only with every row
-# live 0.98-1.08x at 28M and 0.80-0.99x at 42M-55M, with 8 of 40 live 0.94-1.15x at
-# 22M (whose recurrence counted would reach 38M) and 0.77-0.85x at 44M.
-_SPLIT_MIN_MADDS = 1 << 25
-
-
 def _madds(shape: tuple, bigru: BiGru | None, bank: ConvBank | None = None) -> int:
     """The multiply-adds of a forward pass over an input of ``shape`` through a
     Bi-GRU and a convolution bank (None when absent): per input row, one per
@@ -241,15 +220,6 @@ def _madds(shape: tuple, bigru: BiGru | None, bank: ConvBank | None = None) -> i
     kernels = bank.kernels.values() if bank else ()
     per_row = sum(c.W.size + c.U.size for c in cells) + sum(k.size for k in kernels)
     return math.prod(shape[:-1]) * per_row
-
-
-def _direction_madds(x: Tensor, bigru: BiGru) -> int:
-    """The multiply-adds of one direction's input projection over ``x``: one per
-    weight of its ``W`` for each row that is not all zero, as ``gru_sequence``
-    projects them.  The recurrence is left out (see ``_SPLIT_MIN_MADDS``)."""
-    rows = x.values.reshape(-1, x.shape[-1])
-    keep = ad._nonzero_rows(rows)
-    return (rows.shape[0] if keep is None else keep.size) * bigru.fwd.W.size
 
 
 class IbenModel:
@@ -321,16 +291,14 @@ class IbenModel:
         them for B x P x W and B x L x D batches; inputs for disabled branches
         are ignored.
 
-        Two pieces of work are forked (:func:`~iben.autodiff.fork`) when each has
-        at least ``_SPLIT_MIN_MADDS`` multiply-adds and no sweep of the open tape
-        reaches their input: the two branches (:meth:`_branch_madds`), given
-        arrays, and a Bi-GRU's two directions (:func:`_direction_madds`), given
-        an array that is not recorded on the open tape (the layer-weighted
-        input is, under a tape).  On two CPUs the second piece runs on the
-        worker thread, and only the outermost fork does: inside a forked
-        two-branch pass each Bi-GRU steps its two directions together on its
-        branch's thread (:func:`bi_gru`).  The values and gradients are the
-        same on every path."""
+        The two branches are forked (:func:`~iben.autodiff.fork`), branch B on
+        the worker thread on two CPUs, when both are given as arrays, which no
+        sweep of the open tape reaches, and each has at least
+        ``autodiff.FORK_MIN_MADDS`` multiply-adds (:meth:`_branch_madds`).
+        Each Bi-GRU asks to fork its two directions (:func:`bi_gru`), and
+        :func:`~iben.autodiff.bi_gru_sequence` decides: inside forked branches,
+        where the worker is held, it steps them together on its branch's
+        thread.  The values and gradients are the same on every path."""
         c = self.config
         xa = xb = None
         if c.use_bert_branch:
@@ -348,25 +316,17 @@ class IbenModel:
         # a sweep of the open tape may reach a caller's tensor, or a tensor recorded there,
         # and a branch tape cannot pass either its gradient
         split = (xa is not None and xb is not None and xa is not fused and xb is not emb
-                 and min(self._branch_madds(xa.shape, xb.shape)) >= _SPLIT_MIN_MADDS)
-        # the outermost fork holds the worker, so inside split branches a Bi-GRU is one op
-        own_a = (not split and xa is not fused
-                 and (self.layer_weights is None or ad._open_tape.get() is None))
-        own_b = not split and xb is not emb
-
-        def pooled(x, bigru, own: bool) -> Tensor:
-            forks = own and _direction_madds(x, bigru) >= _SPLIT_MIN_MADDS
-            return pool_states(bi_gru(x, bigru, concurrent=forks))
+                 and min(self._branch_madds(xa.shape, xb.shape)) >= ad.FORK_MIN_MADDS)
 
         def branch_a():
             x = xa if self.layer_weights is None else ad.scale_rows(xa, self.layer_weights)
-            va = self.dense_a(pooled(x, self.branch_a, own_a))
+            va = self.dense_a(pool_states(bi_gru(x, self.branch_a, concurrent=True)))
             return ad.relu(va) if c.dense_activation else va
 
         def branch_b():
             parts = []
             if self.branch_b_rnn is not None:
-                parts.append(pooled(xb, self.branch_b_rnn, own_b))
+                parts.append(pool_states(bi_gru(xb, self.branch_b_rnn, concurrent=True)))
             if self.branch_b_conv is not None:
                 parts.append(conv_features(xb, self.branch_b_conv))
             vb = self.dense_b(parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1))

@@ -13,7 +13,6 @@ them.
 import pytest
 
 import iben.autodiff as ad
-import iben.model as model_lib
 from iben import bertfuse, wordvec
 
 _criterion_lines: list[str] = []
@@ -84,9 +83,10 @@ def idle_worker(monkeypatch):
 
 @pytest.fixture
 def forced_split(monkeypatch, counting_worker):
-    """Every model forks at any size (split gate 0) on two CPUs; returns the
-    worker, which counts its submits."""
-    monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 0)
+    """Every fork that its operands allow happens at any size (gate 0) on two
+    CPUs: a model's branches and a Bi-GRU's directions; returns the worker,
+    which counts its submits."""
+    monkeypatch.setattr(ad, "FORK_MIN_MADDS", 0)
     return counting_worker
 
 

@@ -4,6 +4,7 @@ Derived gradient values are checked against central finite differences;
 simple values against hand arithmetic.
 """
 
+import contextlib
 import contextvars
 import os
 import re
@@ -41,9 +42,9 @@ def fd_gradient(f, x, eps=1e-5):
 
 
 def bi_gru(x, fwd, bwd, concurrent=False):
-    """A Bi-GRU as the model forms it: a fork of its two ``gru_sequence`` directions."""
-    return ad.fork(lambda: ad.gru_sequence(x, fwd),
-                   lambda: ad.gru_sequence(x, bwd, reverse=True), concurrent)
+    """A Bi-GRU as the model forms it, which with ``concurrent`` and the
+    ``forced_split`` fixture forks its two directions where it may."""
+    return ad.bi_gru_sequence(x, fwd, bwd, concurrent=concurrent)
 
 
 def tape_gradient(build, param):
@@ -472,7 +473,7 @@ class TestZeroRows:
     @pytest.mark.parametrize("recorded", [False, True])
     @pytest.mark.parametrize("op", ["gru", "gru reversed", "bi_gru", "bi_gru_sequence", "conv"])
     @pytest.mark.usefixtures("skip_at_any_size")
-    def test_matches_the_batched_oracle(self, case, input_wanted, recorded, op):
+    def test_matches_the_batched_oracle(self, forced_split, case, input_wanted, recorded, op):
         rng = np.random.default_rng(131)
         xv = self.batch(case, rng)
         B, T, I, H = self.B, self.T, self.I, self.H
@@ -493,9 +494,8 @@ class TestZeroRows:
             out_shape = (B, T, H if op.startswith("gru") else 2 * H)
             reverse = op == "gru reversed"
             if op.startswith("bi_gru"):
-                # a branch tape passes no gradient to a wanted input or a recorded weight
-                new = ((lambda x: bi_gru(x, fwd, bwd, not (input_wanted or recorded)))  # noqa: E731
-                       if op == "bi_gru" else (lambda x: ad.bi_gru_sequence(x, fwd, bwd)))
+                # forked but for a wanted input (``weights`` records nothing: no tape is open)
+                new = lambda x: bi_gru(x, fwd, bwd, op == "bi_gru")  # noqa: E731
                 old = lambda x: ad.concat([oracle_ops.batched_gru_sequence(x, fwd),  # noqa: E731
                                            oracle_ops.batched_gru_sequence(x, bwd, reverse=True)],
                                           axis=-1)
@@ -503,6 +503,7 @@ class TestZeroRows:
                 new = lambda x: ad.gru_sequence(x, fwd, reverse=reverse)  # noqa: E731
                 old = lambda x: oracle_ops.batched_gru_sequence(x, fwd, reverse=reverse)  # noqa: E731
         got = self.sweep(xv, input_wanted, params, new, out_shape, rng)
+        assert forced_split.calls == 2 * (op == "bi_gru" and not input_wanted)
         want = self.sweep(xv, input_wanted, params, old, out_shape, rng)
         for g, w in zip(got, want, strict=True):
             assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
@@ -607,6 +608,56 @@ class TestBiGruSequence:
         with Tape() as tape:
             ad.bi_gru_sequence(Tensor(rng.normal(size=(5, 4))), fwd, bwd)
         assert len(tape) == 1
+
+    @pytest.mark.parametrize("kind, taped, tasks", [
+        ("plain tensor", True, 2),
+        ("parameter", False, 1),
+        ("parameter", True, 0),
+        ("recorded input", True, 0),  # ``scale_rows``, as ``learn_layer_weights`` forms it
+        ("recorded weight", True, 0),  # a weight that is not a parameter, on the tape
+        ("shared parameter", True, 0),  # one U in both directions
+        ("one cpu", True, 0),
+    ])
+    def test_forks_where_the_branch_tapes_pass_every_gradient(self, forced_split, monkeypatch,
+                                                              kind, taped, tasks):
+        """Asked to fork at gate 0 on two CPUs, it does so only where the
+        worker is free and no sweep of the open tape reaches its input or a
+        weight but a parameter, nor a parameter from both directions; the
+        states and gradients equal the one-op kernel's either way."""
+        if kind == "one cpu":
+            monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
+        rng = np.random.default_rng(5)
+        xv, cotangent = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))
+        params = [Parameter(rng.normal(size=s), f"w{i}")
+                  for i, s in enumerate([(6, 4), (6, 2), (6,)] * 2)]
+        if kind == "shared parameter":
+            params[4] = params[1]
+        row_weights = Parameter(np.linspace(0.5, 1.5, 5), "row_weights")
+
+        def run(concurrent):
+            x = Parameter(xv.copy(), "x") if kind == "parameter" else Tensor(xv)
+            wanted = params + [x] * (kind == "parameter") + [row_weights] * (kind == "recorded input")
+            for p in wanted:
+                p.zero_grad()
+            with Tape() if taped else contextlib.nullcontext() as tape:
+                seq = ad.scale_rows(x, row_weights) if kind == "recorded input" else x
+                weights = list(params)
+                if kind == "recorded weight":
+                    weights[3] = ad.reshape(params[3], params[3].shape)
+                states = ad.bi_gru_sequence(seq, weights[:3], weights[3:], concurrent=concurrent)
+                loss = ad.total(ad.hadamard(states, Tensor(cotangent)))
+            if not taped:
+                return [states.values], 0
+            tape.backward(loss)
+            return [states.values] + [p.grad.copy() for p in wanted], len(tape)
+
+        got, entries = run(True)
+        assert forced_split.calls == tasks
+        want, want_entries = run(False)
+        assert forced_split.calls == tasks
+        assert entries == want_entries + 2 * (taped and tasks > 0)  # a fork entry, a second op
+        for g, w in zip(got, want, strict=True):
+            npt.assert_array_equal(g, w)
 
 
 class TestPooling:
@@ -1096,11 +1147,11 @@ class TestFork:
             npt.assert_array_equal(g, w)
         assert entries == want_entries == 8
 
-    def test_a_fork_inside_a_forked_branch_is_the_concatenation(self, counting_worker,
-                                                               branches):
-        """The outer fork holds the worker, so the inner one records the plain
-        ``concat`` on its branch's tape, on that branch's thread, and submits
-        nothing; the bits and the entry count are those of one tape."""
+    def test_a_fork_inside_a_forked_branch_runs_its_branches_in_turn(self, counting_worker,
+                                                                    branches):
+        """The outer fork holds the worker, so the inner one runs both its
+        branches on its own branch's thread and submits nothing; the bits are
+        those of one tape."""
         first, second, params, _, threads = branches
         rng = np.random.default_rng(84)
         z, weights = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(6, 8)))
@@ -1114,19 +1165,17 @@ class TestFork:
                               lambda: ad.fork(first, second, concurrent), concurrent)
                 loss = ad.total(ad.hadamard(out, weights))
             tape.backward(loss)
-            return tape, out.values, [p.grad.copy() for p in params]
+            return out.values, [p.grad.copy() for p in params]
 
-        tape, out, grads = sweep(True)
+        out, grads = sweep(True)
         assert counting_worker.calls == 2  # the outer fork's forward pass and its sweep
-        assert [len(branch._forks) for branch in tape._forks] == [0, 0]
         (_, worker), (_, also) = threads
         assert worker is also and worker is not threading.current_thread()
-        want_tape, want_out, want_grads = sweep(False)
+        want_out, want_grads = sweep(False)
         npt.assert_array_equal(out, want_out)
         for g, w in zip(grads, want_grads, strict=True):
             assert np.any(g != 0.0)
             npt.assert_array_equal(g, w)
-        assert len(tape) == len(want_tape) == 10
 
     def test_without_a_tape_it_is_the_concatenation(self, monkeypatch, branches):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)

@@ -352,14 +352,14 @@ class TestGruSequence:
                     npt.assert_array_equal(twice, 2 * once)
 
     @pytest.mark.parametrize("concurrent, entries", [(False, 1), (True, 3)])
-    def test_records_one_entry_on_one_thread_and_a_fork_of_two_on_two(self, counting_worker,
+    def test_records_one_entry_on_one_thread_and_a_fork_of_two_on_two(self, forced_split,
                                                                        concurrent, entries):
         """One ``bi_gru_sequence`` entry, or, forked, the fork's entry and one
         ``gru_sequence`` entry on each branch tape."""
         bg = BiGru(3, 2, "bg", np.random.default_rng(62))
         with Tape() as tape:
             bi_gru(Tensor(np.ones((5, 3))), bg, concurrent=concurrent)
-        assert len(tape) == entries and counting_worker.calls == int(concurrent)
+        assert len(tape) == entries and forced_split.calls == int(concurrent)
 
     def test_finished_tape_is_freed_by_reference_counting(self):
         rng = np.random.default_rng(63)
@@ -438,10 +438,10 @@ class TestBiGruFork:
     @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("input_wanted", [False, True])
     @pytest.mark.parametrize("use_bias", [True, False])
-    def test_matches_the_serial_oracle_bit_for_bit(self, counting_worker, batch, input_wanted,
+    def test_matches_the_serial_oracle_bit_for_bit(self, forced_split, batch, input_wanted,
                                                    use_bias):
-        """Forked on two CPUs, or, when the input is a parameter that a branch
-        tape could not pass its gradient, serial."""
+        """Forked on two CPUs, or, when the input is a parameter, which both
+        directions' branch tapes would add into, serial."""
         rng = np.random.default_rng(72)
         bg = BiGru(5, 4, "bg", rng, use_bias)
         for p in bg.parameters():
@@ -460,8 +460,8 @@ class TestBiGruFork:
             return ([states.values] + [p.grad.copy() for p in bg.parameters()]
                     + ([x.grad] if input_wanted else []))
 
-        forked = sweep(lambda x, params: bi_gru(x, params, concurrent=not input_wanted))
-        assert counting_worker.calls == (0 if input_wanted else 2)  # the forward pass, the sweep
+        forked = sweep(lambda x, params: bi_gru(x, params, concurrent=True))
+        assert forced_split.calls == (0 if input_wanted else 2)  # the forward pass, the sweep
         for got, want in zip(forked, sweep(oracle_bi_gru), strict=True):
             npt.assert_array_equal(got, want)
 
@@ -486,7 +486,7 @@ class TestBiGruFork:
         npt.assert_array_equal(input_grad(lambda: bi_gru(x, bg), cotangent), dx_f + dx_b)
 
     @pytest.mark.parametrize("concurrent", [False, True])
-    def test_gradcheck(self, concurrent):
+    def test_gradcheck(self, forced_split, concurrent):
         """Forked, the input is a constant: a branch tape could not pass it a gradient."""
         rng = np.random.default_rng(73)
         bg = BiGru(3, 2, "bg", rng)
@@ -496,6 +496,7 @@ class TestBiGruFork:
         assert ad.grad_check(
             lambda: ad.total(ad.hadamard(bi_gru(x, bg, concurrent=concurrent), weights)),
             bg.parameters() + ([] if concurrent else [x])) <= 1e-6
+        assert (forced_split.calls > 0) == concurrent
 
     def test_a_weight_shared_by_both_directions_gets_the_oracles_gradients(self):
         cell = GruCell(3, 2, "c", np.random.default_rng(76))
@@ -514,7 +515,7 @@ class TestBiGruFork:
             npt.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("concurrent, tasks", [(False, 0), (True, 2)])
-    def test_a_forked_bi_gru_hands_one_direction_to_the_worker(self, counting_worker,
+    def test_a_forked_bi_gru_hands_one_direction_to_the_worker(self, forced_split,
                                                                concurrent, tasks):
         """The backward direction's forward pass and its sweep; unforked, both
         directions run one after the other on the caller's thread."""
@@ -522,7 +523,27 @@ class TestBiGruFork:
         with Tape() as tape:
             loss = ad.total(bi_gru(Tensor(np.ones((16, 4, 1024))), bg, concurrent=concurrent))
         tape.backward(loss)
-        assert counting_worker.calls == tasks
+        assert forced_split.calls == tasks
+
+    @pytest.mark.parametrize("branch, batch, live, forks", [
+        ("a", 1, 12, False), ("a", 2, 12, True),  # 19M and 38M
+        ("b", 2, 40, False), ("b", 3, 40, True),  # 28M and 41M
+        ("b", 8, 8, False), ("b", 16, 8, True),  # 22M and 44M
+    ])
+    def test_forks_where_one_direction_projects_enough_rows(self, counting_worker, branch,
+                                                             batch, live, forks):
+        """At paper dims and the default gate, one direction's input projection
+        over the rows that are not all zero: branch A's Bi-GRU forks from a
+        batch of two, and branch B's from three with no padding and from 16
+        with 8 of 40 rows live."""
+        model = IbenModel(ModelConfig(**PAPER_DIMS))
+        bigru, rows, width = ((model.branch_a, 12, 4096) if branch == "a"
+                              else (model.branch_b_rnn, 40, 900))
+        x = np.ones((batch, rows, width))
+        x[:, live:] = 0.0
+        assert (batch * live * 3 * 128 * width >= ad.FORK_MIN_MADDS) == forks
+        bi_gru(Tensor(x), bigru, concurrent=True)
+        assert counting_worker.calls == forks
 
     @pytest.mark.usefixtures("idle_worker")
     def test_overfit16_dims_start_no_thread(self):
@@ -576,7 +597,7 @@ class TestBranchSplit:
         fused, emb = split_inputs()
         smaller = min(model._branch_madds(fused.shape, emb.shape))
         for threshold, submits in ((smaller, 2), (smaller + 1, 0)):
-            monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", threshold)
+            monkeypatch.setattr(ad, "FORK_MIN_MADDS", threshold)
             forced_split.calls = 0
             with Tape() as tape:
                 loss = ad.total(model.forward(fused=fused, emb=emb))
@@ -607,32 +628,19 @@ class TestBranchSplit:
         got = IbenModel(config)._branch_madds(fused_shape, emb_shape)
         assert got == config_branch_madds(config, fused_shape, emb_shape)
         if submodel == "both":
-            assert (min(got) >= model_lib._SPLIT_MIN_MADDS) == splits
+            assert (min(got) >= ad.FORK_MIN_MADDS) == splits
 
-    @pytest.mark.parametrize("branch, batch, live, forks", [
-        ("a", 1, 12, False), ("a", 2, 12, True),  # 19M and 38M
-        ("b", 2, 40, False), ("b", 3, 40, True),  # 28M and 41M
-        ("b", 8, 8, False), ("b", 16, 8, True),  # 22M and 44M
-    ])
-    def test_a_bi_gru_direction_counts_the_rows_it_projects(self, branch, batch, live, forks):
-        """At paper dims, one direction's input projection over the rows that
-        are not all zero: branch A's reaches the gate from a batch of two, and
-        branch B's from three with no padding and from 16 with 8 of 40 rows live."""
-        model = IbenModel(ModelConfig(**PAPER_DIMS))
-        bigru, rows, width = ((model.branch_a, 12, 4096) if branch == "a"
-                              else (model.branch_b_rnn, 40, 900))
-        x = np.ones((batch, rows, width))
-        x[:, live:] = 0.0
-        one = model_lib._direction_madds(Tensor(x), bigru)
-        assert one == batch * live * 3 * 128 * width
-        assert (one >= model_lib._SPLIT_MIN_MADDS) == forks
-
+    @pytest.mark.parametrize("given", ["arrays", "plain tensors"])
     @pytest.mark.parametrize("overrides", [dict(use_bert_branch=False),
                                            dict(use_emb_branch=False)])
-    def test_one_branch_forks_its_bi_gru(self, forced_split, overrides):
-        """The backward direction's forward pass and its sweep go to the worker."""
+    def test_one_branch_forks_its_bi_gru(self, forced_split, overrides, given):
+        """The backward direction's forward pass and its sweep go to the worker,
+        for an input the model makes a tensor of and for a caller's tensor that
+        the open tape does not reach."""
         model = split_model(**overrides)
         fused, emb = split_inputs()
+        if given == "plain tensors":
+            fused, emb = Tensor(fused), Tensor(emb)
         with Tape() as tape:
             loss = ad.total(model.forward(fused=fused, emb=emb))
         tape.backward(loss)
@@ -674,7 +682,7 @@ class TestBranchSplit:
         with Tape():
             taped = model.forward(fused=fused, emb=emb).values
         assert forced_split.calls == 2
-        monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 1 << 62)
+        monkeypatch.setattr(ad, "FORK_MIN_MADDS", 1 << 62)
         npt.assert_array_equal(split, model.predict(fused=fused, emb=emb))
         npt.assert_array_equal(taped, split)
         assert forced_split.calls == 2
@@ -686,7 +694,7 @@ class TestBranchSplit:
         fused, emb = split_inputs()
         lengths = []
         for gate in (0, 1 << 62):
-            monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", gate)
+            monkeypatch.setattr(ad, "FORK_MIN_MADDS", gate)
             with Tape() as tape:
                 model.forward(fused=fused, emb=emb)
             lengths.append(len(tape))
@@ -791,7 +799,7 @@ class TestWorkerUse:
 
         grads, predicted, got_tasks = batch_and_predict()
         assert got_tasks == tasks
-        monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 1 << 62)
+        monkeypatch.setattr(ad, "FORK_MIN_MADDS", 1 << 62)
         counting_worker.calls = 0
         want_grads, want_predicted, serial_tasks = batch_and_predict()
         assert serial_tasks == (0, 0)

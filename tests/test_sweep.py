@@ -14,7 +14,6 @@ import numpy.testing as npt
 import pytest
 
 import iben.autodiff as ad
-import iben.model as model_lib
 import oracle_ops
 from iben.autodiff import Parameter, Tape, Tensor
 from iben.model import BiGru, GruCell, IbenModel, ModelConfig, bi_gru
@@ -120,7 +119,7 @@ def sweep_gradients(build, params, sweeps=1):
 
 def serial_gradients(build, params, monkeypatch, sweeps=1):
     with monkeypatch.context() as patch:
-        patch.setattr(model_lib, "_SPLIT_MIN_MADDS", 1 << 62)  # neither branches nor directions fork
+        patch.setattr(ad, "FORK_MIN_MADDS", 1 << 62)  # neither branches nor directions fork
         patch.setattr(ad, "gru_sequence", oracle_ops.serial_gru_sequence)
         for p in params:
             p.grad[...] = 0.0
@@ -157,7 +156,7 @@ def test_predict_matches_the_serial_predict(forced_split, monkeypatch, case):
     model, fused, emb, _ = _model_inputs(*CASES[case].spec)
     got = model.predict(fused=fused, emb=emb)
     assert forced_split.calls == 1
-    monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 1 << 62)
+    monkeypatch.setattr(ad, "FORK_MIN_MADDS", 1 << 62)
     npt.assert_array_equal(got, model.predict(fused=fused, emb=emb))
     assert forced_split.calls == 1
 

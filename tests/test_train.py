@@ -348,7 +348,7 @@ class TestTrain:
 
     def test_a_failure_on_the_worker_names_the_epoch_and_batch(self, monkeypatch):
         """Branch B, split onto the worker thread, raises in the second batch."""
-        monkeypatch.setattr(model_lib, "_SPLIT_MIN_MADDS", 0)
+        monkeypatch.setattr(ad, "FORK_MIN_MADDS", 0)
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         conv_features = model_lib.conv_features
         threads = []
