@@ -18,12 +18,12 @@ The module has one worker thread.  :func:`run_both` runs two pieces of
 numpy work, one there and one on the caller's thread, when the process may
 use two CPUs, and one after the other when it may not; ``_on_two_threads``
 is the one place that asks, and says which it will do.  :func:`fork`
-records two branches of a graph on tapes of their own through it, and the
-fork's entry on the caller's tape sweeps the two branch tapes the same way.
-The outermost ``run_both`` holds the worker, and every ``run_both`` inside
-either of its pieces runs its two pieces in turn on its own thread.  A
-parameter's gradient buffer is written by its first contribution after
-``zero_grad``, not zero-filled first.
+records two branches of a graph on tapes of their own through it; the
+fork's entry on the caller's tape sweeps them the same way and passes on
+what they carry to the caller's tensors.  The outermost ``run_both`` holds
+the worker, and every ``run_both`` inside either of its pieces runs its two
+pieces in turn on its own thread.  A parameter's gradient buffer is
+written by its first contribution after ``zero_grad``, not zero-filled.
 
 The sequence ops leave input rows that are all zero (word-vector padding)
 out of their products with the input's weights, which are exactly zero
@@ -189,15 +189,16 @@ class Tape:
     the op's backward function.  Parameters accumulate into the buffer they
     own, the first contribution after ``zero_grad`` written and later ones
     added, so two backward calls without zeroing double a parameter's
-    gradient.  A fork's entry (see :func:`fork`) has no operands; its
-    backward sweeps the fork's two branch tapes, whose entries count in the
-    tape's length.
+    gradient.  A fork's entry (see :func:`fork`) sweeps the fork's two
+    branch tapes, whose entries count in the tape's length, and passes on
+    what they carried to the tensors that they did not record.
     """
 
     def __init__(self):
         self._entries: dict[int, tuple[Tensor, tuple, tuple, object]] = {}
         self._forks: list[Tape] = []  # the branch tapes of this tape's forks
         self._tokens: list[contextvars.Token] = []  # one per open ``with``, innermost last
+        self._base: Tape | None = None  # while a fork's branch records here: the fork's tape
 
     def __enter__(self) -> "Tape":
         self._tokens.append(_open_tape.set(self))
@@ -218,8 +219,9 @@ class Tape:
             raise ValueError("loss was not recorded on this tape")
         self._sweep(loss, np.ones((), dtype=np.float64))
 
-    def _sweep(self, root: Tensor, g: np.ndarray) -> None:
-        """Carry ``g``, the gradient of ``root``, through the entries in reverse."""
+    def _sweep(self, root: Tensor, g: np.ndarray) -> dict[int, np.ndarray]:
+        """Carry ``g``, the gradient of ``root``, through the entries in reverse;
+        return by ``id`` what it left for ``root`` and non-parameters not recorded here."""
         # adjoints of intermediates live in a scratch map so repeated sweeps stay correct
         adjoint: dict[int, np.ndarray] = {id(root): g}
         for out, parents, wanted, backward in reversed(self._entries.values()):
@@ -237,12 +239,15 @@ class Tape:
                     contrib = (contrib.a @ contrib.b).reshape(parent.shape)
                 key = id(parent)
                 adjoint[key] = adjoint[key] + contrib if key in adjoint else contrib
+        return adjoint
 
 
 def _receives_grad(t: Tensor, tape: Tape) -> bool:
     """The one gradient rule: a sweep of ``tape`` reaches ``t`` only if ``t``
-    is a parameter or was recorded on ``tape``."""
-    return isinstance(t, Parameter) or id(t) in tape._entries
+    is a parameter, was recorded on ``tape`` or, while ``tape`` records a
+    fork's branch, is reached by a sweep of the fork's tape (see :func:`fork`)."""
+    return tape is not None and (isinstance(t, Parameter) or id(t) in tape._entries
+                                 or _receives_grad(t, tape._base))
 
 
 def _apply(values: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
@@ -324,16 +329,17 @@ def fork(first, second, concurrent: bool) -> Tensor:
     When ``concurrent`` is true, the branches run through :func:`run_both`:
     on two threads, ``second`` on the worker, when the process may use two
     CPUs, and one after the other when it may not.  Under an open tape, each
-    branch then records on a tape of its own, and the open tape records one
-    entry for the fork.  The sweep of that entry splits the output's
-    gradient and sweeps the two branch tapes through :func:`run_both` too,
-    each from its own share.  A branch tape passes gradient only to
-    parameters and to what the branch recorded, so neither branch may read
-    another tensor that a sweep of the open tape reaches, and no parameter
-    may be reached from both.  Each parameter's contributions then come from
-    one thread in the order of a serial sweep, so the bits do not depend on
-    the path.  Inside another ``run_both`` the branches run in turn (see
-    there), each still on a tape of its own.
+    branch then records on a tape of its own, which counts as wanted what a
+    sweep of the open tape reaches, so a branch may read any tensor.  The
+    open tape records one entry for the fork, whose operands are what each
+    branch returned, or read without recording it, other than parameters it
+    read.  Its sweep splits the output's gradient, sweeps the two branch
+    tapes through :func:`run_both` too, each from its own share, and passes
+    on what they carried to the operands, branch B's first as in a serial
+    sweep.  The branch sweeps add into parameters, so none may be reached
+    from both branches; the bits then do not depend on the path, but for an
+    operand that branch A reaches along two paths.  Inside another
+    ``run_both`` the branches run in turn (see there), each on its own tape.
     """
     tape = _open_tape.get()
     if not concurrent or tape is None:
@@ -341,18 +347,26 @@ def fork(first, second, concurrent: bool) -> Tensor:
 
     def record(branch):
         with Tape() as branch_tape:
-            return branch_tape, branch()
+            branch_tape._base = tape
+            root = branch()
+        branch_tape._base = None  # kept, it would close a cycle through the fork's entry
+        read = [root] + [t for _, parents, _, _ in branch_tape._entries.values() for t in parents
+                         if not isinstance(t, Parameter)]
+        return branch_tape, root, list({id(t): t for t in read if id(t) not in branch_tape._entries
+                                        and _receives_grad(t, tape)}.values())
 
-    (tape_a, a), (tape_b, b) = run_both(lambda: record(first), lambda: record(second), True)
+    (tape_a, a, read_a), (tape_b, b, read_b) = run_both(lambda: record(first),
+                                                        lambda: record(second), True)
     out = Tensor(np.concatenate((a.values, b.values), axis=-1), _op="fork")
-    width = a.shape[-1]
+    width, parents = a.shape[-1], tuple(read_b + read_a)
 
     def backward(g, wanted):
-        run_both(lambda: tape_a._sweep(a, g[..., :width]),
-                 lambda: tape_b._sweep(b, g[..., width:]), True)
-        return ()
+        swept = run_both(lambda: tape_a._sweep(a, g[..., :width]),
+                         lambda: tape_b._sweep(b, g[..., width:]), True)
+        return [s[id(t)] if id(t) in s else np.zeros(t.shape)
+                for s, read in ((swept[1], read_b), (swept[0], read_a)) for t in read]
 
-    tape._entries[id(out)] = (out, (), (), backward)
+    tape._entries[id(out)] = (out, parents, (True,) * len(parents), backward)
     tape._forks += (tape_a, tape_b)
     return out
 
@@ -758,17 +772,16 @@ def _gru_sequence(x: Tensor, weights: tuple, h0: Tensor | None, reverse: bool,
     return _apply(out, "gru_sequence", parents, bptt)
 
 
-def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights, *, concurrent: bool = False) -> Tensor:
+def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
     """``concat([gru_sequence(x, fwd_weights), gru_sequence(x, bwd_weights,
     reverse=True)], axis=-1)``, with the same bits.
 
     A T x I sequence gives T x 2H states, a B x T x I batch B x T x 2H, and
-    both directions need the same weight shapes.  With ``concurrent`` they
-    are a :func:`fork` of two ``gru_sequence`` ops where the worker is free
-    (:func:`run_both`), one direction's input projection over the rows that
-    are not all zero reaches ``FORK_MIN_MADDS`` multiply-adds, no sweep of
-    the open tape reaches ``x`` or a weight that is not a parameter, and no
-    parameter is in both directions.  Otherwise they step together as one
+    both directions need the same weight shapes.  They are a :func:`fork` of
+    two ``gru_sequence`` ops where the worker is free (:func:`run_both`),
+    one direction's input projection over the rows that are not all zero
+    reaches ``FORK_MIN_MADDS`` multiply-adds, and no parameter is in both
+    directions, ``x`` counted in both.  Otherwise they step together as one
     op with one tape entry: step k runs the forward one on input row k and
     the backward one on row T-1-k, and every numpy call of a step but the
     two recurrence GEMMs serves both.  Either way they share one scan of the
@@ -783,14 +796,11 @@ def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights, *, concurrent: bool = F
     _check_gru(x, fwd_weights, None, "bi_gru_sequence")
     rows = x.values.reshape(-1, x.shape[-1])
     keep = _nonzero_rows(rows)
-    tape, live = _open_tape.get(), len(rows) if keep is None else keep.size
-    # a branch tape passes no gradient to what the open tape recorded, and two threads must
-    # not add into one parameter (see ``fork``); both directions read ``x``
+    live = len(rows) if keep is None else keep.size
+    # two threads' sweeps must not add into one parameter (see ``fork``); both directions read x
     both = {id(x)} | {id(w) for w in fwd_weights} & {id(w) for w in bwd_weights}
-    if (_on_two_threads(concurrent) and live * fwd_weights[0].size >= FORK_MIN_MADDS
-            and (tape is None or not any(
-                id(t) in both if isinstance(t, Parameter) else id(t) in tape._entries
-                for t in (x,) + fwd_weights + bwd_weights))):
+    if (_on_two_threads(True) and live * fwd_weights[0].size >= FORK_MIN_MADDS
+            and not any(isinstance(t, Parameter) and id(t) in both for t in (x,) + fwd_weights)):
         return fork(lambda: _gru_sequence(x, fwd_weights, None, False, keep),
                     lambda: _gru_sequence(x, bwd_weights, None, True, keep), True)
     out, bptt = _gru(x, ((fwd_weights, False), (bwd_weights, True)), None, keep)

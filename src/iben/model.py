@@ -136,17 +136,15 @@ class BiGru:
         return self.fwd.parameters() + self.bwd.parameters()
 
 
-def bi_gru(seq: Tensor, params: BiGru, *, concurrent: bool = False) -> Tensor:
+def bi_gru(seq: Tensor, params: BiGru) -> Tensor:
     """Row t is the forward state at t joined with the backward state at t.
 
     The backward half comes from running the backward cell over the
     sequence last row first.  A B x T x I batch gives B x T x 2H states.
-    :func:`~iben.autodiff.bi_gru_sequence` steps both directions together,
-    or, asked by ``concurrent``, decides whether to fork them onto two
-    threads.  The values and gradients are the same either way.
+    :func:`~iben.autodiff.bi_gru_sequence` steps both directions together or
+    forks them onto two threads, with the same values and gradients.
     """
-    return ad.bi_gru_sequence(seq, params.fwd.parameters(), params.bwd.parameters(),
-                              concurrent=concurrent)
+    return ad.bi_gru_sequence(seq, params.fwd.parameters(), params.bwd.parameters())
 
 
 def pool_states(states: Tensor) -> Tensor:
@@ -279,26 +277,18 @@ class IbenModel:
         for p in self._params:
             p.zero_grad()
 
-    def _branch_madds(self, fused_shape: tuple, emb_shape: tuple) -> tuple[int, int]:
-        """The multiply-adds of one forward pass of branch A and of branch B over
-        inputs of these shapes, in the Bi-GRUs and the convolutions; the dense
-        layers, a small share, are left out."""
-        return (_madds(fused_shape, self.branch_a),
-                _madds(emb_shape, self.branch_b_rnn, self.branch_b_conv))
-
     def forward(self, fused=None, emb=None) -> Tensor:
         """Scalar prediction for P x W and L x D inputs, or a length-B vector of
         them for B x P x W and B x L x D batches; inputs for disabled branches
         are ignored.
 
         The two branches are forked (:func:`~iben.autodiff.fork`), branch B on
-        the worker thread on two CPUs, when both are given as arrays, which no
-        sweep of the open tape reaches, and each has at least
-        ``autodiff.FORK_MIN_MADDS`` multiply-adds (:meth:`_branch_madds`).
-        Each Bi-GRU asks to fork its two directions (:func:`bi_gru`), and
-        :func:`~iben.autodiff.bi_gru_sequence` decides: inside forked branches,
-        where the worker is held, it steps them together on its branch's
-        thread.  The values and gradients are the same on every path."""
+        the worker thread on two CPUs, when both are given and each has at
+        least ``autodiff.FORK_MIN_MADDS`` multiply-adds in its Bi-GRUs and
+        convolutions (:func:`_madds`; the dense layers are a small share).
+        Each Bi-GRU decides its own fork (:func:`bi_gru`): inside forked
+        branches, where the worker is held, it steps its two directions
+        together.  The values and gradients are the same on every path."""
         c = self.config
         xa = xb = None
         if c.use_bert_branch:
@@ -313,20 +303,19 @@ class IbenModel:
             raise ad.ShapeError(f"fused input batch shape {xa.shape[:-2]} != embedding "
                                 f"batch shape {xb.shape[:-2]}")
 
-        # a sweep of the open tape may reach a caller's tensor, or a tensor recorded there,
-        # and a branch tape cannot pass either its gradient
-        split = (xa is not None and xb is not None and xa is not fused and xb is not emb
-                 and min(self._branch_madds(xa.shape, xb.shape)) >= ad.FORK_MIN_MADDS)
+        split = xa is not None and xb is not None and min(
+            _madds(xa.shape, self.branch_a),
+            _madds(xb.shape, self.branch_b_rnn, self.branch_b_conv)) >= ad.FORK_MIN_MADDS
 
         def branch_a():
             x = xa if self.layer_weights is None else ad.scale_rows(xa, self.layer_weights)
-            va = self.dense_a(pool_states(bi_gru(x, self.branch_a, concurrent=True)))
+            va = self.dense_a(pool_states(bi_gru(x, self.branch_a)))
             return ad.relu(va) if c.dense_activation else va
 
         def branch_b():
             parts = []
             if self.branch_b_rnn is not None:
-                parts.append(pool_states(bi_gru(xb, self.branch_b_rnn, concurrent=True)))
+                parts.append(pool_states(bi_gru(xb, self.branch_b_rnn)))
             if self.branch_b_conv is not None:
                 parts.append(conv_features(xb, self.branch_b_conv))
             vb = self.dense_b(parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1))

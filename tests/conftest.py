@@ -5,7 +5,7 @@ Each acceptance test reports one PASS/FAIL line through the
 (visible on failure) and in a summary section at the end of the run.
 ``setup_calls`` logs the calls run set-up makes into the input readers and
 per-record builders.  ``forced_split`` makes every model fork its branches
-and its Bi-GRUs' directions on two CPUs; ``counting_worker`` and
+and every Bi-GRU fork its directions on two CPUs; ``counting_worker`` and
 ``idle_worker`` give two CPUs and a worker that counts its tasks or refuses
 them.
 """
@@ -83,9 +83,11 @@ def idle_worker(monkeypatch):
 
 @pytest.fixture
 def forced_split(monkeypatch, counting_worker):
-    """Every fork that its operands allow happens at any size (gate 0) on two
-    CPUs: a model's branches and a Bi-GRU's directions; returns the worker,
-    which counts its submits."""
+    """Every fork happens at any size (gate 0) on two CPUs where the worker is
+    free: a model's branches, and a Bi-GRU's directions unless a parameter is
+    in both; returns the worker, which counts its submits.  A test that needs
+    the one-op Bi-GRU or unforked branches patches ``FORK_MIN_MADDS`` to
+    ``1 << 62``."""
     monkeypatch.setattr(ad, "FORK_MIN_MADDS", 0)
     return counting_worker
 

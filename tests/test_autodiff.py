@@ -444,20 +444,17 @@ class TestZeroRows:
             x[...] = 0.0
         return x
 
-    @staticmethod
-    def weights(rng, shapes, recorded: bool):
-        """Parameters, or (for ``recorded``) tape outputs of parameters, so that
-        the gradient of a weight is returned instead of added in place."""
-        params = [Parameter(rng.normal(size=s), f"w{i}") for i, s in enumerate(shapes)]
-        return params, [ad.reshape(p, p.shape) if recorded else p for p in params]
-
-    def sweep(self, xv, input_wanted, params, op, out_shape, rng):
+    def sweep(self, xv, input_wanted, params, recorded, op, out_shape):
+        """``op(x, weights)`` over the parameters ``params``, or (for
+        ``recorded``) over views of them recorded on the tape, so that the
+        gradient of a weight is returned instead of added in place."""
         x = Parameter(xv.copy(), "x") if input_wanted else Tensor(xv)
         cotangent = Tensor(np.random.default_rng(5).normal(size=out_shape))
         for p in params:
             p.zero_grad()
         with Tape() as tape:
-            out = op(x)
+            weights = [ad.reshape(p, p.shape) if recorded else p for p in params]
+            out = op(x, weights)
             loss = ad.total(ad.hadamard(out, cotangent))
         tape.backward(loss)
         return [out.values] + [p.grad.copy() for p in params] + ([x.grad] if input_wanted else [])
@@ -467,7 +464,10 @@ class TestZeroRows:
     @pytest.mark.parametrize("recorded", [False, True])
     @pytest.mark.parametrize("op", ["gru", "gru reversed", "bi_gru", "bi_gru_sequence", "conv"])
     @pytest.mark.usefixtures("skip_at_any_size")
-    def test_matches_the_batched_oracle(self, forced_split, case, input_wanted, recorded, op):
+    def test_matches_the_batched_oracle(self, forced_split, monkeypatch, case, input_wanted,
+                                        recorded, op):
+        """``bi_gru`` forks at gate 0 but for a wanted input, ``bi_gru_sequence``
+        is the one op (gate ``1 << 62``)."""
         rng = np.random.default_rng(131)
         xv = self.batch(case, rng)
         B, T, I, H = self.B, self.T, self.I, self.H
@@ -476,29 +476,30 @@ class TestZeroRows:
         assert (keep is None) == (zero_rows == 0)
         assert keep is None or keep.size == B * T - zero_rows
         if op == "conv":
-            params, (kern, bias) = self.weights(rng, [(self.F, self.K, I), (self.F,)], recorded)
+            shapes = [(self.F, self.K, I), (self.F,)]
             out_shape = (B, T - self.K + 1, self.F)
-            new = lambda x: ad.conv1d(x, kern, bias)  # noqa: E731
-            old = lambda x: oracle_ops.batched_conv1d(x, kern, bias)  # noqa: E731
+            new = lambda x, w: ad.conv1d(x, *w)  # noqa: E731
+            old = lambda x, w: oracle_ops.batched_conv1d(x, *w)  # noqa: E731
         else:
-            shapes = [(3 * H, I), (3 * H, H), (3 * H,)]
-            params, fwd = self.weights(rng, shapes, recorded)
-            more, bwd = self.weights(rng, shapes, recorded)
-            params += more
+            shapes = [(3 * H, I), (3 * H, H), (3 * H,)] * 2
             out_shape = (B, T, H if op.startswith("gru") else 2 * H)
             reverse = op == "gru reversed"
+            if op == "bi_gru_sequence":
+                monkeypatch.setattr(ad, "FORK_MIN_MADDS", 1 << 62)
             if op.startswith("bi_gru"):
-                # forked but for a wanted input (``weights`` records nothing: no tape is open)
-                new = lambda x: ad.bi_gru_sequence(x, fwd, bwd, concurrent=op == "bi_gru")  # noqa: E731
-                old = lambda x: ad.concat([oracle_ops.batched_gru_sequence(x, fwd),  # noqa: E731
-                                           oracle_ops.batched_gru_sequence(x, bwd, reverse=True)],
-                                          axis=-1)
+                new = lambda x, w: ad.bi_gru_sequence(x, w[:3], w[3:])  # noqa: E731
+                old = lambda x, w: ad.concat(  # noqa: E731
+                    [oracle_ops.batched_gru_sequence(x, w[:3]),
+                     oracle_ops.batched_gru_sequence(x, w[3:], reverse=True)], axis=-1)
             else:
-                new = lambda x: ad.gru_sequence(x, fwd, reverse=reverse)  # noqa: E731
-                old = lambda x: oracle_ops.batched_gru_sequence(x, fwd, reverse=reverse)  # noqa: E731
-        got = self.sweep(xv, input_wanted, params, new, out_shape, rng)
+                new = lambda x, w: ad.gru_sequence(x, w[:3], reverse=reverse)  # noqa: E731
+                old = lambda x, w: oracle_ops.batched_gru_sequence(  # noqa: E731
+                    x, w[:3], reverse=reverse)
+        params = [Parameter(rng.normal(size=s), f"w{i}") for i, s in enumerate(shapes)]
+        got = self.sweep(xv, input_wanted, params, recorded, new, out_shape)
         assert forced_split.calls == 2 * (op == "bi_gru" and not input_wanted)
-        want = self.sweep(xv, input_wanted, params, old, out_shape, rng)
+        want = self.sweep(xv, input_wanted, params, recorded, old, out_shape)
+        assert any(np.any(w != 0.0) for w in want[1:1 + len(params)])
         for g, w in zip(got, want, strict=True):
             assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
         if input_wanted and zero_rows:  # the input's gradient covers the zero rows too
@@ -506,28 +507,32 @@ class TestZeroRows:
             assert np.abs(dx).max() > 0
 
     @pytest.mark.parametrize("op", ["gru", "bi_gru", "bi_gru_sequence", "conv"])
-    @pytest.mark.usefixtures("skip_at_any_size", "forced_split")
-    def test_gradcheck_with_zero_rows(self, op):
-        """``bi_gru`` asks to fork: its finite differences come from forked
-        passes outside the tape, its gradients from the one op (a parameter
-        input keeps it serial under the tape)."""
+    @pytest.mark.usefixtures("skip_at_any_size")
+    def test_gradcheck_with_zero_rows(self, forced_split, monkeypatch, op):
+        """``bi_gru`` forks at gate 0 over ``tanh`` of the input, which keeps its
+        zero rows: its finite differences come from forked passes outside the
+        tape, and its gradients pass through the fork's entry.
+        ``bi_gru_sequence`` is the one op throughout (gate ``1 << 62``)."""
         rng = np.random.default_rng(132)
         xv = rng.normal(size=(2, 5, 3))
         xv[0, 1] = xv[0, 3:] = xv[1, 0] = 0.0
         x = Parameter(xv, "x")
+        if op == "bi_gru_sequence":
+            monkeypatch.setattr(ad, "FORK_MIN_MADDS", 1 << 62)
         if op == "conv":
             params = [Parameter(rng.normal(size=(2, 2, 3)), "k"), Parameter(rng.normal(size=2), "b")]
             out = lambda: ad.conv1d(x, *params)  # noqa: E731
         else:
             params = [Parameter(rng.normal(size=s), f"w{i}")
                       for i, s in enumerate([(6, 3), (6, 2), (6,)] * 2)]
-            out = {"gru": lambda: ad.gru_sequence(x, params[:3]),
-                   "bi_gru": lambda: ad.bi_gru_sequence(x, params[:3], params[3:],
-                                                        concurrent=True),
-                   "bi_gru_sequence": lambda: ad.bi_gru_sequence(x, params[:3], params[3:])}[op]
+            fwd, bwd = params[:3], params[3:]
+            out = {"gru": lambda: ad.gru_sequence(x, fwd),
+                   "bi_gru": lambda: ad.bi_gru_sequence(ad.tanh(x), fwd, bwd),
+                   "bi_gru_sequence": lambda: ad.bi_gru_sequence(x, fwd, bwd)}[op]
         weights = Tensor(rng.normal(size=out().shape))
         assert ad.grad_check(lambda: ad.total(ad.hadamard(ad.tanh(out()), weights)),
                              params + [x]) <= 1e-6
+        assert (forced_split.calls > 0) == (op == "bi_gru")
 
     def test_the_scan_starts_at_the_gate(self, monkeypatch):
         """Below ``_SKIP_MIN_VALUES`` values no row is left out."""
@@ -609,19 +614,20 @@ class TestBiGruSequence:
 
     @pytest.mark.parametrize("kind, taped, tasks", [
         ("plain tensor", True, 2),
-        ("parameter", False, 1),
+        ("parameter", False, 0),  # read by both directions
         ("parameter", True, 0),
-        ("recorded input", True, 0),  # ``scale_rows``, as ``learn_layer_weights`` forms it
-        ("recorded weight", True, 0),  # a weight that is not a parameter, on the tape
+        ("recorded input", True, 2),  # ``scale_rows``, as ``learn_layer_weights`` forms it
+        ("recorded weight", True, 2),  # a weight that is not a parameter, on the tape
         ("shared parameter", True, 0),  # one U in both directions
         ("one cpu", True, 0),
     ])
     def test_forks_where_the_branch_tapes_pass_every_gradient(self, forced_split, monkeypatch,
                                                               kind, taped, tasks):
-        """Asked to fork at gate 0 on two CPUs, it does so only where the
-        worker is free and no sweep of the open tape reaches its input or a
-        weight but a parameter, nor a parameter from both directions; the
-        states and gradients equal the one-op kernel's either way."""
+        """At gate 0 on two CPUs it forks where the worker is free and no
+        parameter is in both directions, a parameter input counted in both;
+        the fork's entry passes the open tape the gradients of what it
+        recorded.  The states and gradients equal the one-op kernel's (gate
+        ``1 << 62``) either way."""
         if kind == "one cpu":
             monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
         rng = np.random.default_rng(5)
@@ -632,7 +638,7 @@ class TestBiGruSequence:
             params[4] = params[1]
         row_weights = Parameter(np.linspace(0.5, 1.5, 5), "row_weights")
 
-        def run(concurrent):
+        def run():
             x = Parameter(xv.copy(), "x") if kind == "parameter" else Tensor(xv)
             wanted = params + {"parameter": [x], "recorded input": [row_weights]}.get(kind, [])
             for p in wanted:
@@ -642,19 +648,21 @@ class TestBiGruSequence:
                 weights = list(params)
                 if kind == "recorded weight":
                     weights[3] = ad.reshape(params[3], params[3].shape)
-                states = ad.bi_gru_sequence(seq, weights[:3], weights[3:], concurrent=concurrent)
+                states = ad.bi_gru_sequence(seq, weights[:3], weights[3:])
                 loss = ad.total(ad.hadamard(states, Tensor(cotangent)))
             if not taped:
                 return [states.values], 0
             tape.backward(loss)
             return [states.values] + [p.grad.copy() for p in wanted], len(tape)
 
-        got, entries = run(True)
+        got, entries = run()
         assert forced_split.calls == tasks
-        want, want_entries = run(False)
+        monkeypatch.setattr(ad, "FORK_MIN_MADDS", 1 << 62)
+        want, want_entries = run()
         assert forced_split.calls == tasks
         assert entries == want_entries + 2 * (taped and tasks > 0)  # a fork entry, a second op
         for g, w in zip(got, want, strict=True):
+            assert np.any(w != 0.0)
             npt.assert_array_equal(g, w)
 
 
@@ -1173,6 +1181,56 @@ class TestFork:
         npt.assert_array_equal(out, want_out)
         for g, w in zip(grads, want_grads, strict=True):
             assert np.any(g != 0.0)
+            npt.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("root", ["parameter", "recorded"])
+    def test_a_branch_may_return_what_it_did_not_record(self, monkeypatch, root):
+        """A branch that returns a parameter, or a tensor recorded on the open
+        tape, passes it its share of the gradient through the fork's entry,
+        with the serial fork's bits."""
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        p, q = Parameter([0.5, -1.0], "p"), Parameter([0.3, 2.0], "q")
+        weights = Tensor([1.5, -0.5, 2.0, 0.25])
+
+        def sweep(concurrent):
+            for t in (p, q):
+                t.zero_grad()
+            with Tape() as tape:
+                first = p if root == "parameter" else ad.tanh(p)
+                out = ad.fork(lambda: first, lambda: ad.tanh(q), concurrent)
+                loss = ad.total(ad.hadamard(out, weights))
+            tape.backward(loss)
+            return [out.values, p.grad.copy(), q.grad.copy()]
+
+        for got, want in zip(sweep(True), sweep(False), strict=True):
+            assert np.all(want != 0.0)
+            npt.assert_array_equal(got, want)
+
+    def test_a_recorded_tensor_read_by_a_nested_fork_gets_the_serial_bits(self,
+                                                                         counting_worker):
+        """A tensor recorded on the open tape and read in both branches of a
+        fork inside a forked branch, and in the other forked branch, gets its
+        gradient through both forks' entries."""
+        rng = np.random.default_rng(85)
+        p, q = Parameter(rng.normal(size=(3, 4)), "p"), Parameter(rng.normal(size=(4, 2)), "q")
+        weights = Tensor(rng.normal(size=(3, 10)))
+
+        def sweep(concurrent):
+            for t in (p, q):
+                t.zero_grad()
+            with Tape() as tape:
+                r = ad.tanh(p)
+                inner = lambda: ad.fork(lambda: ad.sigmoid(r),  # noqa: E731
+                                        lambda: ad.matmul(r, q), concurrent)
+                out = ad.fork(lambda: ad.tanh(r), inner, concurrent)
+                loss = ad.total(ad.hadamard(out, weights))
+            tape.backward(loss)
+            return [out.values, p.grad.copy(), q.grad.copy()], len(tape._forks)
+
+        (got, forks), (want, none) = sweep(True), sweep(False)
+        assert (forks, none, counting_worker.calls) == (2, 0, 2)
+        for g, w in zip(got, want, strict=True):
+            assert np.all(w != 0.0)
             npt.assert_array_equal(g, w)
 
     def test_without_a_tape_it_is_the_concatenation(self, monkeypatch, branches):

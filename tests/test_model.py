@@ -351,25 +351,38 @@ class TestGruSequence:
                     npt.assert_array_equal(twice, want_twice)
                     npt.assert_array_equal(twice, 2 * once)
 
-    @pytest.mark.parametrize("concurrent, entries", [(False, 1), (True, 3)])
+    @pytest.mark.parametrize("gate, entries", [(1 << 62, 1), (0, 3)])
     def test_records_one_entry_on_one_thread_and_a_fork_of_two_on_two(self, forced_split,
-                                                                       concurrent, entries):
+                                                                       monkeypatch, gate, entries):
         """One ``bi_gru_sequence`` entry, or, forked, the fork's entry and one
         ``gru_sequence`` entry on each branch tape."""
+        monkeypatch.setattr(ad, "FORK_MIN_MADDS", gate)
         bg = BiGru(3, 2, "bg", np.random.default_rng(62))
         with Tape() as tape:
-            bi_gru(Tensor(np.ones((5, 3))), bg, concurrent=concurrent)
-        assert len(tape) == entries and forced_split.calls == int(concurrent)
+            bi_gru(Tensor(np.ones((5, 3))), bg)
+        assert len(tape) == entries and forced_split.calls == int(gate == 0)
 
-    def test_finished_tape_is_freed_by_reference_counting(self):
+    @pytest.mark.parametrize("graph", ["serial bi_gru", "forked bi_gru of a recorded input",
+                                       "forked branches"])
+    def test_finished_tape_is_freed_by_reference_counting(self, forced_split, monkeypatch,
+                                                          graph):
+        """With gc off, a swept graph goes with its last reference: a branch
+        tape keeps no link to the tape that its fork is on."""
+        if graph == "serial bi_gru":
+            monkeypatch.setattr(ad, "FORK_MIN_MADDS", 1 << 62)
         rng = np.random.default_rng(63)
         bg = BiGru(3, 2, "bg", rng)
         seq = Tensor(rng.normal(size=(4, 3)))
+        model = split_model(learn_layer_weights=True)
+        fused, emb = split_inputs()
         enabled = gc.isenabled()
         gc.disable()
         try:
             with Tape() as tape:
-                loss = ad.total(pool_states(bi_gru(seq, bg)))
+                if graph == "forked branches":
+                    loss = ad.total(model.forward(fused=fused, emb=emb))
+                else:
+                    loss = ad.total(pool_states(bi_gru(ad.tanh(seq), bg)))
             tape.backward(loss)
             freed = weakref.ref(tape)
             del tape, loss
@@ -460,7 +473,7 @@ class TestBiGruFork:
             return ([states.values] + [p.grad.copy() for p in bg.parameters()]
                     + ([x.grad] if input_wanted else []))
 
-        forked = sweep(lambda x, params: bi_gru(x, params, concurrent=True))
+        forked = sweep(bi_gru)
         assert forced_split.calls == (0 if input_wanted else 2)  # the forward pass, the sweep
         for got, want in zip(forked, sweep(oracle_bi_gru), strict=True):
             npt.assert_array_equal(got, want)
@@ -485,18 +498,18 @@ class TestBiGruFork:
                           cotangent[..., 4:])
         npt.assert_array_equal(input_grad(lambda: bi_gru(x, bg), cotangent), dx_f + dx_b)
 
-    @pytest.mark.parametrize("concurrent", [False, True])
-    def test_gradcheck(self, forced_split, concurrent):
-        """Forked, the input is a constant: a branch tape could not pass it a gradient."""
+    @pytest.mark.parametrize("input_kind", ["parameter", "recorded"])
+    def test_gradcheck(self, forced_split, input_kind):
+        """A parameter input keeps the directions together; an input recorded on
+        the tape gets its gradient through the fork's entry."""
         rng = np.random.default_rng(73)
         bg = BiGru(3, 2, "bg", rng)
-        xv = rng.normal(size=(2, 4, 3))
-        x = Tensor(xv) if concurrent else Parameter(xv, "x")
+        x = Parameter(rng.normal(size=(2, 4, 3)), "x")
         weights = Tensor(rng.normal(size=(2, 4, 4)))
-        assert ad.grad_check(
-            lambda: ad.total(ad.hadamard(bi_gru(x, bg, concurrent=concurrent), weights)),
-            bg.parameters() + ([] if concurrent else [x])) <= 1e-6
-        assert (forced_split.calls > 0) == concurrent
+        seq = (lambda: x) if input_kind == "parameter" else (lambda: ad.tanh(x))
+        assert ad.grad_check(lambda: ad.total(ad.hadamard(bi_gru(seq(), bg), weights)),
+                             bg.parameters() + [x]) <= 1e-6
+        assert (forced_split.calls > 0) == (input_kind == "recorded")
 
     def test_a_weight_shared_by_both_directions_gets_the_oracles_gradients(self):
         cell = GruCell(3, 2, "c", np.random.default_rng(76))
@@ -514,14 +527,15 @@ class TestBiGruFork:
         for got, want in zip(*grads, strict=True):
             npt.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("concurrent, tasks", [(False, 0), (True, 2)])
-    def test_a_forked_bi_gru_hands_one_direction_to_the_worker(self, forced_split,
-                                                               concurrent, tasks):
+    @pytest.mark.parametrize("gate, tasks", [(1 << 62, 0), (0, 2)])
+    def test_a_forked_bi_gru_hands_one_direction_to_the_worker(self, forced_split, monkeypatch,
+                                                               gate, tasks):
         """The backward direction's forward pass and its sweep; unforked, both
         directions run one after the other on the caller's thread."""
+        monkeypatch.setattr(ad, "FORK_MIN_MADDS", gate)
         bg = BiGru(1024, 64, "bg", np.random.default_rng(78))
         with Tape() as tape:
-            loss = ad.total(bi_gru(Tensor(np.ones((16, 4, 1024))), bg, concurrent=concurrent))
+            loss = ad.total(bi_gru(Tensor(np.ones((16, 4, 1024))), bg))
         tape.backward(loss)
         assert forced_split.calls == tasks
 
@@ -542,7 +556,7 @@ class TestBiGruFork:
         x = np.ones((batch, rows, width))
         x[:, live:] = 0.0
         assert (batch * live * 3 * 128 * width >= ad.FORK_MIN_MADDS) == forks
-        bi_gru(Tensor(x), bigru, concurrent=True)
+        bi_gru(Tensor(x), bigru)
         assert counting_worker.calls == forks
 
     @pytest.mark.usefixtures("idle_worker")
@@ -577,6 +591,13 @@ OVERFIT16_DIMS = dict(fused_width=64, n_pairs=2, emb_dim=8, hidden_size=16, dens
                       seed=11)
 
 
+def branch_madds(model: IbenModel, fused_shape: tuple, emb_shape: tuple) -> tuple:
+    """The split gate's work per forward pass of branch A and of branch B, as
+    ``IbenModel.forward`` reads it from the model's weights."""
+    return (model_lib._madds(fused_shape, model.branch_a),
+            model_lib._madds(emb_shape, model.branch_b_rnn, model.branch_b_conv))
+
+
 def config_branch_madds(c: ModelConfig, fused_shape: tuple, emb_shape: tuple) -> tuple:
     """The oracle: the split gate's work per forward pass of branch A and of
     branch B, worked out from the config."""
@@ -595,7 +616,7 @@ class TestBranchSplit:
         """The smaller branch's multiply-adds reach the threshold; one more does not."""
         model = split_model()
         fused, emb = split_inputs()
-        smaller = min(model._branch_madds(fused.shape, emb.shape))
+        smaller = min(branch_madds(model, fused.shape, emb.shape))
         for threshold, submits in ((smaller, 2), (smaller + 1, 0)):
             monkeypatch.setattr(ad, "FORK_MIN_MADDS", threshold)
             forced_split.calls = 0
@@ -608,7 +629,7 @@ class TestBranchSplit:
                                                      ("bigru", 0, 1)])
     def test_branch_madds_count_the_bi_grus_and_convolutions(self, submodel, conv, rnn):
         model = split_model(emb_submodel=submodel)  # H 3, F 2, kernels 1 and 2
-        a, b = model._branch_madds((3, 2, 6), (3, 4, 5))
+        a, b = branch_madds(model, (3, 2, 6), (3, 4, 5))
         assert a == 3 * 2 * (2 * 9 * 6 + 2 * 9 * 3)  # B x 2 directions x (3H x I + 3H x H) per row
         assert b == rnn * 3 * 4 * (2 * 9 * 5 + 2 * 9 * 3) + conv * 3 * 4 * 2 * (1 + 2) * 5
 
@@ -625,7 +646,7 @@ class TestBranchSplit:
         config = ModelConfig(emb_submodel=submodel, use_bias=use_bias, **dims)
         fused_shape = (batch, config.n_pairs, config.fused_width)
         emb_shape = (batch, emb_rows, config.emb_dim)
-        got = IbenModel(config)._branch_madds(fused_shape, emb_shape)
+        got = branch_madds(IbenModel(config), fused_shape, emb_shape)
         assert got == config_branch_madds(config, fused_shape, emb_shape)
         if submodel == "both":
             assert (min(got) >= ad.FORK_MIN_MADDS) == splits
@@ -655,14 +676,14 @@ class TestBranchSplit:
         assert forced_split.calls == 0
 
     @pytest.mark.parametrize("recorded", [False, True])
-    @pytest.mark.parametrize("tensors, tasks", [("fused", 2), ("emb", 2), ("both", 0)])
-    def test_a_tensor_input_is_forked_over_by_nothing(self, forced_split, tensors, tasks,
-                                                      recorded):
+    @pytest.mark.parametrize("tensors", ["fused", "emb", "both"])
+    def test_a_tensor_input_gets_its_gradient_through_the_split(self, forced_split, tensors,
+                                                                recorded):
         """A sweep of the caller's tape may reach a tensor input, a parameter or
-        a tensor recorded there, and a branch tape cannot pass the latter a
-        gradient, nor two threads' sweeps add into one parameter safely.  So
-        neither the branches nor that input's Bi-GRU fork; the other input's
-        Bi-GRU forks its directions (its forward pass and its sweep)."""
+        a tensor recorded there.  The branches fork over either (branch B's
+        forward pass and its sweep), and each Bi-GRU inside them steps its
+        directions together; a branch tape adds into a parameter input, and
+        the fork's entry passes a recorded input its gradient."""
         fused, emb = split_inputs()
         params = {name: Parameter(v, name) for name, v in (("fused", fused), ("emb", emb))
                   if tensors in (name, "both")}
@@ -673,7 +694,7 @@ class TestBranchSplit:
         tape.backward(loss)
         for p in params.values():
             assert np.any(p.grad != 0.0), p.name
-        assert forced_split.calls == tasks
+        assert forced_split.calls == 2
 
     def test_predict_and_forward_match_the_serial_ones(self, forced_split, monkeypatch):
         model = split_model()
@@ -775,7 +796,7 @@ class TestWorkerUse:
         # the gate counts the rows branch B's Bi-GRU projects: 12M with 9 of 40 live, 55M with all
         (dict(use_bert_branch=False), 9, (0, 0)),
         (dict(use_bert_branch=False), 40, (2, 1)),
-        (dict(use_emb_branch=False, learn_layer_weights=True), 9, (0, 1)),  # a taped input
+        (dict(use_emb_branch=False, learn_layer_weights=True), 9, (2, 1)),  # a taped input
         (dict(), 9, (2, 1)),  # the branches fork, and each Bi-GRU runs its directions in turn
         (dict(learn_layer_weights=True), 9, (2, 1)),
     ])

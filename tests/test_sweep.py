@@ -87,7 +87,7 @@ CASES = {
         (4, 3, 600), (4, 12, 900), (5, 12, 2, 8)),
     "a_only": _model_case(ModelConfig(**PAPER_LIKE, use_emb_branch=False, seed=7),
                           (4, 3, 600), (4, 12, 900), (12, 7, 3, 9)),
-    # a taped Bi-GRU input: it stays serial, and its gradient reaches the layer weights
+    # a taped Bi-GRU input: its gradient reaches the layer weights through the fork's entry
     "a_only_layer_weights": _model_case(
         ModelConfig(**PAPER_LIKE, use_emb_branch=False, learn_layer_weights=True, seed=8),
         (4, 3, 600), (4, 12, 900), (12, 7, 3, 9)),
@@ -104,7 +104,7 @@ CASES = {
 SEVERAL_CONTRIBUTIONS = {"shared_weight", "step_chain"}  # per parameter and sweep
 MODELS = {"paper_like", "paper_like_layer_weights", "a_only", "a_only_layer_weights", "b_only",
           "overfit16"}
-FORKS_UNDER_A_TAPE = MODELS - {"a_only_layer_weights"}
+FORKS_UNDER_A_TAPE = MODELS
 
 
 def sweep_gradients(build, params, sweeps=1):
