@@ -25,14 +25,14 @@ the worker, and every ``run_both`` inside either of its pieces runs its two
 pieces in turn on its own thread.  A parameter's gradient buffer is
 written by its first contribution after ``zero_grad``, not zero-filled.
 
-The sequence ops leave input rows that are all zero (word-vector padding)
-out of their products with the input's weights, which are exactly zero
-there; an input's gradient still covers every row.  One private recurrence
-kernel steps one GRU direction (:func:`gru_sequence`) or a Bi-GRU's two
-(:func:`bi_gru_sequence`, one tape entry) over the same input, with one
-numpy call per step serving both directions, unless the Bi-GRU forks them
-(see there).  Every op verifies its output is finite and raises
-:class:`NonFiniteError` otherwise; overflow never propagates silently.
+The sequence ops leave input rows that are all zero (word-vector padding) out
+of their products with the input's weights, which are exactly zero there; an
+input's gradient still covers every row, and :func:`conv_bank` scans once for
+every kernel size.  One private recurrence kernel steps one GRU direction
+(:func:`gru_sequence`) or a Bi-GRU's two (:func:`bi_gru_sequence`, one tape
+entry) over the same input, with one numpy call per step serving both, unless
+the Bi-GRU forks them (see there).  Every op verifies its output is finite and
+raises :class:`NonFiniteError` otherwise; overflow never propagates silently.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ __all__ = [
     "gru_sequence",
     "bi_gru_sequence",
     "conv1d",
+    "conv_bank",
     "max_over_time",
     "avg_over_time",
     "mse_loss",
@@ -389,11 +390,11 @@ FORK_MIN_MADDS = 1 << 25
 # ---------------------------------------------------------------------------
 # all-zero input rows
 
-# Input values (rows x width) from which gru_sequence and conv1d look for all-zero
-# input rows.  On a 2-vCPU VM with one BLAS thread, with 80% of the rows zero,
-# the scan, gather and scatter cost 20-46 us more than they saved per op at
-# 640 x 8 to 640 x 32 inputs and 36-48 product columns, broke even at 256 x 64,
-# and saved 100-130 us at 640 x 64 and 1.7-2.4 ms at 640 x 900.
+# Input values (rows x width) from which the sequence ops look for all-zero input
+# rows.  On a 2-vCPU VM with one BLAS thread, with 80% of the rows zero, the scan,
+# gather and scatter cost 20-46 us more than they saved per op at 640 x 8 to 640 x 32
+# inputs and 36-48 product columns, broke even at 256 x 64, and saved 100-130 us at
+# 640 x 64 and 1.7-2.4 ms at 640 x 900.
 _SKIP_MIN_VALUES = 1 << 15
 
 
@@ -403,9 +404,9 @@ def _nonzero_rows(rows: np.ndarray) -> np.ndarray | None:
     values.
 
     An all-zero row's product with a weight matrix is exactly zero, and so is
-    its share of that weight's gradient, so :func:`_times` and :func:`_live`
-    leave it out.  The word-vector matrix's padding rows are all-zero, and so
-    is an OOV token's row under ``oov: zeros``.
+    its share of that weight's gradient, so the sequence ops leave it out.
+    The word-vector matrix's padding rows are all-zero, and so is an OOV
+    token's row under ``oov: zeros``.
     """
     if rows.size < _SKIP_MIN_VALUES:
         return None
@@ -413,19 +414,12 @@ def _nonzero_rows(rows: np.ndarray) -> np.ndarray | None:
     return None if keep.size == rows.shape[0] else keep
 
 
-def _times(rows: np.ndarray, keep: np.ndarray | None, m: np.ndarray) -> np.ndarray:
-    """``rows @ m``, multiplied out for the rows ``keep`` only (all rows when None)."""
-    if keep is None:
-        return rows @ m
-    out = np.zeros((rows.shape[0], m.shape[1]))
-    out[keep] = rows[keep] @ m
-    return out
-
-
-def _live(d_rows: np.ndarray, rows: np.ndarray, keep: np.ndarray | None) -> tuple:
-    """``(d_rows, rows)`` cut to the rows ``keep``: the operands of the weight
-    gradient ``d_rows.T @ rows``."""
-    return (d_rows, rows) if keep is None else (d_rows[keep], rows[keep])
+def _live_rows(x: Tensor) -> tuple:
+    """``keep``, the :func:`_nonzero_rows` of the rows of ``x`` (of any shape), and
+    ``x_live``, those rows: every row when ``keep`` is None."""
+    rows = x.values.reshape(-1, *x.shape[-1:])
+    keep = _nonzero_rows(rows)
+    return keep, rows if keep is None else rows[keep]
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -807,56 +801,87 @@ def bi_gru_sequence(x: Tensor, fwd_weights, bwd_weights) -> Tensor:
     return _apply(out, "bi_gru_sequence", (x,) + fwd_weights + bwd_weights, bptt)
 
 
-def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid convolution of an L x D sequence, or of each of a B x L x D
-    batch, with F kernels of width k.
-
-    out[..., t, f] = bias[f] + sum_{j<k, d<D} x[..., t+j, d] * kernels[f, j, d]
-
-    One GEMM of every input row against all F x k kernel slices gives
-    ``prod[..., s, f, j] = x[..., s, :] . kernels[f, j, :]``, and output row t
-    sums ``prod[..., t+j, f, j]`` over j.  The input and kernel gradients are
-    one GEMM each over the same (row, f, j) layout, so no window is copied.
-    Input rows that are all zero are left out of the product and of the
-    kernel gradient, whose share of them is exactly zero.
+def _conv(x: Tensor, kernels: Tensor, bias: Tensor, keep: np.ndarray | None,
+          x_live: np.ndarray, op: str, at: str = "") -> tuple:
+    """:func:`conv1d`'s checks, whose messages name ``op`` or end in ``at``, and output
+    over an input whose :func:`_live_rows` are ``keep`` and ``x_live``; and ``grads(g,
+    want_x)``: the input's (None unless wanted), kernels' and bias's gradients.  One
+    GEMM of ``x_live`` against all F x k kernel slices gives ``prod[..., s, f, j]``, output
+    row t sums ``prod[..., t+j, f, j]`` over j, and each gradient is one GEMM over that layout.
     """
     xv, kv, bv = x.values, kernels.values, bias.values
     if xv.ndim not in (2, 3) or kv.ndim != 3 or bv.ndim != 1:
-        raise ShapeError("conv1d needs input L x D or B x L x D, kernels F x k x D, bias F")
+        raise ShapeError(f"{op} needs input L x D or B x L x D, kernels F x k x D, bias F{at}")
     L, D = xv.shape[-2:]
     F, k, Dk = kv.shape
     if Dk != D:
-        raise ShapeError(f"kernel feature width {Dk} != input width {D}")
+        raise ShapeError(f"kernel feature width {Dk} != input width {D}{at}")
     if bv.shape[0] != F:
-        raise ShapeError(f"bias length {bv.shape[0]} != filter count {F}")
+        raise ShapeError(f"bias length {bv.shape[0]} != filter count {F}{at}")
     if k > L:
-        raise ShapeError(f"kernel size {k} exceeds sequence length {L}")
+        raise ShapeError(f"kernel size {k} exceeds sequence length {L}{at}")
     n = L - k + 1
-    rows = xv.reshape(-1, D)
     slices = kv.reshape(F * k, D)
-    keep = _nonzero_rows(rows)
-    prod = _times(rows, keep, slices.T).reshape(xv.shape[:-1] + (F, k))
+    prod = x_live @ slices.T
+    if keep is not None:  # an all-zero row's products are zero
+        prod, live_prod = np.zeros((xv.size // D, F * k)), prod
+        prod[keep] = live_prod
+    prod = prod.reshape(xv.shape[:-1] + (F, k))
     out = prod[..., :n, :, 0].copy()
     for j in range(1, k):
         out += prod[..., j:j + n, :, j]
     out += bv
-    prod_shape = prod.shape  # the backward keeps the shape, not the products
 
-    def spread(g):
-        """The output gradient at the (row, f, j) product each output term used."""
-        full = np.zeros(prod_shape)
+    def grads(g, want_x):  # ``full``: g at the (row, f, j) product each output term used
+        full = np.zeros(xv.shape[:-1] + (F, k))
         for j in range(k):
             full[..., j:j + n, :, j] = g
-        return full.reshape(-1, F * k)
+        full = full.reshape(-1, F * k)
+        d_live = full if keep is None else full[keep]
+        return ((full @ slices).reshape(xv.shape) if want_x else None,
+                _Product(d_live.T, x_live), g.reshape(-1, F).sum(axis=0))
+
+    return out, grads
+
+
+def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Valid convolution of an L x D sequence, or of each of a B x L x D batch, with F
+    kernels of width k (see :func:`_conv`):
+    out[..., t, f] = bias[f] + sum_{j<k, d<D} x[..., t+j, d] * kernels[f, j, d]."""
+    out, grads = _conv(x, kernels, bias, *_live_rows(x), "conv1d")
+    return _apply(out, "conv1d", (x, kernels, bias), lambda g, wanted: grads(g, wanted[0]))
+
+
+def conv_bank(x: Tensor, kernels, biases) -> Tensor:
+    """``concat([max_over_time(relu(conv1d(x, k, b))) for ...], axis=-1)``, F features per
+    kernel tensor of F filters (B x F for a batch), as one op over one scan of ``x`` for
+    all-zero rows and with the same bits: a feature's gradient goes to its convolution's
+    first row at the peak, where that is positive; the input's is one contribution,
+    summed from the last kernel tensor to the first as a sweep of that chain adds them."""
+    if not kernels or len(kernels) != len(biases):
+        raise ShapeError(f"conv_bank needs one bias per kernel tensor and at least one of "
+                         f"each, got {len(kernels)} kernel tensors and {len(biases)} biases")
+    live, convs = _live_rows(x), []
+    for kern, b in zip(kernels, biases):
+        size = kern.shape[1] if kern.values.ndim == 3 else "?"
+        name = f", {kern.name}" if isinstance(kern, Parameter) else ""
+        at = f" (conv_bank kernel size {size}{name})"
+        convs.append(_conv(x, kern, b, *live, "conv_bank", at))
+    peaks = [conv.max(axis=-2) for conv, _ in convs]
 
     def backward(g, wanted):
-        full = spread(g)
-        d_live, x_live = _live(full, rows, keep)
-        return ((full @ slices).reshape(xv.shape) if wanted[0] else None,
-                _Product(d_live.T, x_live),
-                g.reshape(-1, F).sum(axis=0))
+        dx, rest = None, []
+        ends = np.cumsum([peak.shape[-1] for peak in peaks])[:-1]
+        for gk, peak, (conv, grads) in reversed(list(zip(np.split(g, ends, -1), peaks, convs))):
+            first = np.where(peak > 0, conv.argmax(axis=-2), 0)  # relu(conv)'s first argmax
+            d_conv = np.zeros(conv.shape)
+            np.put_along_axis(d_conv, first[..., None, :], (gk * (peak > 0))[..., None, :], -2)
+            dxk, *kb = grads(d_conv, wanted[0])
+            dx, rest = (dxk if dx is None else dx + dxk), kb + rest
+        return [dx] + rest
 
-    return _apply(out, "conv1d", (x, kernels, bias), backward)
+    out = np.concatenate([np.where(peak > 0, peak, 0.0) for peak in peaks], axis=-1)
+    return _apply(out, "conv_bank", (x,) + sum(zip(kernels, biases), ()), backward)
 
 
 def max_over_time(x: Tensor) -> Tensor:

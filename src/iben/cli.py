@@ -142,7 +142,7 @@ def _load_json(path):
 
 
 # ---------------------------------------------------------------------------
-# set-up names bench/run.py calls; deleted once it imports iben.pipeline (ROADMAP item 2)
+# set-up names bench/run.py calls; deleted once it imports iben.pipeline (ROADMAP item 1b)
 
 _stoplist_from = pipeline.stoplist_from
 _embedder_from = pipeline.embedder_from
@@ -474,6 +474,14 @@ def gradcheck_report(dims: str = "small", seed: int = 0) -> list[tuple[str, floa
           lambda: ad.total(ad.hadamard(
               ad.bi_gru_sequence(xp, pair.fwd.parameters(), pair.bwd.parameters()), wp)),
           pair.parameters() + [xp])
+
+    # rows grow twofold and each filter keeps one sign: no feature is near a relu or max kink
+    T, F, D = d["T"], d["filters"], d["D"]
+    xk = Parameter(2.0 ** np.arange(T)[:, None] * rng.uniform(0.75, 1, (3, T, D)), "conv_bank.x")
+    kk = [Parameter((-1.0) ** np.arange(F)[:, None, None] * rng.uniform(0.5, 1.5, (F, k, D)),
+                    f"conv_bank.k{k}") for k in d["kernels"]]
+    bk = [Parameter(rng.uniform(-0.1, 0.1, F), f"conv_bank.b{k}") for k in d["kernels"]]
+    check("conv_bank", lambda: ad.total(ad.conv_bank(xk, kk, bk)), [xk] + kk + bk)
 
     return report
 

@@ -175,12 +175,10 @@ class ConvBank:
 
 
 def conv_features(matrix: Tensor, bank: ConvBank) -> Tensor:
-    """Per kernel size: valid convolution, relu, max over time; concatenated."""
-    outs = []
-    for k in bank.kernel_sizes:
-        conv = ad.conv1d(matrix, bank.kernels[k], bank.biases[k])
-        outs.append(ad.max_over_time(ad.relu(conv)))
-    return ad.concat(outs, axis=-1)
+    """Per kernel size: valid convolution, relu, max over time; concatenated.
+    One :func:`~iben.autodiff.conv_bank` op and one zero-row scan for all sizes."""
+    return ad.conv_bank(matrix, [bank.kernels[k] for k in bank.kernel_sizes],
+                        [bank.biases[k] for k in bank.kernel_sizes])
 
 
 class Dense:

@@ -10,6 +10,9 @@ matrix, by ``einsum``) are the single-sample ops the batched ones in
 ``iben.autodiff`` replaced, kept as their oracles.  :func:`batched_gru_sequence`
 and :func:`batched_conv1d` are the batched ops as they were before all-zero
 input rows were left out of their products, kept as the oracles of that skip.
+:func:`conv_bank` is the chain of fine ops that ``iben.autodiff.conv_bank``
+replaced, kept as its oracle.  :func:`_times` and :func:`_live` are zero-row
+helpers that the package's ops no longer use; the serial GRU oracle does.
 
 :func:`serial_backward` and :func:`serial_gru_sequence` are the reverse
 sweep and the GRU op on one thread and one tape: each gradient buffer
@@ -23,23 +26,39 @@ a used buffer whole, so these oracles hold their own blocked add,
 
 import numpy as np
 
+from iben import autodiff as ad
 from iben.autodiff import (
     Parameter,
     ShapeError,
     Tensor,
     _apply,
     _check_gru,
-    _live,
     _nonzero_rows,
     _Product,
     _require_same_shape,
-    _times,
     concat,
+    max_over_time,
+    relu,
     reshape,
 )
 
 
 _BLOCK_COLUMNS = 512
+
+
+def _times(rows: np.ndarray, keep: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+    """``rows @ m``, multiplied out for the rows ``keep`` only (all rows when None)."""
+    if keep is None:
+        return rows @ m
+    out = np.zeros((rows.shape[0], m.shape[1]))
+    out[keep] = rows[keep] @ m
+    return out
+
+
+def _live(d_rows: np.ndarray, rows: np.ndarray, keep: np.ndarray | None) -> tuple:
+    """``(d_rows, rows)`` cut to the rows ``keep``: the operands of the weight
+    gradient ``d_rows.T @ rows``."""
+    return (d_rows, rows) if keep is None else (d_rows[keep], rows[keep])
 
 
 def add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -315,6 +334,13 @@ def batched_conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
                 g.reshape(-1, F).sum(axis=0))
 
     return _apply(out, "conv1d", (x, kernels, bias), backward)
+
+
+def conv_bank(x: Tensor, kernels, biases) -> Tensor:
+    """``iben.autodiff.conv_bank`` as the chain of ops it replaced: per kernel
+    tensor a ``conv1d``, ``relu`` and ``max_over_time`` entry, then one ``concat``."""
+    return concat([max_over_time(relu(ad.conv1d(x, k, b))) for k, b in zip(kernels, biases)],
+                  axis=-1)
 
 
 def serial_backward(tape, loss: Tensor) -> None:

@@ -417,6 +417,112 @@ class TestConv1d:
                     npt.assert_array_equal(single, got[0])
 
 
+class TestConvBank:
+    """``conv_bank`` against its oracle, the chain of a ``conv1d``, ``relu`` and
+    ``max_over_time`` per kernel tensor and one ``concat``
+    (``oracle_ops.conv_bank``): the same features and gradients, bit for bit."""
+
+    # L, D and the rows that are not all zero; one GEMM over every kernel tensor's
+    # slices would change the features' bits at 1, 7 and 33 such rows
+    DIMS = {"paper": (40, 900, 8), "paper, 1 live": (40, 900, 1),
+            "paper, 7 live": (40, 900, 7), "paper, 33 live": (40, 900, 33), "overfit": (8, 8, 8)}
+    SIZES, F = (1, 2, 3, 4), 9
+
+    @staticmethod
+    def sweep(op, xv, kernels, biases, cotangent, kind, recorded=None):
+        """The features and the gradients of the kernels, the biases and the
+        input: ``xv`` as a constant, a parameter, or ``tanh`` of a parameter
+        recorded on the tape.  The kernel at index ``recorded`` is a view of
+        its parameter recorded on the tape, not the parameter."""
+        ks = [Parameter(k.copy(), f"k{i}") for i, k in enumerate(kernels)]
+        bs = [Parameter(b.copy(), f"b{i}") for i, b in enumerate(biases)]
+        xp = Parameter(xv.copy(), "x")
+        wanted = ks + bs + ([] if kind == "constant" else [xp])
+        for p in wanted:
+            p.zero_grad()
+        with Tape() as tape:
+            x = Tensor(xv) if kind == "constant" else xp if kind == "parameter" else ad.tanh(xp)
+            taken = [ad.reshape(k, k.shape) if i == recorded else k for i, k in enumerate(ks)]
+            out = op(x, taken, bs)
+            loss = ad.total(ad.hadamard(out, Tensor(cotangent)))
+        tape.backward(loss)
+        return [out.values] + [p.grad.copy() for p in wanted]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), f"array {i} differs"
+
+    def draw(self, rng, dims, batch):
+        L, D, live = self.DIMS[dims]
+        shape = (L, D) if batch is None else (batch, L, D)
+        xv = rng.normal(size=shape)
+        xv[..., live:, :] = 0.0
+        kernels = [rng.normal(size=(self.F, k, D)) / np.sqrt(k * D) for k in self.SIZES]
+        biases = [rng.normal(size=self.F) - 0.5 for _ in self.SIZES]
+        cotangent = rng.normal(size=shape[:-2] + (self.F * len(self.SIZES),))
+        return xv, kernels, biases, cotangent
+
+    @pytest.mark.parametrize("kind", ["constant", "parameter", "recorded"])
+    @pytest.mark.parametrize("batch", [None, 1, 16])
+    @pytest.mark.parametrize("dims", list(DIMS))
+    def test_matches_the_chain_bit_for_bit(self, dims, batch, kind):
+        rng = np.random.default_rng(sum(map(ord, dims + kind)) + (batch or 0))
+        args = self.draw(rng, dims, batch)
+        want = self.sweep(oracle_ops.conv_bank, *args, kind)
+        self.assert_same_bits(self.sweep(ad.conv_bank, *args, kind), want)
+        assert np.any(want[0] > 0) and np.any(want[0] == 0)
+        assert any(np.any(k != 0.0) for k in want[1:1 + len(self.SIZES)])
+
+    @pytest.mark.parametrize("recorded", [0, 2])
+    def test_a_recorded_kernel_gets_the_chains_gradient(self, recorded):
+        """One size's kernel tensor is recorded on the tape, not a parameter:
+        the sweep forms its gradient product and passes it to the parameter."""
+        args = self.draw(np.random.default_rng(30 + recorded), "paper", 4)
+        self.assert_same_bits(self.sweep(ad.conv_bank, *args, "recorded", recorded),
+                              self.sweep(oracle_ops.conv_bank, *args, "recorded", recorded))
+
+    def test_records_one_entry_over_one_scan(self, monkeypatch):
+        scans = []
+        scan = ad._nonzero_rows
+        monkeypatch.setattr(ad, "_nonzero_rows", lambda rows: scans.append(rows.shape)
+                            or scan(rows))
+        xv, kernels, biases, _ = self.draw(np.random.default_rng(31), "paper", 2)
+        with Tape() as tape:
+            ad.conv_bank(Tensor(xv), [Parameter(k, "k") for k in kernels],
+                         [Parameter(b, "b") for b in biases])
+        assert len(tape) == 1
+        assert scans == [(80, 900)]
+
+    def test_a_filter_with_no_positive_window_gets_no_gradient_from_that_sample(self):
+        """Sample 0's windows are 0, -2 and -4: its feature is 0, and its rows,
+        the kernel and the bias get nothing from it.  Sample 1's peak is 4, at row 2."""
+        x0 = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        xv = np.stack([x0, -x0])
+        got = self.sweep(ad.conv_bank, xv, [-np.ones((1, 1, 2))], [np.zeros(1)],
+                         np.ones((2, 1)), "parameter")
+        features, k_grad, b_grad, x_grad = got
+        npt.assert_array_equal(features, [[0.0], [4.0]])
+        npt.assert_array_equal(k_grad, [[[-2.0, -2.0]]])
+        npt.assert_array_equal(b_grad, [1.0])
+        npt.assert_array_equal(x_grad, [np.zeros((3, 2)), [[0, 0], [0, 0], [-1, -1]]])
+        self.assert_same_bits(got, self.sweep(oracle_ops.conv_bank, xv, [-np.ones((1, 1, 2))],
+                                              [np.zeros(1)], np.ones((2, 1)), "parameter"))
+
+    def test_a_tie_at_the_peak_sends_the_gradient_to_the_first_row(self):
+        """Width 1: rows 0 and 2 both give 2.  Width 2: windows 0 and 1 both give 3."""
+        xv = np.array([[1.0, 1.0], [0.5, 0.5], [1.0, 1.0], [0.25, 0.25]])
+        args = (xv, [np.ones((1, 1, 2)), np.ones((1, 2, 2))], [np.zeros(1)] * 2, np.ones(2))
+        got = self.sweep(ad.conv_bank, *args, "parameter")
+        features, k1_grad, k2_grad, _, _, x_grad = got
+        npt.assert_array_equal(features, [2.0, 3.0])
+        npt.assert_array_equal(k1_grad, [[[1.0, 1.0]]])
+        npt.assert_array_equal(k2_grad, [[[1.0, 1.0], [0.5, 0.5]]])
+        npt.assert_array_equal(x_grad, [[2.0, 2.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        self.assert_same_bits(got, self.sweep(oracle_ops.conv_bank, *args, "parameter"))
+
+
 class TestZeroRows:
     """gru_sequence and conv1d leave all-zero input rows out
     of their input-weight products; the ops from before that skip, kept in
@@ -755,6 +861,33 @@ class TestRefusals:
     def test_conv1d_shapes(self, x, kernels, bias, message):
         with pytest.raises(ShapeError, match=message):
             ad.conv1d(Tensor(np.ones(x)), Tensor(np.ones(kernels)), Tensor(np.ones(bias)))
+
+    @pytest.mark.parametrize("x, kernels, biases, message", [
+        ((5, 3), [], [], r"^conv_bank needs one bias per kernel tensor and at least one of "
+                         r"each, got 0 kernel tensors and 0 biases$"),
+        ((5, 3), [(2, 1, 3), (2, 2, 3)], [(2,)], r"^conv_bank .*got 2 kernel tensors and 1 "),
+        ((5,), [(2, 1, 5)], [(2,)], r"^conv_bank needs input L x D or B x L x D, kernels "
+                                    r"F x k x D, bias F \(conv_bank kernel size 1, k0\)$"),
+        ((5, 3), [(2, 1, 3), (2, 3)], [(2,), (2,)],
+         r"^conv_bank needs input .*, bias F \(conv_bank kernel size \?, k1\)$"),
+        ((5, 3), [(2, 1, 3), (2, 2, 4)], [(2,), (2,)],
+         r"^kernel feature width 4 != input width 3 \(conv_bank kernel size 2, k1\)$"),
+        ((2, 5, 3), [(2, 2, 3)], [(3,)],
+         r"^bias length 3 != filter count 2 \(conv_bank kernel size 2, k0\)$"),
+        ((5, 3), [(2, 1, 3), (2, 6, 3)], [(2,), (2,)],
+         r"^kernel size 6 exceeds sequence length 5 \(conv_bank kernel size 6, k1\)$"),
+        ((5, 3), [(2, 4, 3), None], [(2,), (2,)],
+         r"^kernel feature width 4 != input width 3 \(conv_bank kernel size 2\)$"),
+    ], ids=["empty", "counts", "1d_input", "2d_kernels", "kernel_width", "bias_length",
+            "kernel_size", "unnamed"])
+    def test_conv_bank_shapes(self, x, kernels, biases, message):
+        """Each size's mismatch names the kernel size and the parameter, if
+        the kernel is one; ``None`` stands for a 2 x 2 x 4 tensor that is not."""
+        taken = [Tensor(np.ones((2, 2, 4))) if s is None else Parameter(np.ones(s), f"k{i}")
+                 for i, s in enumerate(kernels)]
+        with pytest.raises(ShapeError, match=message) as raised:
+            ad.conv_bank(Tensor(np.ones(x)), taken, [Tensor(np.ones(s)) for s in biases])
+        assert "conv1d" not in str(raised.value)
 
     @pytest.mark.parametrize("op", [ad.max_over_time, ad.avg_over_time])
     def test_pooling_a_vector(self, op):

@@ -1306,7 +1306,7 @@ class TestGradcheck:
         for name in ("matmul", "sigmoid", "conv1d_k1", "max_over_time",
                      "gru_cell", "bi_gru", "model_full", "gru_sequence",
                      "gru_sequence_rev", "gru_sequence_batch", "conv1d_batch", "scale_rows",
-                     "bi_gru_sequence"):
+                     "bi_gru_sequence", "conv_bank"):
             assert name in out
         assert "FAIL" not in out
 
